@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import criteria, geometry, profiles, spectral
@@ -337,6 +336,8 @@ def _write_trajectory(path, traj, cfg):
         lines.append(f"{_fmt(float(t))}\t{_fmt(float(z))}\t{_fmt(float(dz))}")
     for cert in traj.zeros:
         lines.append(f"# zero {_fmt(cert.t_lo)} {_fmt(cert.t_hi)}")
+    if traj.terminated_reason == "step_underflow":
+        lines.append(f"# terminated step_underflow at {_fmt(traj.t_end)}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -359,6 +360,9 @@ def cmd_solve(cfg, out_dir, tol, horizon):
     else:
         raise ConfigError(f"[solve] unknown problem {problem!r}")
     _write_trajectory(out_dir / "trajectory.tsv", traj, cfg)
+    if traj.terminated_reason == "step_underflow":
+        raise SturmoscError(
+            f"solver broke down (step_underflow) at t = {_fmt(traj.t_end)}")
     return 0
 
 
@@ -388,9 +392,9 @@ def _sweep_row(cfg, vary_section, vary_key, value, names, tol, horizon,
         try:
             verdict = _run_criterion(name, resolver, sec, tol, horizon)
             row[name] = verdict.status.value
-        except (InvalidParams, SturmoscError) as exc:
-            if isinstance(exc, HypothesisViolated):
-                raise
+        except HypothesisViolated:
+            raise
+        except SturmoscError:
             row[name] = "error"
     if count_zeros:
         pair = resolver.pair(sec.str("pair", required=True))
@@ -399,7 +403,7 @@ def _sweep_row(cfg, vary_section, vary_key, value, names, tol, horizon,
     return row
 
 
-def cmd_sweep(cfg, out_dir, tol, horizon, jobs):
+def cmd_sweep(cfg, out_dir, tol, horizon):
     if "sweep" not in cfg:
         raise ConfigError("configuration has no [sweep] section")
     sec = _Section("sweep", cfg["sweep"])
@@ -416,16 +420,8 @@ def cmd_sweep(cfg, out_dir, tol, horizon, jobs):
     count_zeros = sec.bool("count_zeros", default=False)
     count_horizon = sec.float("count_horizon", default=h)
     z0 = sec.float("z0", default=1.0)
-
-    def task(value):
-        return _sweep_row(cfg, vary_section, vary_key, value, names, t, h,
-                          count_zeros, count_horizon, z0)
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(task, values))
-    else:
-        rows = [task(v) for v in values]
+    rows = [_sweep_row(cfg, vary_section, vary_key, value, names, t, h,
+                       count_zeros, count_horizon, z0) for value in values]
 
     fields = ["value"] + names + (["zeros"] if count_zeros else [])
     out_path = out_dir / "sweep.csv"
@@ -509,18 +505,13 @@ def _build_parser():
                        help="override the quadrature/solver tolerance")
         p.add_argument("--horizon", type=float, default=None,
                        help="override the integration/search horizon")
-        if name == "sweep":
-            p.add_argument("--jobs", type=int, default=1,
-                           help="worker threads for the sweep fan-out")
     return parser
 
 
-def run(command, config_path, out_dir, tol=None, horizon=None, jobs=1):
+def run(command, config_path, out_dir, tol=None, horizon=None):
     cfg = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if command == "sweep":
-        return _COMMANDS[command](cfg, out, tol, horizon, jobs)
     return _COMMANDS[command](cfg, out, tol, horizon)
 
 
@@ -528,7 +519,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return run(args.command, args.config, args.out, tol=args.tol,
-                   horizon=args.horizon, jobs=getattr(args, "jobs", 1))
+                   horizon=args.horizon)
     except (ConfigError, InvalidParams, CatalogDerivativeMissing) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -278,6 +278,7 @@ def search_main_B2(k, a_grid=None, b_grid=None, lambda_grid=LAMBDA_GRID,
         a_grid = np.geomspace(0.25, 4.0, 5)
     best = None
     best_margin = -math.inf
+    evaluated = 0
     for a in a_grid:
         bs = b_grid if b_grid is not None else np.geomspace(1.5 * a, 30.0 * a, 7)
         for b in bs:
@@ -285,12 +286,13 @@ def search_main_B2(k, a_grid=None, b_grid=None, lambda_grid=LAMBDA_GRID,
                 continue
             for lam in lambda_grid:
                 v = check_main_B2(k, float(a), float(b), float(lam), tol=tol)
+                evaluated += 1
                 margin = ((v.witness["lhs"] - v.witness["rhs"])
                           / (1.0 + abs(v.witness["rhs"])))
                 if margin > best_margin:
                     best, best_margin = v, margin
     witness = dict(best.witness)
-    witness["grid_points"] = float(len(a_grid) * 7 * len(lambda_grid))
+    witness["grid_points"] = float(evaluated)
     return Verdict("main_b2", best.status, best.conclusion, witness, best.notes)
 
 

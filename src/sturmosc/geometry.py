@@ -216,19 +216,14 @@ def model_profiles(model):
         if w.ddf is None:
             raise CatalogDerivativeMissing(
                 f"warping {w.name!r} cannot produce a curvature profile")
-
-        def k_ev(r):
-            return -np.asarray(w.ddf(r), dtype=float) / np.asarray(w.f(r), dtype=float)
-
         sign = None
         if w.curvature_lower is not None and w.curvature_lower >= 0:
             sign = "nonnegative"
         elif w.curvature_lower is not None:
             grid = np.geomspace(1e-3, min(1e3, 0.99 * w.r_max), 33)
-            if np.all(k_ev(grid) <= 1e-12):
+            if np.all(w.curvature(grid) <= 1e-12):
                 sign = "nonpositive"
-        k_profile = Profile(k_ev, tail=None, origin="finite", sign=sign,
-                            label=f"K[{w.name}]")
+        k_profile = Profile(w.curvature, sign=sign, label=f"K[{w.name}]")
     if w.curvature_lower is None:
         raise InvalidParams(
             f"warping {w.name!r} carries no certified curvature lower bound")
@@ -240,8 +235,7 @@ def model_profiles(model):
         return omega * np.power(w.f(r), m - 1)
 
     v_tail = w.volume_tail(m, omega) if w.volume_tail is not None else None
-    v = Profile(v_ev, tail=v_tail, origin="power", sign="nonnegative",
-                label=f"v[{w.name},m={m}]")
+    v = Profile(v_ev, tail=v_tail, sign="nonnegative", label=f"v[{w.name},m={m}]")
     return k, v
 
 

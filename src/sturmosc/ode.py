@@ -20,8 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import (InvalidParams, NonFiniteSample, SingularStartFailure,
-                     ToleranceNotMet)
+from .errors import (InvalidParams, NonFiniteSample, OutOfValidity,
+                     SingularStartFailure, ToleranceNotMet)
 from .profiles import CurvatureProfile, DEFAULT_TOL, Profile, integrate
 
 __all__ = [
@@ -75,7 +75,7 @@ class Trajectory:
     """Dense ODE solution with certified zero brackets.
 
     State convention: component 0 is the solution value, component 1 the
-    flux (u' for 'jacobi', v z' for 'radial').
+    flux (u' for :func:`solve_jacobi`, v z' for :func:`solve_radial`).
     """
 
     ts: np.ndarray
@@ -86,17 +86,23 @@ class Trajectory:
     terminated_reason: str  # "horizon" | "zero_cap" | "step_underflow"
     t_start: float
     t_end: float
-    kind: str  # "jacobi" | "radial"
     chunks: tuple = field(repr=False)
     weight: Optional[Profile] = field(default=None, repr=False)
     rhs: Optional[Callable] = field(default=None, repr=False)
 
     def state(self, t):
-        """Dense state [(value, flux)] at scalar or array t."""
+        """Dense state [(value, flux)] at scalar or array t in [t_start, t_end].
+
+        Raises :class:`~sturmosc.errors.OutOfValidity` outside that interval
+        rather than extrapolating the dense output.
+        """
         if not self.chunks:
             raise InvalidParams("trajectory has no dense output "
                                 f"(terminated: {self.terminated_reason})")
         arr = np.atleast_1d(np.asarray(t, dtype=float))
+        if np.any((arr < self.t_start) | (arr > self.t_end)):
+            raise OutOfValidity(
+                f"trajectory is valid on [{self.t_start:g}, {self.t_end:g}]")
         out = np.empty((2, arr.size))
         his = np.array([c.hi for c in self.chunks])
         idx = np.searchsorted(his, arr, side="left")
@@ -171,12 +177,15 @@ def _scan_chunk(sol, zero_tol, start_after):
         return float(sol(x)[0])
 
     certs = []
-    sign = np.sign(vals)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        a, b = float(grid[i]), float(grid[i + 1])
+    # samples that are exactly 0.0 carry no sign: compare their neighbours
+    nonzero = np.nonzero(vals != 0.0)[0]
+    sign = np.sign(vals[nonzero])
+    for j in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        i, k = nonzero[j], nonzero[j + 1]
+        a, b = float(grid[i]), float(grid[k])
         if a < start_after:
             continue
-        fa, fb = float(vals[i]), float(vals[i + 1])
+        fa, fb = float(vals[i]), float(vals[k])
         a, b, fa, fb = _refine_bracket(f, a, b, fa, fb, zero_tol)
         certs.append(ZeroCertificate(a, b, int(math.copysign(1, fa)),
                                      int(math.copysign(1, fb))))
@@ -198,7 +207,7 @@ def _find_suspects(ts, vals, zero_tol):
     return out
 
 
-def _drive(rhs, t0, y0, horizon, rtol, atol, zero_tol, zero_cap, kind, weight):
+def _drive(rhs, t0, y0, horizon, rtol, atol, zero_tol, zero_cap, weight):
     node_t = [float(t0)]
     node_y = [np.asarray(y0, dtype=float)]
     chunks = []
@@ -238,7 +247,7 @@ def _drive(rhs, t0, y0, horizon, rtol, atol, zero_tol, zero_cap, kind, weight):
     suspects = _find_suspects(ts, ys[0], zero_tol)
     return Trajectory(ts=ts, values=ys[0], fluxes=ys[1], zeros=tuple(zeros),
                       suspects=tuple(suspects), terminated_reason=reason,
-                      t_start=float(t0), t_end=float(ts[-1]), kind=kind,
+                      t_start=float(t0), t_end=float(ts[-1]),
                       chunks=tuple(chunks), weight=weight, rhs=rhs)
 
 
@@ -268,7 +277,7 @@ def solve_jacobi(k, horizon, tol=DEFAULT_TOL, zero_tol=DEFAULT_ZERO_TOL,
 
     return _drive(rhs, t0, y0, horizon, rtol=tol,
                   atol=max(1e-14, tol * 1e-4), zero_tol=zero_tol,
-                  zero_cap=zero_cap, kind="jacobi", weight=None)
+                  zero_cap=zero_cap, weight=None)
 
 
 def _singular_start(pair, z0, picard_tol=1e-10):
@@ -342,7 +351,7 @@ def solve_radial(pair, z0, horizon, tol=DEFAULT_TOL, zero_tol=DEFAULT_ZERO_TOL,
 
     return _drive(rhs, t0, y0, horizon, rtol=tol,
                   atol=max(1e-14, tol * 1e-4), zero_tol=zero_tol,
-                  zero_cap=zero_cap, kind="radial", weight=v)
+                  zero_cap=zero_cap, weight=v)
 
 
 def locate_zeros(traj, zero_tol=DEFAULT_ZERO_TOL):
@@ -375,7 +384,7 @@ class FirstZeroSearch:
 
 def extend_until_zero(pair, z0, horizon_cap, tol=DEFAULT_TOL,
                       zero_tol=DEFAULT_ZERO_TOL):
-    """Grow the integration horizon (doubling) until a first zero or the cap.
+    """Solve once up to ``horizon_cap``, stopping at the first certified zero.
 
     The inconclusive outcome carries the final horizon and the
     sign-definite trajectory.

@@ -109,13 +109,11 @@ class Profile:
     ``sign`` is an optional certificate that the function is nonnegative,
     nonpositive, or identically zero on the *whole* domain; it is what
     allows a checker to say "fails for every parameter choice" instead of
-    merely "inconclusive here".  ``origin`` records the qualitative
-    behavior as t -> 0+.
+    merely "inconclusive here".
     """
 
     evaluator: Callable
     tail: Tail = None
-    origin: str = "finite"  # "finite" | "power" | "log" | "unknown"
     sign: Optional[str] = None  # "nonnegative" | "nonpositive" | "zero" | None
     label: str = ""
 
@@ -149,8 +147,8 @@ def constant(value, label=""):
     def ev(t):
         return np.full(np.shape(t), v)
 
-    return Profile(ev, tail=PowerTail(v, 0.0), origin="finite",
-                   sign=_sign_of_value(v), label=label or f"const({v:g})")
+    return Profile(ev, tail=PowerTail(v, 0.0), sign=_sign_of_value(v),
+                   label=label or f"const({v:g})")
 
 
 def power(coefficient, exponent, label=""):
@@ -159,9 +157,8 @@ def power(coefficient, exponent, label=""):
     def ev(t):
         return c * np.power(t, p)
 
-    origin = "finite" if p >= 0 else "power"
-    return Profile(ev, tail=PowerTail(c, p), origin=origin,
-                   sign=_sign_of_value(c), label=label or f"{c:g}*t^{p:g}")
+    return Profile(ev, tail=PowerTail(c, p), sign=_sign_of_value(c),
+                   label=label or f"{c:g}*t^{p:g}")
 
 
 def exponential(coefficient, rate, label=""):
@@ -170,8 +167,8 @@ def exponential(coefficient, rate, label=""):
     def ev(t):
         return c * np.exp(r * t)
 
-    return Profile(ev, tail=ExpTail(c, r), origin="finite",
-                   sign=_sign_of_value(c), label=label or f"{c:g}*exp({r:g}t)")
+    return Profile(ev, tail=ExpTail(c, r), sign=_sign_of_value(c),
+                   label=label or f"{c:g}*exp({r:g}t)")
 
 
 # --- profile algebra -------------------------------------------------------
@@ -220,7 +217,7 @@ def multiply(p, q, label=""):
     def ev(t):
         return p.evaluator(t) * q.evaluator(t)
 
-    return Profile(ev, tail=_mul_tail(p.tail, q.tail), origin="unknown",
+    return Profile(ev, tail=_mul_tail(p.tail, q.tail),
                    sign=_mul_sign(p.sign, q.sign),
                    label=label or f"({p.label})*({q.label})")
 
@@ -237,7 +234,7 @@ def add(p, q, label=""):
     def ev(t):
         return p.evaluator(t) + q.evaluator(t)
 
-    return Profile(ev, tail=_add_tail(p.tail, q.tail), origin="unknown",
+    return Profile(ev, tail=_add_tail(p.tail, q.tail),
                    sign=_add_sign(p.sign, q.sign),
                    label=label or f"({p.label})+({q.label})")
 
@@ -256,8 +253,7 @@ def scaled(p, factor, label=""):
     else:
         tail = None
     sign = _mul_sign(p.sign, _sign_of_value(k))
-    return Profile(ev, tail=tail, origin=p.origin, sign=sign,
-                   label=label or f"{k:g}*({p.label})")
+    return Profile(ev, tail=tail, sign=sign, label=label or f"{k:g}*({p.label})")
 
 
 def subtract(p, q, label=""):
@@ -272,8 +268,7 @@ def reciprocal(p, label=""):
     if isinstance(p.tail, AsymptoticTail) and p.tail.coefficient != 0.0:
         tail = AsymptoticTail(1.0 / p.tail.coefficient, -p.tail.exponent,
                               -p.tail.rate, p.tail.valid_from, p.tail.exact)
-    return Profile(ev, tail=tail, origin="unknown", sign=p.sign,
-                   label=label or f"1/({p.label})")
+    return Profile(ev, tail=tail, sign=p.sign, label=label or f"1/({p.label})")
 
 
 def elementwise_power(p, exponent, label=""):
@@ -294,8 +289,7 @@ def elementwise_power(p, exponent, label=""):
         tail = p.tail
     sign = "zero" if p.sign == "zero" else (
         "nonnegative" if certified_nonnegative(p) else None)
-    return Profile(ev, tail=tail, origin="unknown", sign=sign,
-                   label=label or f"({p.label})^{e:g}")
+    return Profile(ev, tail=tail, sign=sign, label=label or f"({p.label})^{e:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +499,6 @@ class CoefficientPair:
     w: Profile
     b_const: float = 0.0
     t_start: float = 0.0
-    v_inv_l1_at_zero: Optional[bool] = None
     v_inv_l1_at_infinity: Optional[bool] = None
     validate: bool = True
     label: str = ""
@@ -543,9 +536,6 @@ class CoefficientPair:
             raise InvalidParams(
                 f"W*v^2 >= -B^2 fails on samples (min {worst:.6g} < {-self.b_const**2:.6g})")
         if self.t_start == 0:
-            if self.v_inv_l1_at_zero is True:
-                raise InvalidParams(
-                    "admissible pairs need 1/v non-integrable at 0+")
             dec = np.geomspace(1e-2, 1e-7, 11)
             vdec = self.v(dec)
             if not (np.all(np.isfinite(vdec)) and vdec[-1] < 0.05 * (1.0 + vdec[0])):
@@ -581,27 +571,34 @@ class CurvatureProfile:
 # Integral functionals
 # ---------------------------------------------------------------------------
 
-def big_v(pair, t1, t2, tol=DEFAULT_TOL):
-    """exp(2 B * integral of 1/v over [t1, t2]); t2 may be +inf.
-
-    Returns 1 when t1 == t2 or B == 0, and +inf when the exponent
-    diverges.
-    """
+def _big_v_exponent(pair, t1, t2, tol):
+    """The exponent 2 B * integral of 1/v over [t1, t2] shared by big_v and
+    big_v_minus_one; None when t1 == t2 or B == 0, +inf on divergence."""
     t1 = float(t1)
-    if t1 < 0:
-        raise InvalidParams("big_v needs t1 >= 0")
-    if t2 < t1:
-        raise InvalidParams("big_v needs t1 <= t2")
+    if t1 < 0 or t2 < t1:
+        raise InvalidParams("need 0 <= t1 <= t2")
     if t1 == t2 or pair.b_const == 0.0:
-        return 1.0
+        return None
     if math.isinf(t2):
         expo = tail_integral(pair.v_inv, t1, tol=tol)
     else:
         expo = integrate(pair.v_inv, t1, float(t2), tol=tol)
     if math.isinf(expo):
         return math.inf
+    return 2.0 * pair.b_const * expo
+
+
+def big_v(pair, t1, t2, tol=DEFAULT_TOL):
+    """exp(2 B * integral of 1/v over [t1, t2]); t2 may be +inf.
+
+    Returns 1 when t1 == t2 or B == 0, and +inf when the exponent
+    diverges.
+    """
+    expo = _big_v_exponent(pair, t1, t2, tol)
+    if expo is None:
+        return 1.0
     try:
-        return math.exp(2.0 * pair.b_const * expo)
+        return math.exp(expo)
     except OverflowError:
         return math.inf
 
@@ -612,19 +609,11 @@ def big_v_minus_one(pair, t1, t2, tol=DEFAULT_TOL):
     Exact where the growth factor itself rounds to 1.0, which is what the
     V/(V - 1) thresholds need when the remaining tail of 1/v is tiny.
     """
-    t1 = float(t1)
-    if t1 < 0 or t2 < t1:
-        raise InvalidParams("need 0 <= t1 <= t2")
-    if t1 == t2 or pair.b_const == 0.0:
+    expo = _big_v_exponent(pair, t1, t2, tol)
+    if expo is None:
         return 0.0
-    if math.isinf(t2):
-        expo = tail_integral(pair.v_inv, t1, tol=tol)
-    else:
-        expo = integrate(pair.v_inv, t1, float(t2), tol=tol)
-    if math.isinf(expo):
-        return math.inf
     try:
-        return math.expm1(2.0 * pair.b_const * expo)
+        return math.expm1(expo)
     except OverflowError:
         return math.inf
 

@@ -53,7 +53,6 @@ class RiccatiTrajectory:
     ts: np.ndarray
     ys: np.ndarray
     poles: tuple
-    source: str = ""
     evaluator: Optional[Callable] = None
 
     def __call__(self, t):
@@ -86,14 +85,7 @@ def riccati_from_solution(traj, v=None, exclusion=NEAR_POLE_EXCLUSION):
             return -v(t) * traj.derivative(t) / traj.value(t)
 
     poles = tuple(cert.location for cert in traj.zeros)
-    return RiccatiTrajectory(ts=ts, ys=ys, poles=poles,
-                             source=f"solution:{traj.kind}",
-                             evaluator=evaluator)
-
-
-class _Flavor(str, enum.Enum):
-    JACOBI = "jacobi"    # constant-coefficient family, B (C + e^{2Bt}) / (C - e^{2Bt})
-    RADIAL = "radial"    # v-weighted family, B (C + V(1,t)) / (C - V(1,t))
+    return RiccatiTrajectory(ts=ts, ys=ys, poles=poles, evaluator=evaluator)
 
 
 @dataclass(frozen=True)
@@ -181,8 +173,7 @@ def family_riccati(fam, ts, tol=DEFAULT_TOL):
             return comparison_value(fam, float(t), tol)
         return np.array([comparison_value(fam, float(x), tol) for x in np.asarray(t)])
 
-    return RiccatiTrajectory(ts=ts, ys=ys, poles=poles,
-                             source=f"family:{fam.flavor}", evaluator=evaluator)
+    return RiccatiTrajectory(ts=ts, ys=ys, poles=poles, evaluator=evaluator)
 
 
 def blow_up_time(fam, tol=DEFAULT_TOL):

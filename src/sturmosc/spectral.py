@@ -8,17 +8,16 @@ delegates to the first-zero and oscillation checkers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .criteria import (Conclusion, Status, Verdict, check_first_zero,
-                       check_oscillation)
+from .criteria import (Conclusion, Status, Verdict, _strict_margin,
+                       check_first_zero, check_oscillation, first_zero_threshold)
 from .errors import HypothesisViolated, InvalidParams, NoZeroAtT2
-from .profiles import (DEFAULT_TOL, integrate, multiply, reciprocal, scaled,
-                       tail_integral, tail_integral_converges)
+from .profiles import (DEFAULT_TOL, CoefficientPair, constant, integrate,
+                       multiply, scaled)
 from .ode import Trajectory, solve_radial
 
 __all__ = [
@@ -200,24 +199,17 @@ def check_yamabe(s_mean, m, v, b_const, a, b, tol=DEFAULT_TOL):
         raise HypothesisViolated(
             "spherical mean of the scalar curvature exceeds c_m B^2 / v")
 
-    v_inv = reciprocal(v)
     lhs = integrate(multiply(scaled(s_mean, -1.0), v), a, b, tol=tol)
-    converges = tail_integral_converges(v_inv)
-    if converges is None:
+    # the threshold is c_m times the first-zero threshold of (v, 0, B)
+    pair = CoefficientPair(v, constant(0.0), b_const, validate=False)
+    if pair.v_inv_l1_at_infinity is None:
         raise InvalidParams("deciding the threshold needs tail info on 1/v")
-    if not converges:
-        rhs = 2.0 * cm * b_const
-    elif b_const == 0.0:
-        rhs = cm / tail_integral(v_inv, b, tol=tol)
-    else:
-        expo = tail_integral(v_inv, b, tol=tol)
-        vm1 = math.expm1(2.0 * b_const * expo)
-        rhs = 2.0 * cm * b_const * (vm1 + 1.0) / vm1
+    rhs = cm * first_zero_threshold(pair, b, tol=tol)
     witness = {"lhs": lhs, "rhs": rhs, "a": float(a), "b": float(b),
                "c_m": cm, "B": float(b_const)}
     notes = ("assumes a positive bottom of the spectrum around the zero set "
              "of the target curvature (not checked here)")
-    if (lhs - rhs) > 10.0 * tol * (1.0 + max(abs(lhs), abs(rhs))):
+    if _strict_margin(lhs, rhs, tol):
         return Verdict("yamabe", Status.SATISFIED,
                        Conclusion.CONFORMAL_DEFORMATION, witness, notes=notes)
     return Verdict("yamabe", Status.INCONCLUSIVE, Conclusion.NONE, witness,

@@ -284,7 +284,7 @@ def test_criterion_10_deterministic_outputs(tmp_path):
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         assert cli_main(["sweep", "--config", str(config),
-                         "--out", str(out), "--jobs", "3"]) == 0
+                         "--out", str(out)]) == 0
         assert cli_main(["check", "--config", str(config),
                          "--out", str(out)]) == 0
     same_csv = ((outs[0] / "sweep.csv").read_bytes()

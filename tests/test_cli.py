@@ -134,13 +134,6 @@ class TestSweep:
         assert table["0.2"][1] == "inconclusive"
         assert table["0.3"][1] == "satisfied"
 
-    def test_jobs_flag_same_output(self, config, tmp_path):
-        out1, out4 = tmp_path / "j1", tmp_path / "j4"
-        main(["sweep", "--config", str(config), "--out", str(out1)])
-        main(["sweep", "--config", str(config), "--out", str(out4),
-              "--jobs", "4"])
-        assert (out1 / "sweep.csv").read_bytes() == (out4 / "sweep.csv").read_bytes()
-
 
 class TestSpectral:
     def test_report_files(self, config, tmp_path):
@@ -210,3 +203,20 @@ class TestExitCodes:
             "[pair:p]\nv = v_sq\nw = W\nb_const = 0.0\n"
             "[solve]\nproblem = radial\npair = p\nhorizon = 10.0\n")
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_solver_breakdown_exit_code(self, tmp_path):
+        # v = 1, W = 1/(t-2)^2 has a pole at t = 2 inside the horizon
+        cfg = tmp_path / "pole.ini"
+        cfg.write_text(
+            "[profile:one]\nkind = constant\nc = 1.0\n"
+            "[profile:t]\nkind = power\nc = 1.0\np = 1.0\n"
+            "[profile:m2]\nkind = constant\nc = -2.0\n"
+            "[profile:tm2]\nkind = sum\nterms = t m2\n"
+            "[profile:sq]\nkind = product\nfactors = tm2 tm2\n"
+            "[profile:W]\nkind = reciprocal\nof = sq\n"
+            "[pair:p]\nv = one\nw = W\nt_start = 1.0\nvalidate = false\n"
+            "[solve]\nproblem = radial\npair = p\nhorizon = 5.0\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        last = (tmp_path / "trajectory.tsv").read_text().splitlines()[-1]
+        assert last.startswith("# terminated step_underflow at ")
+        assert float(last.split()[-1]) == pytest.approx(2.0, abs=1e-6)

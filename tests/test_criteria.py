@@ -136,6 +136,13 @@ class TestMainB2:
         k = curvature(constant(-1.0), b=1.0)
         assert search_main_B2(k).status is VIO
 
+    def test_search_counts_evaluated_instances(self):
+        k = curvature(constant(1.0), b=1.0, validate=False)
+        # (a, b) pairs with b <= a are skipped: (1, 1.5), (1, 3), (2, 3)
+        v = search_main_B2(k, a_grid=[1.0, 2.0], b_grid=[1.5, 3.0])
+        assert v.witness["grid_points"] == 3 * 7
+        assert search_main_B2(k).witness["grid_points"] == 5 * 7 * 7
+
     def test_margin_monotone_in_b(self):
         k = curvature(constant(1.0), b=1.0, validate=False)
         for lam in (0.0, 0.5, 1.0):
@@ -181,8 +188,7 @@ class TestFirstZero:
 
     def test_missing_tail_raises(self):
         from sturmosc import Profile
-        bare_v = Profile(lambda t: np.asarray(t) ** 2, origin="power",
-                         sign="nonnegative")
+        bare_v = Profile(lambda t: np.asarray(t) ** 2, sign="nonnegative")
         pair = CoefficientPair(bare_v, constant(1.0), b_const=0.0,
                                validate=False)
         with pytest.raises(TailInfoMissing):

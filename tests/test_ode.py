@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from sturmosc import (CoefficientPair, CurvatureProfile, InvalidParams,
-                      SingularStartFailure, constant, extend_until_zero,
-                      locate_zeros, power, residual_max, solve_jacobi,
-                      solve_radial)
+                      OutOfValidity, SingularStartFailure, add, constant,
+                      extend_until_zero, locate_zeros, multiply, power,
+                      reciprocal, residual_max, solve_jacobi, solve_radial)
+from sturmosc.ode import _scan_chunk
 from conftest import euler_pair, euler_zeros
 
 
@@ -81,6 +82,21 @@ class TestSolveRadial:
         with pytest.raises(InvalidParams):
             solve_radial(sinc_pair, 0.0, horizon=5.0)
 
+    def test_state_outside_solved_interval_raises(self):
+        # W = 1/(t-2)^2 stops the solver at the pole t = 2
+        shifted = add(power(1.0, 1.0), constant(-2.0))
+        pair = CoefficientPair(constant(1.0),
+                               reciprocal(multiply(shifted, shifted)),
+                               t_start=1.0, validate=False)
+        traj = solve_radial(pair, 1.0, horizon=5.0)
+        assert traj.terminated_reason == "step_underflow"
+        traj.state(traj.t_end)
+        for t in (3.0 * traj.t_end, 0.5):
+            with pytest.raises(OutOfValidity):
+                traj.state(t)
+        with pytest.raises(OutOfValidity):
+            traj.value(np.array([1.5, 3.0 * traj.t_end]))
+
     def test_singular_start_failure(self):
         # W ~ t^-2 has no bounded-slope branch at the origin
         pair = CoefficientPair(power(1.0, 2.0), power(0.3, -2.0), b_const=0.0)
@@ -97,6 +113,21 @@ class TestLocateZeros:
             assert cert.t_lo < target < cert.t_hi
             assert cert.width <= 2e-8
             assert cert.sign_before * cert.sign_after == -1
+
+    def test_sign_change_through_exact_zero_sample(self):
+        class LinearDense:
+            """Dense output x - 0.5 on [0, 1]; the scan grid hits 0.5."""
+            ts = np.array([0.0, 1.0])
+
+            def __call__(self, x):
+                x = np.asarray(x, dtype=float)
+                return np.stack([x - 0.5, np.ones_like(x)])
+
+        certs = _scan_chunk(LinearDense(), 1e-8, -math.inf)
+        assert len(certs) == 1
+        assert certs[0].t_lo < 0.5 < certs[0].t_hi
+        assert certs[0].width <= 2e-8
+        assert (certs[0].sign_before, certs[0].sign_after) == (-1, 1)
 
     def test_constant_trajectory_empty(self):
         pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=0.0)

@@ -146,6 +146,12 @@ class TestYamabe:
         below = check_yamabe(constant(-1.0), 3, power(1.0, 2.0), 0.0, 1.0, 4.0)
         assert below.status is Status.INCONCLUSIVE
 
+    def test_saturated_growth_factor_threshold(self):
+        # int_1^inf 1/v = 1000, so V(b, inf) overflows and the threshold
+        # is its limit 2 c_m B
+        v = check_yamabe(constant(-1.0), 3, power(1e-3, 2.0), 1.0, 0.5, 1.0)
+        assert v.witness["rhs"] == 16.0
+
     def test_hypothesis_violated(self):
         with pytest.raises(HypothesisViolated):
             check_yamabe(constant(1.0), 3, power(1.0, 2.0), 0.0, 1.0, 3.0)
