@@ -399,7 +399,9 @@ def _sweep_row(cfg, vary_section, vary_key, value, names, tol, horizon,
     if count_zeros:
         pair = resolver.pair(sec.str("pair", required=True))
         traj = solve_radial(pair, z0, horizon=count_horizon, tol=tol)
-        row["zeros"] = str(len(traj.zeros))
+        # a count cut short by a breakdown is no count up to count_horizon
+        row["zeros"] = ("error" if traj.terminated_reason == "step_underflow"
+                        else str(len(traj.zeros)))
     return row
 
 

@@ -291,6 +291,8 @@ def search_main_B2(k, a_grid=None, b_grid=None, lambda_grid=LAMBDA_GRID,
                           / (1.0 + abs(v.witness["rhs"])))
                 if margin > best_margin:
                     best, best_margin = v, margin
+    if best is None:
+        raise InvalidParams("the grid has no (a, b) pair with b > a")
     witness = dict(best.witness)
     witness["grid_points"] = float(evaluated)
     return Verdict("main_b2", best.status, best.conclusion, witness, best.notes)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, OdeSolution, solve_ivp
 
 from .errors import (InvalidParams, NonFiniteSample, OutOfValidity,
                      SingularStartFailure, ToleranceNotMet)
@@ -42,7 +42,10 @@ DEFAULT_ZERO_TOL = 1e-8
 JACOBI_START = 1e-8
 RADIAL_START = 1e-6
 _SUBSAMPLES = 8
-_CHUNK_GROWTH = 2.0
+# an accepted step shorter than this many ulps of t no longer resolves the
+# solution in t (scipy itself only gives up below 10 ulp)
+_MIN_STEP_ULPS = 1024
+_REASONS = {0: "horizon", 1: "zero_cap", -1: "step_underflow"}
 
 
 @dataclass(frozen=True)
@@ -63,19 +66,14 @@ class ZeroCertificate:
         return self.t_hi - self.t_lo
 
 
-@dataclass(frozen=True)
-class _Chunk:
-    lo: float
-    hi: float
-    sol: object  # scipy OdeSolution over [lo, hi]
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Dense ODE solution with certified zero brackets.
 
     State convention: component 0 is the solution value, component 1 the
     flux (u' for :func:`solve_jacobi`, v z' for :func:`solve_radial`).
+    ``dense`` is the solver's dense output over [t_start, t_end], or None
+    when the solve took no step.
     """
 
     ts: np.ndarray
@@ -86,7 +84,7 @@ class Trajectory:
     terminated_reason: str  # "horizon" | "zero_cap" | "step_underflow"
     t_start: float
     t_end: float
-    chunks: tuple = field(repr=False)
+    dense: Optional[OdeSolution] = field(repr=False)
     weight: Optional[Profile] = field(default=None, repr=False)
     rhs: Optional[Callable] = field(default=None, repr=False)
 
@@ -96,24 +94,15 @@ class Trajectory:
         Raises :class:`~sturmosc.errors.OutOfValidity` outside that interval
         rather than extrapolating the dense output.
         """
-        if not self.chunks:
+        if self.dense is None:
             raise InvalidParams("trajectory has no dense output "
                                 f"(terminated: {self.terminated_reason})")
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any((arr < self.t_start) | (arr > self.t_end)):
             raise OutOfValidity(
                 f"trajectory is valid on [{self.t_start:g}, {self.t_end:g}]")
-        out = np.empty((2, arr.size))
-        his = np.array([c.hi for c in self.chunks])
-        idx = np.searchsorted(his, arr, side="left")
-        idx = np.clip(idx, 0, len(self.chunks) - 1)
-        for i, chunk in enumerate(self.chunks):
-            mask = idx == i
-            if np.any(mask):
-                out[:, mask] = chunk.sol(arr[mask])
-        if np.ndim(t) == 0:
-            return out[:, 0]
-        return out
+        out = self.dense(arr)
+        return out[:, 0] if np.ndim(t) == 0 else out
 
     def value(self, t):
         s = self.state(t)
@@ -164,13 +153,15 @@ def _refine_bracket(f, a, b, fa, fb, zero_tol):
 
 
 def _scan_chunk(sol, zero_tol, start_after):
-    """Bracketed sign changes of component 0 on one chunk's dense output."""
+    """Bracketed sign changes of component 0 on a dense output.
+
+    Each step is sampled at _SUBSAMPLES equally spaced points.
+    """
     ts = np.asarray(getattr(sol, "ts", []))
     if len(ts) < 2:
         return []
-    pieces = [np.linspace(ts[i], ts[i + 1], _SUBSAMPLES + 1)[:-1]
-              for i in range(len(ts) - 1)]
-    grid = np.concatenate(pieces + [ts[-1:]])
+    frac = np.arange(_SUBSAMPLES) / _SUBSAMPLES
+    grid = np.append(ts[:-1, None] + np.diff(ts)[:, None] * frac, ts[-1])
     vals = sol(grid)[0]
 
     def f(x):
@@ -207,48 +198,54 @@ def _find_suspects(ts, vals, zero_tol):
     return out
 
 
+class _Stepper(DOP853):
+    """DOP853 that reports a breakdown once a step stops resolving in t.
+
+    Near a pole of the coefficients the accepted steps shrink towards the
+    ulp of t; stopping at _MIN_STEP_ULPS ends such a solve after a few
+    hundred steps instead of grinding down to scipy's own 10-ulp floor.
+    A final step clipped onto the horizon is exempt.
+    """
+
+    def _step_impl(self):
+        t = self.t
+        success, message = super()._step_impl()
+        if (success and self.t != self.t_bound
+                and self.t - t < _MIN_STEP_ULPS * np.spacing(t)):
+            return False, f"step shorter than {_MIN_STEP_ULPS} ulp of t"
+        return success, message
+
+
 def _drive(rhs, t0, y0, horizon, rtol, atol, zero_tol, zero_cap, weight):
-    node_t = [float(t0)]
-    node_y = [np.asarray(y0, dtype=float)]
-    chunks = []
-    zeros = []
-    reason = "horizon"
-    t = float(t0)
-    y = np.asarray(y0, dtype=float)
-    while True:
-        t_next = min(float(horizon), max(t * _CHUNK_GROWTH, t + 1.0))
-        sol = solve_ivp(rhs, (t, t_next), y, method="RK45",
-                        dense_output=True, rtol=rtol, atol=atol)
-        if len(sol.t) > 1:
-            chunks.append(_Chunk(float(sol.t[0]), float(sol.t[-1]), sol.sol))
-            node_t.extend(sol.t[1:].tolist())
-            node_y.extend(sol.y[:, 1:].T)
-            start_after = zeros[-1].t_hi if zeros else -math.inf
-            for cert in _scan_chunk(sol.sol, zero_tol, start_after):
-                zeros.append(cert)
-                if zero_cap is not None and len(zeros) >= zero_cap:
-                    reason = "zero_cap"
-                    break
-        if sol.status == -1 or not sol.success:
-            reason = "step_underflow"
-            break
-        if reason == "zero_cap":
-            break
-        t_new = float(sol.t[-1])
-        if t_new <= t:
-            reason = "step_underflow"
-            break
-        t, y = t_new, sol.y[:, -1]
-        if t >= horizon:
-            reason = "horizon"
-            break
-    ts = np.array(node_t)
-    ys = np.array(node_y).T if node_y else np.zeros((2, 0))
+    events = None
+    if zero_cap is not None:
+        def crossing(t, y):
+            return y[0]
+        # a start exactly on a zero fires the event but is no sign change
+        crossing.terminal = zero_cap + (y0[0] == 0.0)
+        events = crossing
+    sol = solve_ivp(rhs, (float(t0), float(horizon)),
+                    np.asarray(y0, dtype=float), method=_Stepper,
+                    dense_output=True, events=events, rtol=rtol, atol=atol)
+    ts, ys, dense = sol.t, sol.y, None
+    if len(ts) > 1:
+        dense = sol.sol
+        if sol.status == 1:
+            # The event stopped the solve at its root, inside the last step.
+            # Keep that whole step so the scan sees a strict sign change.
+            last = dense.interpolants[-1]
+            ts = np.append(ts[:-1], last.t)
+            ys = np.column_stack([ys[:, :-1], last(last.t)])
+            dense = OdeSolution(ts, dense.interpolants)
+    zeros = _scan_chunk(dense, zero_tol, -math.inf)
+    if zero_cap is not None:
+        zeros = zeros[:zero_cap]
     suspects = _find_suspects(ts, ys[0], zero_tol)
     return Trajectory(ts=ts, values=ys[0], fluxes=ys[1], zeros=tuple(zeros),
-                      suspects=tuple(suspects), terminated_reason=reason,
+                      suspects=tuple(suspects),
+                      terminated_reason=_REASONS[sol.status],
                       t_start=float(t0), t_end=float(ts[-1]),
-                      chunks=tuple(chunks), weight=weight, rhs=rhs)
+                      dense=dense, weight=weight, rhs=rhs)
 
 
 def solve_jacobi(k, horizon, tol=DEFAULT_TOL, zero_tol=DEFAULT_ZERO_TOL,
@@ -360,13 +357,7 @@ def locate_zeros(traj, zero_tol=DEFAULT_ZERO_TOL):
     Returns fresh certificates at the requested bracket width; the
     trajectory's own certificates are untouched.
     """
-    certs = []
-    last_hi = -math.inf
-    for chunk in traj.chunks:
-        for cert in _scan_chunk(chunk.sol, zero_tol, last_hi):
-            certs.append(cert)
-            last_hi = cert.t_hi
-    return certs
+    return _scan_chunk(traj.dense, zero_tol, -math.inf)
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,8 @@ def spectral_report(pair, a, b, radii=(1.0, 10.0, 100.0), horizon=1e4,
         notes.append(f"solver certified {len(zeros)} zero(s) before {horizon:g}")
     if osc.satisfied:
         notes.append("unstable at infinity (infinite index)")
+    if traj.terminated_reason == "step_underflow":
+        notes.append(f"solver broke down at t = {traj.t_end:.12g}")
     return SpectralReport(
         lambda1_sign="certified_negative" if certified else "unknown",
         unstable_radii=unstable,

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from sturmosc import CoefficientPair, CurvatureProfile, add, constant, power
+from sturmosc import (CoefficientPair, CurvatureProfile, add, constant,
+                      multiply, power, reciprocal)
 
 
 def euler_pair(mu, label=""):
@@ -76,6 +77,17 @@ def moore_pair(mu):
     return CoefficientPair(power(1.0, 2.0), power(mu, -2.0), b_const=0.0,
                            t_start=1.0, validate=False,
                            label=f"moore(mu={mu:g})")
+
+
+def pole_pair():
+    """v = 1 on [1, inf) with W = 1/(t-2)^2: a pole the solver cannot pass.
+
+    Near t = 2 this is an Euler equation with mu = 1 > 1/4, so the solution
+    oscillates infinitely often before the pole.
+    """
+    shifted = add(power(1.0, 1.0), constant(-2.0))
+    return CoefficientPair(constant(1.0), reciprocal(multiply(shifted, shifted)),
+                           t_start=1.0, validate=False)
 
 
 def random_admissible_pair(rng):

@@ -77,6 +77,16 @@ r_stop = 3.0
 n = 12
 """
 
+# v = 1, W = 1/(t-2)^2 on [1, inf): a pole at t = 2 that stops the solver
+POLE_PAIR_CONFIG = (
+    "[profile:one]\nkind = constant\nc = 1.0\n"
+    "[profile:t]\nkind = power\nc = 1.0\np = 1.0\n"
+    "[profile:m2]\nkind = constant\nc = -2.0\n"
+    "[profile:tm2]\nkind = sum\nterms = t m2\n"
+    "[profile:sq]\nkind = product\nfactors = tm2 tm2\n"
+    "[profile:W]\nkind = reciprocal\nof = sq\n"
+    "[pair:p]\nv = one\nw = W\nt_start = 1.0\nvalidate = false\n")
+
 
 @pytest.fixture
 def config(tmp_path):
@@ -133,6 +143,20 @@ class TestSweep:
         table = {r.split(",")[0]: r.split(",") for r in rows[1:]}
         assert table["0.2"][1] == "inconclusive"
         assert table["0.3"][1] == "satisfied"
+
+    def test_breakdown_count_is_error(self, tmp_path):
+        # the count solve stops at the pole t = 2, short of count_horizon
+        cfg = tmp_path / "pole.ini"
+        cfg.write_text(POLE_PAIR_CONFIG +
+                       "[sweep]\nvary = profile:one.c\nvalues = 1 2\n"
+                       "criteria = first_zero\npair = p\na = 1.2\nb = 1.8\n"
+                       "count_zeros = true\ncount_horizon = 5\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [l.split(",") for l in (out / "sweep.csv").read_text().splitlines()
+                if l and not l.startswith("#")]
+        assert rows[0][-1] == "zeros"
+        assert [r[-1] for r in rows[1:]] == ["error", "error"]
 
 
 class TestSpectral:
@@ -207,15 +231,8 @@ class TestExitCodes:
     def test_solver_breakdown_exit_code(self, tmp_path):
         # v = 1, W = 1/(t-2)^2 has a pole at t = 2 inside the horizon
         cfg = tmp_path / "pole.ini"
-        cfg.write_text(
-            "[profile:one]\nkind = constant\nc = 1.0\n"
-            "[profile:t]\nkind = power\nc = 1.0\np = 1.0\n"
-            "[profile:m2]\nkind = constant\nc = -2.0\n"
-            "[profile:tm2]\nkind = sum\nterms = t m2\n"
-            "[profile:sq]\nkind = product\nfactors = tm2 tm2\n"
-            "[profile:W]\nkind = reciprocal\nof = sq\n"
-            "[pair:p]\nv = one\nw = W\nt_start = 1.0\nvalidate = false\n"
-            "[solve]\nproblem = radial\npair = p\nhorizon = 5.0\n")
+        cfg.write_text(POLE_PAIR_CONFIG +
+                       "[solve]\nproblem = radial\npair = p\nhorizon = 5.0\n")
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         last = (tmp_path / "trajectory.tsv").read_text().splitlines()[-1]
         assert last.startswith("# terminated step_underflow at ")

@@ -143,6 +143,11 @@ class TestMainB2:
         assert v.witness["grid_points"] == 3 * 7
         assert search_main_B2(k).witness["grid_points"] == 5 * 7 * 7
 
+    def test_search_without_b_above_a_raises(self):
+        with pytest.raises(InvalidParams):
+            search_main_B2(CurvatureProfile(constant(1.0)), a_grid=[2.0],
+                           b_grid=[1.0])
+
     def test_margin_monotone_in_b(self):
         k = curvature(constant(1.0), b=1.0, validate=False)
         for lam in (0.0, 0.5, 1.0):

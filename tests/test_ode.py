@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from sturmosc import (CoefficientPair, CurvatureProfile, InvalidParams,
-                      OutOfValidity, SingularStartFailure, add, constant,
-                      extend_until_zero, locate_zeros, multiply, power,
-                      reciprocal, residual_max, solve_jacobi, solve_radial)
+                      OutOfValidity, SingularStartFailure, constant,
+                      extend_until_zero, locate_zeros, power, residual_max,
+                      solve_jacobi, solve_radial)
 from sturmosc.ode import _scan_chunk
-from conftest import euler_pair, euler_zeros
+from conftest import euler_pair, euler_zeros, pole_pair
 
 
 def euler_first_zero(mu):
@@ -37,6 +37,22 @@ class TestSolveJacobi:
     def test_rejects_bad_horizon(self, unit_curvature):
         with pytest.raises(InvalidParams):
             solve_jacobi(unit_curvature, horizon=0.0)
+
+    def test_zero_cap_from_start_on_a_zero(self, unit_curvature):
+        # u = sin(t - 1): the start is a zero but no sign change
+        traj = solve_jacobi(unit_curvature, horizon=10.0, t_start=1.0,
+                            u0=0.0, du0=1.0, zero_cap=1)
+        assert traj.terminated_reason == "zero_cap"
+        assert [z.location for z in traj.zeros] == pytest.approx(
+            [1.0 + math.pi], abs=1e-6)
+
+    def test_zeros_at_step_ends_certified_once(self):
+        # u = sin(pi t / 4) / (pi / 4) vanishes at 4, 8, 12 and 16, where a
+        # drive in doubling segments puts (or nearly puts) its segment ends
+        k = CurvatureProfile(constant((math.pi / 4.0) ** 2), m=2)
+        traj = solve_jacobi(k, horizon=17.0)
+        assert [z.location for z in traj.zeros] == pytest.approx(
+            [4.0, 8.0, 12.0, 16.0], abs=1e-6)
 
 
 class TestSolveRadial:
@@ -72,11 +88,14 @@ class TestSolveRadial:
         assert counts[0.20] <= 1 and counts[0.24] <= 1
         assert counts[0.26] >= 3 and counts[0.30] >= 3
 
-    def test_zero_cap_stops_early(self, sinc_pair):
-        traj = solve_radial(sinc_pair, 1.0, horizon=100.0, zero_cap=2)
-        assert len(traj.zeros) == 2
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_zero_cap_stops_early(self, sinc_pair, cap):
+        traj = solve_radial(sinc_pair, 1.0, horizon=100.0, zero_cap=cap)
+        assert len(traj.zeros) == cap
         assert traj.terminated_reason == "zero_cap"
         assert traj.t_end < 100.0
+        for z in traj.zeros:
+            assert traj.t_start <= z.t_lo < z.t_hi <= traj.t_end
 
     def test_rejects_nonpositive_z0(self, sinc_pair):
         with pytest.raises(InvalidParams):
@@ -84,11 +103,7 @@ class TestSolveRadial:
 
     def test_state_outside_solved_interval_raises(self):
         # W = 1/(t-2)^2 stops the solver at the pole t = 2
-        shifted = add(power(1.0, 1.0), constant(-2.0))
-        pair = CoefficientPair(constant(1.0),
-                               reciprocal(multiply(shifted, shifted)),
-                               t_start=1.0, validate=False)
-        traj = solve_radial(pair, 1.0, horizon=5.0)
+        traj = solve_radial(pole_pair(), 1.0, horizon=5.0)
         assert traj.terminated_reason == "step_underflow"
         traj.state(traj.t_end)
         for t in (3.0 * traj.t_end, 0.5):
@@ -96,6 +111,15 @@ class TestSolveRadial:
                 traj.state(t)
         with pytest.raises(OutOfValidity):
             traj.value(np.array([1.5, 3.0 * traj.t_end]))
+
+    def test_pole_breakdown_stops_at_step_floor(self):
+        # the step floor ends the solve about 800 steps after the start;
+        # scipy's own 10-ulp floor alone lets it grind on for over 13,000
+        traj = solve_radial(pole_pair(), 1.0, horizon=5.0)
+        assert traj.terminated_reason == "step_underflow"
+        assert traj.t_end == pytest.approx(2.0, abs=1e-6)
+        assert len(traj.zeros) == 6
+        assert len(traj.ts) < 1648
 
     def test_singular_start_failure(self):
         # W ~ t^-2 has no bounded-slope branch at the origin

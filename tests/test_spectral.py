@@ -8,7 +8,7 @@ from sturmosc import (CoefficientPair, HypothesisViolated, InvalidParams,
                       lambda1_negative, power, rayleigh_quotient, solve_radial,
                       spectral_report, yamabe_constant)
 from sturmosc.criteria import Conclusion
-from conftest import euler_pair, moore_pair
+from conftest import euler_pair, moore_pair, pole_pair
 
 
 class TestRayleighQuotient:
@@ -114,6 +114,15 @@ class TestSpectralReport:
             assert abs(q) <= 1e-5
         d = report.to_dict()
         assert d["lambda1_sign"] == "certified_negative"
+
+    def test_breakdown_noted(self):
+        # the solve breaks down at the pole t = 2; the radius 3 keeps the
+        # oscillation check's tail integral clear of the pole
+        report = spectral_report(pole_pair(), a=1.2, b=1.8, radii=(3.0,),
+                                 horizon=5.0)
+        note = report.notes.split("; ")[-1]
+        assert note.startswith("solver broke down at t = ")
+        assert float(note.split()[-1]) == pytest.approx(2.0, abs=1e-6)
 
     def test_quiet_pair_report(self):
         pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=0.0)
