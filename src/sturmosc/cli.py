@@ -454,6 +454,9 @@ def cmd_spectral(cfg, out_dir, tol, horizon):
     for t2, q in report.rayleigh_values:
         lines.append(f"{_fmt(float(t2))}\t{_fmt(float(q))}")
     (out_dir / "rayleigh.tsv").write_text("\n".join(lines) + "\n")
+    if report.breakdown_at is not None:
+        raise SturmoscError(
+            f"solver broke down (step_underflow) at t = {_fmt(report.breakdown_at)}")
     return 0
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import HypothesisViolated, InvalidParams, TailInfoMissing
 from .profiles import (DEFAULT_TOL, big_v_minus_one,
-                       certified_nonpositive, elementwise_power,
+                       certified_nonpositive, cumulative, elementwise_power,
                        integrate, multiply, power, tail_divergence,
                        tail_integral, weighted_moment)
 
@@ -199,12 +199,8 @@ def check_calabi(k, horizon=1e4, tol=DEFAULT_TOL, t_min=_WITNESS_T0):
     sqrt_k = elementwise_power(k.k, 0.5)
     coeff = 1.0 / (2.0 * math.sqrt(k.m - 1.0))
     grid = np.geomspace(max(1.0, 10 * t_min), horizon, 25)
-    g_vals = []
-    acc = integrate(sqrt_k, t_min, grid[0], tol=tol)
-    for i, a in enumerate(grid):
-        if i:
-            acc += integrate(sqrt_k, grid[i - 1], a, tol=tol)
-        g_vals.append(acc - coeff * math.log(a))
+    acc = cumulative(sqrt_k, np.append(t_min, grid), tol=tol)[1:]
+    g_vals = [g - coeff * math.log(a) for g, a in zip(acc, grid)]
     witness = {"g_max": float(np.max(g_vals)), "g_last": float(g_vals[-1]),
                "log_threshold": coeff, "horizon": float(horizon)}
     t = sqrt_k.tail
@@ -248,8 +244,12 @@ def check_main_B2(k, a, b, lam, tol=DEFAULT_TOL):
     """
     if not 0 < a < b:
         raise InvalidParams("need 0 < a < b")
-    B = k.b_const
     lhs = weighted_moment(k, lam, a, b, tol=tol)
+    return _main_b2_verdict(k, a, b, lam, lhs, tol)
+
+
+def _main_b2_verdict(k, a, b, lam, lhs, tol):
+    B = k.b_const
     rhs = _main_b2_rhs(a, b, lam, B)
     witness = {"lhs": lhs, "rhs": rhs, "a": float(a), "b": float(b),
                "lambda": float(lam), "B": float(B)}
@@ -276,25 +276,31 @@ def search_main_B2(k, a_grid=None, b_grid=None, lambda_grid=LAMBDA_GRID,
     """
     if a_grid is None:
         a_grid = np.geomspace(0.25, 4.0, 5)
+    intervals = [(float(a), float(b)) for a in a_grid
+                 for b in (b_grid if b_grid is not None
+                           else np.geomspace(1.5 * a, 30.0 * a, 7))
+                 if b > a]
+    if not intervals:
+        raise InvalidParams("the grid has no (a, b) pair with b > a")
+    if min(a for a, _ in intervals) <= 0:
+        raise InvalidParams("need 0 < a < b")
+    # one running moment per lambda over every endpoint: lhs = F(b) - F(a)
+    ends = sorted({t for ab in intervals for t in ab})
+    at = {t: i for i, t in enumerate(ends)}
+    moments = {lam: cumulative(multiply(power(1.0, lam), k.k), ends, tol=tol)
+               for lam in lambda_grid}
     best = None
     best_margin = -math.inf
-    evaluated = 0
-    for a in a_grid:
-        bs = b_grid if b_grid is not None else np.geomspace(1.5 * a, 30.0 * a, 7)
-        for b in bs:
-            if b <= a:
-                continue
-            for lam in lambda_grid:
-                v = check_main_B2(k, float(a), float(b), float(lam), tol=tol)
-                evaluated += 1
-                margin = ((v.witness["lhs"] - v.witness["rhs"])
-                          / (1.0 + abs(v.witness["rhs"])))
-                if margin > best_margin:
-                    best, best_margin = v, margin
-    if best is None:
-        raise InvalidParams("the grid has no (a, b) pair with b > a")
+    for a, b in intervals:
+        for lam in lambda_grid:
+            lhs = float(moments[lam][at[b]] - moments[lam][at[a]])
+            v = _main_b2_verdict(k, a, b, float(lam), lhs, tol)
+            margin = ((v.witness["lhs"] - v.witness["rhs"])
+                      / (1.0 + abs(v.witness["rhs"])))
+            if margin > best_margin:
+                best, best_margin = v, margin
     witness = dict(best.witness)
-    witness["grid_points"] = float(evaluated)
+    witness["grid_points"] = float(len(intervals) * len(lambda_grid))
     return Verdict("main_b2", best.status, best.conclusion, witness, best.notes)
 
 
@@ -336,30 +342,20 @@ def check_first_zero(pair, a, b, tol=DEFAULT_TOL):
     return Verdict("first_zero", Status.INCONCLUSIVE, Conclusion.NONE, witness)
 
 
-def _cumulative_class(p, base, tol):
-    """Asymptotic class of t -> integral of p over [base, t].
+def _cumulative_class(p):
+    """Asymptotic class of t -> integral of p up to t.
 
-    Returns one of ('const', L), ('log', c), ('pow', c, e), ('exp', c, e,
-    rate), or None when the tail is undeclared.  L may be nan when a
-    finite limit exists but no exact tail value is available.
+    Returns one of ('const',) for a finite limit, ('log', c), ('pow', c,
+    e), ('exp', c, e, rate), or None when the tail is undeclared.
     """
     t = p.tail
     if t is None:
         return None
     if not hasattr(t, "coefficient"):  # closed-form tail: finite limit
-        try:
-            return ("const", integrate(p, base, 10.0 * base, tol=tol)
-                    + tail_integral(p, 10.0 * base, tol=tol))
-        except TailInfoMissing:
-            return ("const", math.nan)
+        return ("const",)
     c, pw, rate = t.coefficient, t.exponent, t.rate
     if c == 0.0 or rate < 0 or (rate == 0 and pw < -1.0):
-        try:
-            value = (integrate(p, base, max(10.0 * base, t.valid_from + 1.0), tol=tol)
-                     + tail_integral(p, max(10.0 * base, t.valid_from + 1.0), tol=tol))
-        except TailInfoMissing:
-            value = math.nan
-        return ("const", value)
+        return ("const",)
     if rate > 0:
         return ("exp", c / rate, pw, rate)
     if pw == -1.0:
@@ -380,13 +376,13 @@ def _decay_class(p):
     return None
 
 
-def _product_limit(pair, tol):
+def _product_limit(pair):
     """Certified limit of (integral of Wv up to t) * (tail integral of 1/v).
 
     Returns (limit, certified); the limit may be +/-inf.  Catalog tails
     always produce an existing limit, so liminf = limsup = limit.
     """
-    grow = _cumulative_class(pair.wv, 1.0, tol)
+    grow = _cumulative_class(pair.wv)
     decay = _decay_class(pair.v_inv)
     if grow is None or decay is None:
         return None, False
@@ -424,16 +420,13 @@ def _product_limit(pair, tol):
 
 def _product_witness(pair, R, horizon, tol):
     ts = np.geomspace(max(2.0 * R, R + 1.0), horizon, 16)
+    try:
+        tails = [tail_integral(pair.v_inv, t, tol=tol) for t in ts]
+    except TailInfoMissing:
+        return {}
     best_t, best = float(ts[0]), -math.inf
-    acc = 0.0
-    prev = R
-    for t in ts:
-        acc += integrate(pair.wv, prev, t, tol=tol)
-        prev = t
-        try:
-            val = acc * tail_integral(pair.v_inv, t, tol=tol)
-        except TailInfoMissing:
-            return {}
+    products = cumulative(pair.wv, np.append(R, ts), tol=tol)[1:] * tails
+    for t, val in zip(ts, products):
         if val > best:
             best_t, best = float(t), float(val)
     return {"max_product": best, "argmax_t": best_t}
@@ -441,10 +434,7 @@ def _product_witness(pair, R, horizon, tol):
 
 def _window_sup_witness(pair, R, horizon, tol):
     ts = np.geomspace(max(R, 1e-3), horizon, 48)
-    acc = np.empty(len(ts))
-    acc[0] = 0.0
-    for i in range(1, len(ts)):
-        acc[i] = acc[i - 1] + integrate(pair.wv, ts[i - 1], ts[i], tol=tol)
+    acc = cumulative(pair.wv, ts, tol=tol)
     running_min = np.minimum.accumulate(acc)
     sup = float(np.max(acc - running_min))
     return {"window_sup": sup}
@@ -464,7 +454,7 @@ def check_oscillation(pair, R, horizon=1e4, tol=DEFAULT_TOL):
         raise TailInfoMissing("oscillation branch needs tail info on 1/v")
     B = pair.b_const
     if pair.v_inv_l1_at_infinity:
-        limit, certified = _product_limit(pair, tol)
+        limit, certified = _product_limit(pair)
         witness = {"R": float(R), "branch": 1.0}
         witness.update(_product_witness(pair, R, horizon, tol))
         if certified:
@@ -501,7 +491,7 @@ def check_moore_liminf(pair, R, c_thresh, horizon=1e4, tol=DEFAULT_TOL):
         raise InvalidParams("need R > 0")
     if not pair.v_inv_l1_at_infinity:
         raise InvalidParams("the liminf test needs 1/v integrable at +inf")
-    limit, certified = _product_limit(pair, tol)
+    limit, certified = _product_limit(pair)
     witness = {"R": float(R), "c_thresh": float(c_thresh)}
     witness.update(_product_witness(pair, R, horizon, tol))
     if certified:

@@ -22,7 +22,7 @@ from scipy.integrate import DOP853, OdeSolution, solve_ivp
 
 from .errors import (InvalidParams, NonFiniteSample, OutOfValidity,
                      SingularStartFailure, ToleranceNotMet)
-from .profiles import CurvatureProfile, DEFAULT_TOL, Profile, integrate
+from .profiles import CurvatureProfile, DEFAULT_TOL, Profile, cumulative, integrate
 
 __all__ = [
     "ZeroCertificate",
@@ -282,33 +282,23 @@ def _singular_start(pair, z0, picard_tol=1e-10):
 
     One Picard step gives z'(eps) = -(1/v(eps)) * integral of W v z0 over
     (0, eps); a second sweep with the refined z must move the slope by
-    less than picard_tol or the bootstrap is rejected.
+    less than picard_tol or the bootstrap is rejected.  With I(s) the
+    integral of W v over (0, s), Fubini folds the second sweep into
+    z0 * (I(eps) - integral over (0, eps) of I(s) (I(eps) - I(s)) / v(s)).
     """
     eps = RADIAL_START
     v, wv = pair.v, pair.wv
     qtol = 1e-12
 
-    def i1(x):
-        return integrate(wv, 0.0, float(x), tol=qtol)
-
-    def z_refined(u_arr):
-        u_arr = np.atleast_1d(u_arr)
-        out = np.empty(u_arr.shape)
-        for j, u in enumerate(u_arr):
-            def inner(x_arr):
-                x_arr = np.atleast_1d(x_arr)
-                return np.array([-z0 * i1(x) / float(v(float(x)))
-                                 for x in x_arr])
-            out[j] = z0 + integrate(inner, 0.0, float(u), tol=qtol)
-        return out
-
-    def wz(x_arr):
-        x_arr = np.atleast_1d(x_arr)
-        return np.asarray(wv(x_arr)) * z_refined(x_arr)
+    def correction(s):
+        # the Kronrod nodes s arrive in increasing order
+        i_s = cumulative(wv, np.append(0.0, s), tol=qtol)[1:]
+        return i_s * (i_eps - i_s) / v(s)
 
     try:
-        slope1 = -z0 * i1(eps) / v(eps)
-        slope2 = -integrate(wz, 0.0, eps, tol=qtol) / v(eps)
+        i_eps = integrate(wv, 0.0, eps, tol=qtol)
+        slope1 = -z0 * i_eps / v(eps)
+        slope2 = -z0 * (i_eps - integrate(correction, 0.0, eps, tol=qtol)) / v(eps)
     except (NonFiniteSample, ToleranceNotMet) as exc:
         raise SingularStartFailure(
             f"Picard bootstrap diverged near the origin: {exc}") from exc

@@ -42,6 +42,7 @@ __all__ = [
     "elementwise_power",
     "integrate",
     "integrate_err",
+    "cumulative",
     "tail_integral",
     "tail_integral_converges",
     "tail_divergence",
@@ -389,6 +390,16 @@ def integrate_err(p, a, b, tol=DEFAULT_TOL, max_panels=PANEL_BUDGET):
 def integrate(p, a, b, tol=DEFAULT_TOL, max_panels=PANEL_BUDGET):
     """Adaptive integral of ``p`` over [a, b] (value only)."""
     return integrate_err(p, a, b, tol=tol, max_panels=max_panels)[0]
+
+
+def cumulative(p, ts, tol=DEFAULT_TOL):
+    """Running integrals [0, integral over [ts0, ts1], ...] of ``p`` along ``ts``.
+
+    One :func:`integrate` per segment, summed left to right, so ``ts``
+    must be nondecreasing.
+    """
+    pieces = [integrate(p, a, b, tol=tol) for a, b in zip(ts[:-1], ts[1:])]
+    return np.cumsum([0.0] + pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,7 @@ class SpectralReport:
     index_lower_bound: int
     rayleigh_values: tuple  # (t2, quotient) pairs
     notes: str = ""
+    breakdown_at: Optional[float] = None  # solver breakdown t, kept out of to_dict
 
     def to_dict(self):
         return {
@@ -163,14 +164,16 @@ def spectral_report(pair, a, b, radii=(1.0, 10.0, 100.0), horizon=1e4,
         notes.append(f"solver certified {len(zeros)} zero(s) before {horizon:g}")
     if osc.satisfied:
         notes.append("unstable at infinity (infinite index)")
-    if traj.terminated_reason == "step_underflow":
+    broke_down = traj.terminated_reason == "step_underflow"
+    if broke_down:
         notes.append(f"solver broke down at t = {traj.t_end:.12g}")
     return SpectralReport(
         lambda1_sign="certified_negative" if certified else "unknown",
         unstable_radii=unstable,
         index_lower_bound=len(zeros),
         rayleigh_values=tuple(rayleigh),
-        notes="; ".join(notes))
+        notes="; ".join(notes),
+        breakdown_at=traj.t_end if broke_down else None)
 
 
 def yamabe_constant(m):

@@ -237,3 +237,15 @@ class TestExitCodes:
         last = (tmp_path / "trajectory.tsv").read_text().splitlines()[-1]
         assert last.startswith("# terminated step_underflow at ")
         assert float(last.split()[-1]) == pytest.approx(2.0, abs=1e-6)
+
+    def test_spectral_breakdown_exit_code(self, tmp_path):
+        # the report is written, then the breakdown at the pole exits 2
+        cfg = tmp_path / "pole.ini"
+        cfg.write_text(POLE_PAIR_CONFIG +
+                       "[spectral]\npair = p\na = 1.2\nb = 1.8\nradii = 3\n"
+                       "horizon = 5\n")
+        assert main(["spectral", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        report = json.loads((tmp_path / "spectral.json").read_text())["report"]
+        assert "solver broke down at t = " in report["notes"]
+        assert (tmp_path / "rayleigh.tsv").exists()

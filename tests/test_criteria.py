@@ -144,9 +144,11 @@ class TestMainB2:
         assert search_main_B2(k).witness["grid_points"] == 5 * 7 * 7
 
     def test_search_without_b_above_a_raises(self):
-        with pytest.raises(InvalidParams):
-            search_main_B2(CurvatureProfile(constant(1.0)), a_grid=[2.0],
-                           b_grid=[1.0])
+        # also an a <= 0 anywhere in the grid, not only in first place
+        for a_grid, b_grid in (([2.0], [1.0]), ([1.0, 0.0], [2.0])):
+            with pytest.raises(InvalidParams):
+                search_main_B2(CurvatureProfile(constant(1.0)), a_grid=a_grid,
+                               b_grid=b_grid)
 
     def test_margin_monotone_in_b(self):
         k = curvature(constant(1.0), b=1.0, validate=False)

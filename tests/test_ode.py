@@ -7,7 +7,7 @@ from sturmosc import (CoefficientPair, CurvatureProfile, InvalidParams,
                       OutOfValidity, SingularStartFailure, constant,
                       extend_until_zero, locate_zeros, power, residual_max,
                       solve_jacobi, solve_radial)
-from sturmosc.ode import _scan_chunk
+from sturmosc.ode import RADIAL_START, _scan_chunk
 from conftest import euler_pair, euler_zeros, pole_pair
 
 
@@ -120,6 +120,17 @@ class TestSolveRadial:
         assert traj.t_end == pytest.approx(2.0, abs=1e-6)
         assert len(traj.zeros) == 6
         assert len(traj.ts) < 1648
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_singular_start_flux(self, q, s):
+        # flux(eps) = -z0 * integral of W v over (0, eps), up to O(eps^2)
+        c, cv, z0, eps = 1.7, 0.6, 1.5, RADIAL_START
+        pair = CoefficientPair(power(cv, q), power(c, s), b_const=0.0)
+        traj = solve_radial(pair, z0, horizon=2.0 * eps)
+        assert traj.t_start == eps
+        assert traj.fluxes[0] == pytest.approx(
+            -c * cv * z0 * eps ** (s + q + 1) / (s + q + 1), rel=1e-10)
 
     def test_singular_start_failure(self):
         # W ~ t^-2 has no bounded-slope branch at the origin

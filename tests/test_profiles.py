@@ -12,7 +12,7 @@ from sturmosc import (ClosedFormTailIntegral, CoefficientPair,
                       integrate_err, multiply, power, reciprocal, scaled,
                       subtract, tail_divergence, tail_integral,
                       weighted_moment)
-from sturmosc.profiles import CurvatureProfile
+from sturmosc.profiles import CurvatureProfile, cumulative
 
 
 class TestIntegrate:
@@ -49,6 +49,26 @@ class TestIntegrate:
         whole = integrate(p, a, a + d1 + d2)
         parts = integrate(p, a, a + d1) + integrate(p, a + d1, a + d1 + d2)
         assert whole == pytest.approx(parts, abs=2e-10 * (1 + abs(whole)))
+
+
+class TestCumulative:
+    @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_sums_segments_left_to_right(self, steps):
+        p = add(power(0.3, 1.5), constant(0.7))
+        ts = 0.1 + np.cumsum(steps)
+        pieces = [integrate(p, a, b) for a, b in zip(ts[:-1], ts[1:])]
+        expected = np.cumsum([0.0] + pieces)
+        assert np.array_equal(cumulative(p, ts), expected)
+
+    def test_sin_closed_form(self):
+        ts = np.linspace(0.0, 10.0, 21)
+        assert cumulative(np.sin, ts) == pytest.approx(1.0 - np.cos(ts),
+                                                       abs=1e-10)
+
+    def test_decreasing_grid_raises(self):
+        with pytest.raises(InvalidParams):
+            cumulative(constant(1.0), [1.0, 3.0, 2.0])
 
 
 class TestTailIntegral:
