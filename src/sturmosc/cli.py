@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import sys
@@ -92,25 +93,21 @@ class _Section:
     def str(self, key, default=None, required=False):
         return self._raw(key, default, required)
 
-    def float(self, key, default=None, required=False):
+    def _parse(self, key, default, required, typ, convert, what):
         raw = self._raw(key, default, required)
-        if raw is None or isinstance(raw, float):
+        if raw is None or isinstance(raw, typ):
             return raw
         try:
-            return float(raw)
+            return convert(raw)
         except ValueError:
             raise ConfigError(
-                f"[{self.name}] field {key!r}: {raw!r} is not a number") from None
+                f"[{self.name}] field {key!r}: {raw!r} is not {what}") from None
+
+    def float(self, key, default=None, required=False):
+        return self._parse(key, default, required, float, float, "a number")
 
     def int(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
-        if raw is None or isinstance(raw, int):
-            return raw
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"[{self.name}] field {key!r}: {raw!r} is not an integer") from None
+        return self._parse(key, default, required, int, int, "an integer")
 
     def bool(self, key, default=None):
         raw = self._raw(key, default, False)
@@ -124,20 +121,28 @@ class _Section:
         raise ConfigError(f"[{self.name}] field {key!r}: {raw!r} is not a boolean")
 
     def floats(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
-        if raw is None or isinstance(raw, list):
-            return raw
-        try:
+        def split(raw):
             return [float(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(
-                f"[{self.name}] field {key!r}: {raw!r} is not a number list") from None
+        return self._parse(key, default, required, list, split, "a number list")
 
     def strs(self, key, default=None, required=False):
         raw = self._raw(key, default, required)
         if raw is None or isinstance(raw, list):
             return raw
         return raw.replace(",", " ").split()
+
+
+# profile kinds built from numeric fields: kind -> (constructor, fields in order)
+_LEAF_KINDS = {
+    "constant": (profiles.constant, ("c",)),
+    "power": (profiles.power, ("c", "p")),
+    "exponential": (profiles.exponential, ("c", "rate")),
+}
+# profile kinds folded over >= 2 named profiles: kind -> (binary op, list field)
+_FOLD_KINDS = {
+    "product": (profiles.multiply, "factors"),
+    "sum": (profiles.add, "terms"),
+}
 
 
 class _Resolver:
@@ -193,29 +198,15 @@ class _Resolver:
         try:
             sec = self._section(f"profile:{ref}")
             kind = sec.str("kind", required=True)
-            if kind == "constant":
-                prof = profiles.constant(sec.float("c", required=True), label=ref)
-            elif kind == "power":
-                prof = profiles.power(sec.float("c", required=True),
-                                      sec.float("p", required=True), label=ref)
-            elif kind == "exponential":
-                prof = profiles.exponential(sec.float("c", required=True),
-                                            sec.float("rate", required=True),
-                                            label=ref)
-            elif kind == "product":
-                names = sec.strs("factors", required=True)
+            if kind in _LEAF_KINDS:
+                make, fields = _LEAF_KINDS[kind]
+                prof = make(*(sec.float(f, required=True) for f in fields), label=ref)
+            elif kind in _FOLD_KINDS:
+                combine, key = _FOLD_KINDS[kind]
+                names = sec.strs(key, required=True)
                 if len(names) < 2:
-                    raise ConfigError(f"[profile:{ref}] needs >= 2 factors")
-                prof = self.profile(names[0])
-                for other in names[1:]:
-                    prof = profiles.multiply(prof, self.profile(other))
-            elif kind == "sum":
-                names = sec.strs("terms", required=True)
-                if len(names) < 2:
-                    raise ConfigError(f"[profile:{ref}] needs >= 2 terms")
-                prof = self.profile(names[0])
-                for other in names[1:]:
-                    prof = profiles.add(prof, self.profile(other))
+                    raise ConfigError(f"[profile:{ref}] needs >= 2 {key}")
+                prof = functools.reduce(combine, map(self.profile, names))
             elif kind == "reciprocal":
                 prof = profiles.reciprocal(self.profile(sec.str("of", required=True)))
             elif kind == "scaled":
@@ -382,7 +373,7 @@ def cmd_check(cfg, out_dir, tol, horizon):
 
 
 def _sweep_row(cfg, vary_section, vary_key, value, names, tol, horizon,
-               count_zeros, count_horizon, z0):
+               count_zeros, count_horizon):
     local = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cfg.items()}
     local[vary_section][vary_key] = _fmt(float(value))
     resolver = _Resolver(local)
@@ -398,7 +389,7 @@ def _sweep_row(cfg, vary_section, vary_key, value, names, tol, horizon,
             row[name] = "error"
     if count_zeros:
         pair = resolver.pair(sec.str("pair", required=True))
-        traj = solve_radial(pair, z0, horizon=count_horizon, tol=tol)
+        traj = solve_radial(pair, 1.0, horizon=count_horizon, tol=tol)
         # a count cut short by a breakdown is no count up to count_horizon
         row["zeros"] = ("error" if traj.terminated_reason == "step_underflow"
                         else str(len(traj.zeros)))
@@ -421,9 +412,8 @@ def cmd_sweep(cfg, out_dir, tol, horizon):
     h = horizon if horizon is not None else sec.float("horizon", default=1e4)
     count_zeros = sec.bool("count_zeros", default=False)
     count_horizon = sec.float("count_horizon", default=h)
-    z0 = sec.float("z0", default=1.0)
     rows = [_sweep_row(cfg, vary_section, vary_key, value, names, t, h,
-                       count_zeros, count_horizon, z0) for value in values]
+                       count_zeros, count_horizon) for value in values]
 
     fields = ["value"] + names + (["zeros"] if count_zeros else [])
     out_path = out_dir / "sweep.csv"
@@ -447,7 +437,7 @@ def cmd_spectral(cfg, out_dir, tol, horizon):
     report = spectral.spectral_report(
         pair, sec.float("a", required=True), sec.float("b", required=True),
         radii=tuple(sec.floats("radii", default=[1.0, 10.0, 100.0])),
-        horizon=h, tol=t, z0=sec.float("z0", default=1.0))
+        horizon=h, tol=t)
     _write_json(out_dir / "spectral.json",
                 {"config": cfg["__text__"], "report": report.to_dict()})
     lines = _config_header(cfg) + ["# columns: t2\tquotient"]

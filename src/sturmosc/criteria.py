@@ -188,18 +188,18 @@ def check_nehari(k, lam, t0, horizon=1e4, tol=DEFAULT_TOL):
     return Verdict("nehari", Status.INCONCLUSIVE, Conclusion.NONE, witness)
 
 
-def check_calabi(k, horizon=1e4, tol=DEFAULT_TOL, t_min=_WITNESS_T0):
+def check_calabi(k, horizon=1e4, tol=DEFAULT_TOL):
     """Root-curvature growth beating (1/(2 sqrt(m-1))) log a in the limsup.
 
     The witness tracks g(a) = integral of sqrt(K) minus the log term on a
     geometric grid; SATISFIED needs a tail certificate that g diverges
     (power growth, or a log-coefficient strictly above the threshold).
     """
-    _sample_nonnegative(k.k, t_min, horizon, "K")
+    _sample_nonnegative(k.k, _WITNESS_T0, horizon, "K")
     sqrt_k = elementwise_power(k.k, 0.5)
     coeff = 1.0 / (2.0 * math.sqrt(k.m - 1.0))
-    grid = np.geomspace(max(1.0, 10 * t_min), horizon, 25)
-    acc = cumulative(sqrt_k, np.append(t_min, grid), tol=tol)[1:]
+    grid = np.geomspace(1.0, horizon, 25)
+    acc = cumulative(sqrt_k, np.append(_WITNESS_T0, grid), tol=tol)[1:]
     g_vals = [g - coeff * math.log(a) for g, a in zip(acc, grid)]
     witness = {"g_max": float(np.max(g_vals)), "g_last": float(g_vals[-1]),
                "log_threshold": coeff, "horizon": float(horizon)}
@@ -266,13 +266,14 @@ def _main_b2_verdict(k, a, b, lam, lhs, tol):
     return Verdict("main_b2", Status.INCONCLUSIVE, Conclusion.NONE, witness)
 
 
-def search_main_B2(k, a_grid=None, b_grid=None, lambda_grid=LAMBDA_GRID,
-                   tol=DEFAULT_TOL):
-    """Best-margin verdict over an (a, b, lambda) grid.
+def search_main_B2(k, a_grid=None, b_grid=None, tol=DEFAULT_TOL):
+    """Best-margin verdict over an (a, b) grid times LAMBDA_GRID.
 
     The criterion leaves the parameters free; this scans a deterministic
     geometric grid and returns the instance with the largest scaled margin
-    (which is SATISFIED as soon as any instance is).
+    (which is SATISFIED as soon as any instance is).  A margin beats the
+    best so far only by more than the tolerance, so among instances that
+    tie up to rounding the first in scan order wins.
     """
     if a_grid is None:
         a_grid = np.geomspace(0.25, 4.0, 5)
@@ -288,19 +289,18 @@ def search_main_B2(k, a_grid=None, b_grid=None, lambda_grid=LAMBDA_GRID,
     ends = sorted({t for ab in intervals for t in ab})
     at = {t: i for i, t in enumerate(ends)}
     moments = {lam: cumulative(multiply(power(1.0, lam), k.k), ends, tol=tol)
-               for lam in lambda_grid}
-    best = None
-    best_margin = -math.inf
+               for lam in LAMBDA_GRID}
+    best = best_margin = None
     for a, b in intervals:
-        for lam in lambda_grid:
+        for lam in LAMBDA_GRID:
             lhs = float(moments[lam][at[b]] - moments[lam][at[a]])
             v = _main_b2_verdict(k, a, b, float(lam), lhs, tol)
             margin = ((v.witness["lhs"] - v.witness["rhs"])
                       / (1.0 + abs(v.witness["rhs"])))
-            if margin > best_margin:
+            if best is None or _strict_margin(margin, best_margin, tol):
                 best, best_margin = v, margin
     witness = dict(best.witness)
-    witness["grid_points"] = float(len(intervals) * len(lambda_grid))
+    witness["grid_points"] = float(len(intervals) * len(LAMBDA_GRID))
     return Verdict("main_b2", best.status, best.conclusion, witness, best.notes)
 
 

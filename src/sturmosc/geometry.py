@@ -2,7 +2,7 @@
 
 A rotationally symmetric metric dr^2 + f(r)^2 dtheta^2 has radial
 curvature -f''/f and boundary-sphere volume omega_{m-1} f(r)^{m-1}; the
-warping catalog registers f together with its exact derivatives so the
+warping catalog registers f together with its exact f'' so the
 curvature never goes through numerical differentiation.
 """
 
@@ -51,11 +51,10 @@ def sphere_area(n):
 
 @dataclass(frozen=True)
 class Warping:
-    """A warping function with registered exact first and second derivatives."""
+    """A warping function with its registered exact second derivative."""
 
     name: str
     f: Callable
-    df: Callable
     ddf: Callable
     r_max: float = math.inf
     curvature_const: Optional[float] = None
@@ -77,7 +76,6 @@ def sin_warping(kappa):
     return Warping(
         name=f"sin(k={kappa:g})",
         f=lambda r: np.sin(s * r) / s,
-        df=lambda r: np.cos(s * r),
         ddf=lambda r: -s * np.sin(s * r),
         r_max=math.pi / s,
         curvature_const=float(kappa),
@@ -98,7 +96,6 @@ def sinh_warping(kappa):
     return Warping(
         name=f"sinh(k={kappa:g})",
         f=lambda r: np.sinh(s * r) / s,
-        df=lambda r: np.cosh(s * r),
         ddf=lambda r: s * np.sinh(s * r),
         r_max=math.inf,
         curvature_const=float(kappa),
@@ -114,7 +111,6 @@ def linear_warping():
     return Warping(
         name="linear",
         f=lambda r: np.asarray(r, dtype=float),
-        df=lambda r: np.ones(np.shape(r)),
         ddf=lambda r: np.zeros(np.shape(r)),
         r_max=math.inf,
         curvature_const=0.0,
@@ -140,7 +136,6 @@ def cubic_warping(alpha):
     return Warping(
         name=f"cubic(a={a:g})",
         f=lambda r: r + a * np.power(r, 3),
-        df=lambda r: 1.0 + 3.0 * a * np.power(r, 2),
         ddf=lambda r: 6.0 * a * np.asarray(r, dtype=float),
         r_max=r_max,
         curvature_const=None,
@@ -162,18 +157,16 @@ class ModelManifold:
 
     m: int
     warping: Warping
-    validate: bool = True
 
     def __post_init__(self):
         if self.m < 2 or int(self.m) != self.m:
             raise InvalidParams("dimension m must be an integer >= 2")
-        if self.validate:
-            for eps in (1e-3, 1e-4):
-                ratio = float(self.warping.f(eps)) / eps
-                if abs(ratio - 1.0) > 1e-3:
-                    raise InvalidParams(
-                        f"warping must satisfy f(r)/r -> 1 at 0 "
-                        f"(got {ratio:.6g} at r = {eps:g})")
+        for eps in (1e-3, 1e-4):
+            ratio = float(self.warping.f(eps)) / eps
+            if abs(ratio - 1.0) > 1e-3:
+                raise InvalidParams(
+                    f"warping must satisfy f(r)/r -> 1 at 0 "
+                    f"(got {ratio:.6g} at r = {eps:g})")
 
     @property
     def r_max(self):

@@ -152,7 +152,7 @@ def _refine_bracket(f, a, b, fa, fb, zero_tol):
     return a, b, fa, fb
 
 
-def _scan_chunk(sol, zero_tol, start_after):
+def _scan_chunk(sol, zero_tol):
     """Bracketed sign changes of component 0 on a dense output.
 
     Each step is sampled at _SUBSAMPLES equally spaced points.
@@ -174,8 +174,6 @@ def _scan_chunk(sol, zero_tol, start_after):
     for j in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
         i, k = nonzero[j], nonzero[j + 1]
         a, b = float(grid[i]), float(grid[k])
-        if a < start_after:
-            continue
         fa, fb = float(vals[i]), float(vals[k])
         a, b, fa, fb = _refine_bracket(f, a, b, fa, fb, zero_tol)
         certs.append(ZeroCertificate(a, b, int(math.copysign(1, fa)),
@@ -237,7 +235,7 @@ def _drive(rhs, t0, y0, horizon, rtol, atol, zero_tol, zero_cap, weight):
             ts = np.append(ts[:-1], last.t)
             ys = np.column_stack([ys[:, :-1], last(last.t)])
             dense = OdeSolution(ts, dense.interpolants)
-    zeros = _scan_chunk(dense, zero_tol, -math.inf)
+    zeros = _scan_chunk(dense, zero_tol)
     if zero_cap is not None:
         zeros = zeros[:zero_cap]
     suspects = _find_suspects(ts, ys[0], zero_tol)
@@ -277,12 +275,12 @@ def solve_jacobi(k, horizon, tol=DEFAULT_TOL, zero_tol=DEFAULT_ZERO_TOL,
                   zero_cap=zero_cap, weight=None)
 
 
-def _singular_start(pair, z0, picard_tol=1e-10):
+def _singular_start(pair, z0):
     """Initial data at t = RADIAL_START realizing the bounded-slope branch.
 
     One Picard step gives z'(eps) = -(1/v(eps)) * integral of W v z0 over
     (0, eps); a second sweep with the refined z must move the slope by
-    less than picard_tol or the bootstrap is rejected.  With I(s) the
+    less than 1e-10 (relative) or the bootstrap is rejected.  With I(s) the
     integral of W v over (0, s), Fubini folds the second sweep into
     z0 * (I(eps) - integral over (0, eps) of I(s) (I(eps) - I(s)) / v(s)).
     """
@@ -302,7 +300,7 @@ def _singular_start(pair, z0, picard_tol=1e-10):
     except (NonFiniteSample, ToleranceNotMet) as exc:
         raise SingularStartFailure(
             f"Picard bootstrap diverged near the origin: {exc}") from exc
-    if abs(slope2 - slope1) >= picard_tol * (1.0 + abs(slope1)):
+    if abs(slope2 - slope1) >= 1e-10 * (1.0 + abs(slope1)):
         raise SingularStartFailure(
             f"Picard bootstrap did not settle at eps={eps:g}: "
             f"slope moved by {abs(slope2 - slope1):.3g}")
@@ -347,7 +345,7 @@ def locate_zeros(traj, zero_tol=DEFAULT_ZERO_TOL):
     Returns fresh certificates at the requested bracket width; the
     trajectory's own certificates are untouched.
     """
-    return _scan_chunk(traj.dense, zero_tol, -math.inf)
+    return _scan_chunk(traj.dense, zero_tol)
 
 
 @dataclass(frozen=True)
@@ -378,25 +376,25 @@ def extend_until_zero(pair, z0, horizon_cap, tol=DEFAULT_TOL,
     return FirstZeroSearch(cert, traj.t_end, traj)
 
 
-def residual_max(traj, n_checkpoints=64, rel_h=1e-5):
+def residual_max(traj):
     """Largest scaled ODE residual reconstructed by differencing dense output.
 
-    Differences the flux midway through interior solver steps and compares
-    against the right-hand side; the result is scaled by (1 + |rhs|).
+    Differences the flux midway through up to 64 interior solver steps and
+    compares against the right-hand side; the result is scaled by (1 + |rhs|).
     """
     if traj.rhs is None or len(traj.ts) < 4:
         return 0.0
     ts = traj.ts
     steps = np.arange(1, len(ts) - 1)
-    if len(steps) > n_checkpoints:
-        steps = steps[np.linspace(0, len(steps) - 1, n_checkpoints).astype(int)]
+    if len(steps) > 64:
+        steps = steps[np.linspace(0, len(steps) - 1, 64).astype(int)]
     worst = 0.0
     for i in steps:
         width = ts[i + 1] - ts[i]
         if width <= 0:
             continue
         m = ts[i] + 0.5 * width
-        h = max(rel_h * width, 8.0 * np.spacing(m))
+        h = max(1e-5 * width, 8.0 * np.spacing(m))
         if m - h <= ts[i] or m + h >= ts[i + 1]:
             continue
         dflux = (traj.flux(m + h) - traj.flux(m - h)) / (2.0 * h)

@@ -53,39 +53,29 @@ class RiccatiTrajectory:
     ts: np.ndarray
     ys: np.ndarray
     poles: tuple
-    evaluator: Optional[Callable] = None
+    evaluator: Callable
 
     def __call__(self, t):
-        if self.evaluator is not None:
-            return self.evaluator(t)
-        return np.interp(t, self.ts, self.ys)
+        return self.evaluator(t)
 
 
-def riccati_from_solution(traj, v=None, exclusion=NEAR_POLE_EXCLUSION):
-    """Transform a solver trajectory: y = -v z'/z (v omitted for u'' + Ku = 0).
+def riccati_from_solution(traj):
+    """Transform a solver trajectory: y = -flux/z, i.e. -v z'/z or -u'/u.
 
-    Nodes with |z| below ``exclusion`` times the trajectory's value scale
-    are dropped (quotient conditioning near poles); the poles themselves
-    are the trajectory's certified zeros.
+    Nodes with |z| below NEAR_POLE_EXCLUSION times the trajectory's value
+    scale are dropped (quotient conditioning near poles); the poles
+    themselves are the trajectory's certified zeros.
     """
     vals = traj.values
     scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    keep = np.abs(vals) > exclusion * scale
-    ts = traj.ts[keep]
-    if v is None:
-        ys = -traj.fluxes[keep] / vals[keep]
+    keep = np.abs(vals) > NEAR_POLE_EXCLUSION * scale
 
-        def evaluator(t):
-            return -traj.flux(t) / traj.value(t)
-    else:
-        vts = v(ts)
-        ys = -vts * traj.derivatives[keep] / vals[keep]
-
-        def evaluator(t):
-            return -v(t) * traj.derivative(t) / traj.value(t)
+    def evaluator(t):
+        return -traj.flux(t) / traj.value(t)
 
     poles = tuple(cert.location for cert in traj.zeros)
-    return RiccatiTrajectory(ts=ts, ys=ys, poles=poles, evaluator=evaluator)
+    return RiccatiTrajectory(ts=traj.ts[keep], ys=-traj.fluxes[keep] / vals[keep],
+                             poles=poles, evaluator=evaluator)
 
 
 @dataclass(frozen=True)
@@ -118,6 +108,16 @@ def _v_one_t(pair, t, tol):
     return math.inf if below == 0.0 else 1.0 / below
 
 
+def _growth(flavor, b, t, pair, tol):
+    """The flavor's growth factor E at t: exp(2Bt), or V(1, t); inf on overflow."""
+    if flavor == "jacobi":
+        try:
+            return math.exp(2.0 * b * t)
+        except OverflowError:
+            return math.inf
+    return _v_one_t(pair, t, tol)
+
+
 def comparison_value(fam, t, tol=DEFAULT_TOL):
     """Evaluate the family member at t (B = 0 collapses to the zero function)."""
     t = float(t)
@@ -126,13 +126,7 @@ def comparison_value(fam, t, tol=DEFAULT_TOL):
     b = fam.b_const
     if b == 0.0:
         return 0.0
-    if fam.flavor == "jacobi":
-        try:
-            growth = math.exp(2.0 * b * t)
-        except OverflowError:
-            growth = math.inf
-    else:
-        growth = _v_one_t(fam.pair, t, tol)
+    growth = _growth(fam.flavor, b, t, fam.pair, tol)
     if math.isinf(growth):
         return -b  # past any pole the family has settled at its limit
     den = fam.c_param - growth
@@ -153,10 +147,9 @@ def anchored_family(flavor, b_const, t_bar, q_value, pair=None, tol=DEFAULT_TOL)
         return ComparisonFamily(0.0, 1.0, flavor, pair)
     if q_value == b:
         raise InvalidParams("anchor value equal to B has no finite parameter")
-    if flavor == "jacobi":
-        growth = math.exp(2.0 * b * t_bar)
-    else:
-        growth = _v_one_t(pair, t_bar, tol)
+    growth = _growth(flavor, b, t_bar, pair, tol)
+    if math.isinf(growth):
+        raise InvalidParams(f"growth factor overflows at t_bar = {t_bar:g}")
     c = (q_value + b) / (q_value - b) * growth
     return ComparisonFamily(b, c, flavor, pair)
 
@@ -164,7 +157,6 @@ def anchored_family(flavor, b_const, t_bar, q_value, pair=None, tol=DEFAULT_TOL)
 def family_riccati(fam, ts, tol=DEFAULT_TOL):
     """Materialize a family member on a grid as a RiccatiTrajectory."""
     ts = np.asarray(ts, dtype=float)
-    ys = np.array([comparison_value(fam, t, tol) for t in ts])
     pole = blow_up_time(fam, tol=tol)
     poles = () if math.isinf(pole) else (pole,)
 
@@ -173,7 +165,7 @@ def family_riccati(fam, ts, tol=DEFAULT_TOL):
             return comparison_value(fam, float(t), tol)
         return np.array([comparison_value(fam, float(x), tol) for x in np.asarray(t)])
 
-    return RiccatiTrajectory(ts=ts, ys=ys, poles=poles, evaluator=evaluator)
+    return RiccatiTrajectory(ts=ts, ys=evaluator(ts), poles=poles, evaluator=evaluator)
 
 
 def blow_up_time(fam, tol=DEFAULT_TOL):
@@ -301,8 +293,7 @@ class ComparisonReport:
         return self.ordered and self.pole_order_ok is not False
 
 
-def verify_comparison(q1, q2, t_bar, direction="forward", tol=1e-6,
-                      anchor_tol=1e-8):
+def verify_comparison(q1, q2, t_bar, direction="forward", tol=1e-6):
     """Check the comparison ordering between two Riccati trajectories.
 
     With q1 a supersolution and q2 a subsolution of the same flow matched
@@ -314,7 +305,7 @@ def verify_comparison(q1, q2, t_bar, direction="forward", tol=1e-6,
     t_bar = float(t_bar)
     y1a, y2a = float(q1(t_bar)), float(q2(t_bar))
     gap = abs(y1a - y2a)
-    if gap > anchor_tol * (1.0 + abs(y1a)):
+    if gap > 1e-8 * (1.0 + abs(y1a)):
         raise MismatchedAnchor(
             f"q1({t_bar:g}) = {y1a:.12g} vs q2({t_bar:g}) = {y2a:.12g}")
 

@@ -18,7 +18,7 @@ from .criteria import (Conclusion, Status, Verdict, _strict_margin,
 from .errors import HypothesisViolated, InvalidParams, NoZeroAtT2
 from .profiles import (DEFAULT_TOL, CoefficientPair, constant, integrate,
                        multiply, scaled)
-from .ode import Trajectory, solve_radial
+from .ode import solve_radial
 
 __all__ = [
     "SpectralReport",
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-def rayleigh_quotient(pair, traj, t2, t3, tol=1e-9):
+def rayleigh_quotient(pair, traj, t2, tol=1e-9):
     """Rayleigh quotient of the radial test function cut at a certified zero.
 
     The test function equals the solution on [0, t2] and vanishes beyond,
@@ -40,8 +40,6 @@ def rayleigh_quotient(pair, traj, t2, t3, tol=1e-9):
     to discretization error -- this is the identity that turns a zero of
     the radial problem into a negative-spectrum certificate.
     """
-    if t3 <= t2:
-        raise InvalidParams("need t3 > t2")
     cert = None
     for z in traj.zeros:
         if abs(z.location - t2) <= max(10.0 * z.width, 1e-6 * (1.0 + abs(t2))):
@@ -101,8 +99,7 @@ def instability_at_infinity(pair, R, horizon=1e4, tol=DEFAULT_TOL):
                    dict(inner.witness), notes=notes)
 
 
-def index_lower_bound(pair, horizon, tol=DEFAULT_TOL, z0=1.0,
-                      traj: Optional[Trajectory] = None):
+def index_lower_bound(pair, horizon, tol=DEFAULT_TOL):
     """Certified lower bound on the index from nodal intervals.
 
     The certified zeros t1 < t2 < ... < tk inside the horizon delimit
@@ -112,9 +109,7 @@ def index_lower_bound(pair, horizon, tol=DEFAULT_TOL, z0=1.0,
     """
     if horizon <= 0:
         raise InvalidParams("need horizon > 0")
-    if traj is None:
-        traj = solve_radial(pair, z0, horizon=horizon, tol=tol)
-    return len([z for z in traj.zeros if z.location <= horizon])
+    return len(solve_radial(pair, 1.0, horizon=horizon, tol=tol).zeros)
 
 
 @dataclass(frozen=True)
@@ -139,12 +134,15 @@ class SpectralReport:
 
 
 def spectral_report(pair, a, b, radii=(1.0, 10.0, 100.0), horizon=1e4,
-                    tol=DEFAULT_TOL, z0=1.0, max_rayleigh=4):
+                    tol=DEFAULT_TOL):
     """Build a SpectralReport: threshold certificate, solver confirmations,
-    nodal index evidence, and Rayleigh quotients at the certified zeros."""
+    nodal index evidence, and Rayleigh quotients at the first four
+    certified zeros."""
+    if not radii:
+        raise InvalidParams("need at least one radius")
     verdict = lambda1_negative(pair, a, b, tol=tol)
     osc = instability_at_infinity(pair, min(radii), horizon=horizon, tol=tol)
-    traj = solve_radial(pair, z0, horizon=horizon, tol=tol)
+    traj = solve_radial(pair, 1.0, horizon=horizon, tol=tol)
     zeros = [z.location for z in traj.zeros]
 
     unstable = ()
@@ -152,8 +150,8 @@ def spectral_report(pair, a, b, radii=(1.0, 10.0, 100.0), horizon=1e4,
         unstable = tuple(R for R in radii if any(t > R for t in zeros))
 
     rayleigh = []
-    for z in traj.zeros[:max_rayleigh]:
-        q = rayleigh_quotient(pair, traj, z.location, z.location * 1.25)
+    for z in traj.zeros[:4]:
+        q = rayleigh_quotient(pair, traj, z.location)
         rayleigh.append((z.location, q))
 
     certified = verdict.satisfied or bool(zeros)

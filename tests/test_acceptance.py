@@ -179,7 +179,7 @@ def test_criterion_6_riccati_comparison_random_family():
 
 def test_criterion_7_rayleigh_identity(sinc_pair):
     traj = solve_radial(sinc_pair, 1.0, horizon=10.0)
-    q = rayleigh_quotient(sinc_pair, traj, math.pi, 4.0)
+    q = rayleigh_quotient(sinc_pair, traj, math.pi)
     ok = abs(q) <= 1e-6
     assert _report(7, f"Rayleigh quotient at the first zero = {q:.3g}", ok)
 

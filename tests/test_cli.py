@@ -87,6 +87,27 @@ POLE_PAIR_CONFIG = (
     "[profile:W]\nkind = reciprocal\nof = sq\n"
     "[pair:p]\nv = one\nw = W\nt_start = 1.0\nvalidate = false\n")
 
+# one constant profile "a" plus a curvature check on profile "K"; each
+# parse case below replaces one field of this setup with a malformed one
+_HEAD = "[profile:a]\nkind = constant\nc = 1.0\n"
+_CHECK = "[curvature:k]\nk = K\n{m}[check]\ncriteria = calabi\ncurvature = k\n"
+_K_ONE = "[profile:K]\nkind = constant\nc = 1.0\n"
+PARSE_ERRORS = [
+    ("check", _HEAD + "[profile:K]\nkind = constant\nc = x\n" + _CHECK.format(m=""),
+     "[profile:K] field 'c': 'x' is not a number"),
+    ("check", _HEAD + _K_ONE + _CHECK.format(m="m = 2.5\n"),
+     "[curvature:k] field 'm': '2.5' is not an integer"),
+    ("sweep", _HEAD + _K_ONE + _CHECK.format(m="")
+     + "[sweep]\nvary = profile:a.c\nvalues = 1 two\ncriteria = calabi\ncurvature = k\n",
+     "[sweep] field 'values': '1 two' is not a number list"),
+    ("check", _HEAD + "[profile:K]\nkind = product\nfactors = a\n" + _CHECK.format(m=""),
+     "[profile:K] needs >= 2 factors"),
+    ("check", _HEAD + "[profile:K]\nkind = sum\nterms = a\n" + _CHECK.format(m=""),
+     "[profile:K] needs >= 2 terms"),
+    ("check", _HEAD + "[profile:K]\nkind = bogus\n" + _CHECK.format(m=""),
+     "[profile:K] unknown kind 'bogus'"),
+]
+
 
 @pytest.fixture
 def config(tmp_path):
@@ -249,3 +270,18 @@ class TestExitCodes:
         report = json.loads((tmp_path / "spectral.json").read_text())["report"]
         assert "solver broke down at t = " in report["notes"]
         assert (tmp_path / "rayleigh.tsv").exists()
+
+    @pytest.mark.parametrize("command,text,message", PARSE_ERRORS,
+                             ids=["c", "m", "values", "factors", "terms", "kind"])
+    def test_malformed_field_message(self, tmp_path, capsys, command, text, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_spectral_empty_radii(self, tmp_path, capsys):
+        cfg = tmp_path / "radii.ini"
+        cfg.write_text(BASE_CONFIG.replace("radii = 1 10 100", "radii ="))
+        assert main(["spectral", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: need at least one radius\n")

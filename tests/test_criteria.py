@@ -150,6 +150,13 @@ class TestMainB2:
                 search_main_B2(CurvatureProfile(constant(1.0)), a_grid=a_grid,
                                b_grid=b_grid)
 
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_search_ties_go_to_first_instance(self, c):
+        # for K = c t^-2 at lambda = 1 both sides depend on b/a only, so the
+        # five a values tie; the first instance in scan order is reported
+        v = search_main_B2(curvature(power(c, -2.0)))
+        assert (v.witness["a"], v.witness["b"], v.witness["lambda"]) == (0.25, 7.5, 1.0)
+
     def test_margin_monotone_in_b(self):
         k = curvature(constant(1.0), b=1.0, validate=False)
         for lam in (0.0, 0.5, 1.0):

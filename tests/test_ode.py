@@ -158,7 +158,7 @@ class TestLocateZeros:
                 x = np.asarray(x, dtype=float)
                 return np.stack([x - 0.5, np.ones_like(x)])
 
-        certs = _scan_chunk(LinearDense(), 1e-8, -math.inf)
+        certs = _scan_chunk(LinearDense(), 1e-8)
         assert len(certs) == 1
         assert certs[0].t_lo < 0.5 < certs[0].t_hi
         assert certs[0].width <= 2e-8

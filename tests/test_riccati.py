@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmosc import (AtPole, CoefficientPair, ComparisonFamily, CurvatureProfile,
-                      EnvelopeKind, MismatchedAnchor, OutOfValidity,
+                      EnvelopeKind, InvalidParams, MismatchedAnchor, OutOfValidity,
                       anchored_family, blow_up_time, comparison_value, constant,
                       envelope, family_riccati, power, riccati_from_solution,
                       solve_jacobi, solve_radial, verify_comparison)
@@ -50,7 +50,7 @@ class TestTransform:
     def test_weighted_transform(self, sinc_pair):
         # z = sin t / t with v = t^2: y = -v z'/z = t - t^2 cot(t)
         traj = solve_radial(sinc_pair, 1.0, horizon=3.0)
-        y = riccati_from_solution(traj, v=sinc_pair.v)
+        y = riccati_from_solution(traj)
         for t in (0.5, 1.0, 2.0):
             assert y(t) == pytest.approx(t - t * t / math.tan(t), abs=1e-8)
 
@@ -79,6 +79,14 @@ class TestComparisonValue:
         fam = ComparisonFamily(1.0, E2, "jacobi")
         with pytest.raises(AtPole):
             comparison_value(fam, 1.0)
+
+
+class TestAnchoredFamily:
+    def test_overflowing_growth_raises(self):
+        # exp(2 B t_bar) = exp(800) overflows; comparison_value settles at -B
+        with pytest.raises(InvalidParams):
+            anchored_family("jacobi", 1.0, 400.0, 0.5)
+        assert comparison_value(ComparisonFamily(1.0, 2.0, "jacobi"), 400.0) == -1.0
 
 
 class TestBlowUpTime:

@@ -14,30 +14,25 @@ from conftest import euler_pair, moore_pair, pole_pair
 class TestRayleighQuotient:
     def test_vanishes_at_certified_zero(self, sinc_pair):
         traj = solve_radial(sinc_pair, 1.0, horizon=10.0)
-        q = rayleigh_quotient(sinc_pair, traj, math.pi, 4.0)
+        q = rayleigh_quotient(sinc_pair, traj, math.pi)
         assert abs(q) <= 1e-6
 
     def test_vanishes_at_second_zero_too(self, sinc_pair):
         traj = solve_radial(sinc_pair, 1.0, horizon=10.0)
-        q = rayleigh_quotient(sinc_pair, traj, 2 * math.pi, 7.0)
+        q = rayleigh_quotient(sinc_pair, traj, 2 * math.pi)
         assert abs(q) <= 1e-6
 
     def test_no_zero_raises(self):
         pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=0.0)
         traj = solve_radial(pair, 1.0, horizon=10.0)
         with pytest.raises(NoZeroAtT2):
-            rayleigh_quotient(pair, traj, 3.0, 4.0)
+            rayleigh_quotient(pair, traj, 3.0)
 
     def test_euler_first_zero(self):
         pair = euler_pair(0.3)
         traj = solve_radial(pair, 1.0, horizon=100.0)
         t2 = traj.zeros[0].location
-        assert abs(rayleigh_quotient(pair, traj, t2, t2 * 1.5)) <= 1e-6
-
-    def test_requires_t3_past_cut(self, sinc_pair):
-        traj = solve_radial(sinc_pair, 1.0, horizon=10.0)
-        with pytest.raises(InvalidParams):
-            rayleigh_quotient(sinc_pair, traj, math.pi, 2.0)
+        assert abs(rayleigh_quotient(pair, traj, t2)) <= 1e-6
 
 
 class TestLambda1Negative:
