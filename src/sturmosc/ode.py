@@ -14,11 +14,12 @@ solution of a second-order linear ODE cannot have a double zero).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution, solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .errors import (InvalidParams, NonFiniteSample, OutOfValidity,
                      SingularStartFailure, ToleranceNotMet)
@@ -66,6 +67,57 @@ class ZeroCertificate:
         return self.t_hi - self.t_lo
 
 
+class _DenseTable:
+    """The DOP853 dense output of one solve, stacked into arrays.
+
+    Step i covers [ts[i], ts[i+1]]; a node belongs to the step that ends
+    there, as in scipy's ``OdeSolution``.  Both paths below repeat the
+    operations of scipy's ``Dop853DenseOutput`` in the same order, so every
+    value is bit-identical to scipy's interpolants.  A call returns
+    [value, flux] rows for a 1-D array and a (value, flux) tuple of floats
+    for a scalar.
+    """
+
+    def __init__(self, ts, interpolants):
+        self.ts = ts
+        self._t_old = np.array([s.t_old for s in interpolants])
+        self._h = np.array([s.h for s in interpolants])
+        self._y_old = np.array([s.y_old for s in interpolants])
+        # (step, power, component), highest power first
+        f = np.array([s.F[::-1] for s in interpolants])
+        self._f = np.ascontiguousarray(f.transpose(1, 0, 2))
+        # the scalar path works on Python floats
+        self._nodes = ts.tolist()
+        self._steps = list(zip(self._t_old.tolist(), self._h.tolist(),
+                               self._y_old.tolist(), f[:, :, 0].tolist(),
+                               f[:, :, 1].tolist()))
+
+    def __call__(self, t):
+        if np.ndim(t) == 0:
+            return self._at(float(t))
+        t = np.asarray(t, dtype=float)
+        step = np.searchsorted(self.ts, t, side="left") - 1
+        np.clip(step, 0, len(self._h) - 1, out=step)
+        x = ((t - self._t_old[step]) / self._h[step])[:, None]
+        factors = (x, 1 - x)
+        y = np.zeros((len(t), self._y_old.shape[1]))
+        for i, f in enumerate(self._f):
+            y += f[step]
+            y *= factors[i % 2]
+        y += self._y_old[step]
+        return y.T
+
+    def _at(self, t):
+        i = min(max(bisect_left(self._nodes, t) - 1, 0), len(self._steps) - 1)
+        t_old, h, (v, w), f0, f1 = self._steps[i]
+        x = (t - t_old) / h
+        a = b = 0.0
+        for fa, fb, m in zip(f0, f1, (x, 1 - x) * 3 + (x,)):
+            a = (a + fa) * m
+            b = (b + fb) * m
+        return a + v, b + w
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Dense ODE solution with certified zero brackets.
@@ -84,7 +136,7 @@ class Trajectory:
     terminated_reason: str  # "horizon" | "zero_cap" | "step_underflow"
     t_start: float
     t_end: float
-    dense: Optional[OdeSolution] = field(repr=False)
+    dense: Optional[_DenseTable] = field(repr=False)
     weight: Optional[Profile] = field(default=None, repr=False)
     rhs: Optional[Callable] = field(default=None, repr=False)
 
@@ -101,8 +153,7 @@ class Trajectory:
         if np.any((arr < self.t_start) | (arr > self.t_end)):
             raise OutOfValidity(
                 f"trajectory is valid on [{self.t_start:g}, {self.t_end:g}]")
-        out = self.dense(arr)
-        return out[:, 0] if np.ndim(t) == 0 else out
+        return np.array(self.dense(float(t))) if np.ndim(t) == 0 else self.dense(arr)
 
     def value(self, t):
         s = self.state(t)
@@ -134,7 +185,7 @@ class Trajectory:
 def _refine_bracket(f, a, b, fa, fb, zero_tol):
     """Bisect a strict sign change down to width <= max(zero_tol, ~4 ulp)."""
     for _ in range(200):
-        floor = max(zero_tol, 4.0 * np.spacing(max(abs(a), abs(b))))
+        floor = max(zero_tol, 4.0 * math.ulp(max(abs(a), abs(b))))
         if (b - a) <= floor:
             break
         m = 0.5 * (a + b)
@@ -181,19 +232,19 @@ def _scan_chunk(sol, zero_tol):
     return certs
 
 
-def _find_suspects(ts, vals, zero_tol):
-    out = []
+def _find_suspects(ts, vals):
+    """Interior nodes where |value| has a tiny local minimum without a sign change."""
     if len(vals) < 3:
-        return out
-    scale = float(np.max(np.abs(vals)))
+        return []
+    mag = np.abs(vals)
+    scale = float(np.max(mag))
     if scale == 0.0:
-        return out
-    for i in range(1, len(vals) - 1):
-        same = np.sign(vals[i - 1]) == np.sign(vals[i]) == np.sign(vals[i + 1])
-        local_min = abs(vals[i]) <= abs(vals[i - 1]) and abs(vals[i]) <= abs(vals[i + 1])
-        if same and local_min and 0 < abs(vals[i]) < 1e-9 * scale:
-            out.append(float(ts[i]))
-    return out
+        return []
+    sign, mid = np.sign(vals), mag[1:-1]
+    hit = ((sign[:-2] == sign[1:-1]) & (sign[1:-1] == sign[2:])
+           & (mid <= mag[:-2]) & (mid <= mag[2:])
+           & (0 < mid) & (mid < 1e-9 * scale))
+    return ts[1:-1][hit].tolist()
 
 
 class _Stepper(DOP853):
@@ -227,18 +278,18 @@ def _drive(rhs, t0, y0, horizon, rtol, atol, zero_tol, zero_cap, weight):
                     dense_output=True, events=events, rtol=rtol, atol=atol)
     ts, ys, dense = sol.t, sol.y, None
     if len(ts) > 1:
-        dense = sol.sol
+        interpolants = sol.sol.interpolants
         if sol.status == 1:
             # The event stopped the solve at its root, inside the last step.
             # Keep that whole step so the scan sees a strict sign change.
-            last = dense.interpolants[-1]
+            last = interpolants[-1]
             ts = np.append(ts[:-1], last.t)
             ys = np.column_stack([ys[:, :-1], last(last.t)])
-            dense = OdeSolution(ts, dense.interpolants)
+        dense = _DenseTable(ts, interpolants)
     zeros = _scan_chunk(dense, zero_tol)
     if zero_cap is not None:
         zeros = zeros[:zero_cap]
-    suspects = _find_suspects(ts, ys[0], zero_tol)
+    suspects = _find_suspects(ts, ys[0])
     return Trajectory(ts=ts, values=ys[0], fluxes=ys[1], zeros=tuple(zeros),
                       suspects=tuple(suspects),
                       terminated_reason=_REASONS[sol.status],
