@@ -486,7 +486,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and reused by every call."""
     parser = argparse.ArgumentParser(
         prog="sturmosc",
         description="Zero localization, oscillation and compactness criteria "

@@ -260,7 +260,7 @@ class _Stepper(DOP853):
         t = self.t
         success, message = super()._step_impl()
         if (success and self.t != self.t_bound
-                and self.t - t < _MIN_STEP_ULPS * np.spacing(t)):
+                and self.t - t < _MIN_STEP_ULPS * math.ulp(t)):
             return False, f"step shorter than {_MIN_STEP_ULPS} ulp of t"
         return success, message
 
@@ -316,10 +316,10 @@ def solve_jacobi(k, horizon, tol=DEFAULT_TOL, zero_tol=DEFAULT_ZERO_TOL,
         if u0 is None or du0 is None:
             raise InvalidParams("explicit start needs u0 and du0")
         t0, y0 = float(t_start), (float(u0), float(du0))
-    kev = kp.evaluator
+    ks = kp.scalar
 
     def rhs(t, y):
-        return (y[1], -float(kev(np.float64(t))) * y[0])
+        return (y[1], -ks(t) * y[0])
 
     return _drive(rhs, t0, y0, horizon, rtol=tol,
                   atol=max(1e-14, tol * 1e-4), zero_tol=zero_tol,
@@ -378,12 +378,11 @@ def solve_radial(pair, z0, horizon, tol=DEFAULT_TOL, zero_tol=DEFAULT_ZERO_TOL,
         if dz0 is not None:
             raise InvalidParams("dz0 only applies to shifted (t_start > 0) pairs")
         t0, y0 = _singular_start(pair, float(z0))
-    vev, wev = v.evaluator, w.evaluator
+    vs, ws = v.scalar, w.scalar
 
     def rhs(t, y):
-        tt = np.float64(t)
-        vt = float(vev(tt))
-        return (y[1] / vt, -float(wev(tt)) * vt * y[0])
+        vt = vs(t)
+        return (y[1] / vt, -ws(t) * vt * y[0])
 
     return _drive(rhs, t0, y0, horizon, rtol=tol,
                   atol=max(1e-14, tol * 1e-4), zero_tol=zero_tol,

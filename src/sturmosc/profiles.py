@@ -111,12 +111,22 @@ class Profile:
     nonpositive, or identically zero on the *whole* domain; it is what
     allows a checker to say "fails for every parameter choice" instead of
     merely "inconclusive here".
+
+    ``scalar`` is the same function from a float to a float, for the ODE
+    right-hand sides.  The constructors below build it in closed form,
+    bit-identical to the evaluator; any other profile gets
+    ``float(evaluator(np.float64(t)))``.
     """
 
     evaluator: Callable
     tail: Tail = None
     sign: Optional[str] = None  # "nonnegative" | "nonpositive" | "zero" | None
     label: str = ""
+    scalar: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ev = self.evaluator
+        object.__setattr__(self, "scalar", lambda t: float(ev(np.float64(t))))
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -126,6 +136,18 @@ class Profile:
         if arr.ndim == 0:
             return float(out)
         return np.array(out, dtype=float)
+
+
+def _closed_form(profile, scalar):
+    """``profile`` with ``scalar`` as its scalar form.
+
+    ``scalar`` repeats the evaluator's operations on floats: the same numpy
+    ufunc where the evaluator calls one (so inf, nan and warnings stay
+    numpy's), plain float arithmetic for products, sums and scalings (same
+    values, but an overflow there gives inf without numpy's warning).
+    """
+    object.__setattr__(profile, "scalar", scalar)
+    return profile
 
 
 def _sign_of_value(c):
@@ -148,8 +170,9 @@ def constant(value, label=""):
     def ev(t):
         return np.full(np.shape(t), v)
 
-    return Profile(ev, tail=PowerTail(v, 0.0), sign=_sign_of_value(v),
-                   label=label or f"const({v:g})")
+    return _closed_form(Profile(ev, tail=PowerTail(v, 0.0), sign=_sign_of_value(v),
+                                label=label or f"const({v:g})"),
+                        lambda t: v)
 
 
 def power(coefficient, exponent, label=""):
@@ -158,8 +181,9 @@ def power(coefficient, exponent, label=""):
     def ev(t):
         return c * np.power(t, p)
 
-    return Profile(ev, tail=PowerTail(c, p), sign=_sign_of_value(c),
-                   label=label or f"{c:g}*t^{p:g}")
+    return _closed_form(Profile(ev, tail=PowerTail(c, p), sign=_sign_of_value(c),
+                                label=label or f"{c:g}*t^{p:g}"),
+                        lambda t: c * float(np.power(t, p)))
 
 
 def exponential(coefficient, rate, label=""):
@@ -168,8 +192,9 @@ def exponential(coefficient, rate, label=""):
     def ev(t):
         return c * np.exp(r * t)
 
-    return Profile(ev, tail=ExpTail(c, r), sign=_sign_of_value(c),
-                   label=label or f"{c:g}*exp({r:g}t)")
+    return _closed_form(Profile(ev, tail=ExpTail(c, r), sign=_sign_of_value(c),
+                                label=label or f"{c:g}*exp({r:g}t)"),
+                        lambda t: c * float(np.exp(r * t)))
 
 
 # --- profile algebra -------------------------------------------------------
@@ -218,9 +243,11 @@ def multiply(p, q, label=""):
     def ev(t):
         return p.evaluator(t) * q.evaluator(t)
 
-    return Profile(ev, tail=_mul_tail(p.tail, q.tail),
-                   sign=_mul_sign(p.sign, q.sign),
-                   label=label or f"({p.label})*({q.label})")
+    ps, qs = p.scalar, q.scalar
+    return _closed_form(Profile(ev, tail=_mul_tail(p.tail, q.tail),
+                                sign=_mul_sign(p.sign, q.sign),
+                                label=label or f"({p.label})*({q.label})"),
+                        lambda t: ps(t) * qs(t))
 
 
 def _add_sign(a, b):
@@ -235,9 +262,11 @@ def add(p, q, label=""):
     def ev(t):
         return p.evaluator(t) + q.evaluator(t)
 
-    return Profile(ev, tail=_add_tail(p.tail, q.tail),
-                   sign=_add_sign(p.sign, q.sign),
-                   label=label or f"({p.label})+({q.label})")
+    ps, qs = p.scalar, q.scalar
+    return _closed_form(Profile(ev, tail=_add_tail(p.tail, q.tail),
+                                sign=_add_sign(p.sign, q.sign),
+                                label=label or f"({p.label})+({q.label})"),
+                        lambda t: ps(t) + qs(t))
 
 
 def scaled(p, factor, label=""):
@@ -254,7 +283,10 @@ def scaled(p, factor, label=""):
     else:
         tail = None
     sign = _mul_sign(p.sign, _sign_of_value(k))
-    return Profile(ev, tail=tail, sign=sign, label=label or f"{k:g}*({p.label})")
+    ps = p.scalar
+    return _closed_form(Profile(ev, tail=tail, sign=sign,
+                                label=label or f"{k:g}*({p.label})"),
+                        lambda t: k * ps(t))
 
 
 def subtract(p, q, label=""):
@@ -269,7 +301,10 @@ def reciprocal(p, label=""):
     if isinstance(p.tail, AsymptoticTail) and p.tail.coefficient != 0.0:
         tail = AsymptoticTail(1.0 / p.tail.coefficient, -p.tail.exponent,
                               -p.tail.rate, p.tail.valid_from, p.tail.exact)
-    return Profile(ev, tail=tail, sign=p.sign, label=label or f"1/({p.label})")
+    ps = p.scalar
+    return _closed_form(Profile(ev, tail=tail, sign=p.sign,
+                                label=label or f"1/({p.label})"),
+                        lambda t: float(np.divide(1.0, ps(t))))
 
 
 def elementwise_power(p, exponent, label=""):
@@ -284,13 +319,19 @@ def elementwise_power(p, exponent, label=""):
 
     tail = None
     if isinstance(p.tail, AsymptoticTail) and p.tail.coefficient > 0.0:
-        tail = AsymptoticTail(p.tail.coefficient ** e, p.tail.exponent * e,
-                              p.tail.rate * e, p.tail.valid_from, p.tail.exact)
+        try:
+            tail = AsymptoticTail(p.tail.coefficient ** e, p.tail.exponent * e,
+                                  p.tail.rate * e, p.tail.valid_from, p.tail.exact)
+        except OverflowError:
+            pass  # the tail coefficient leaves the float range: declare no tail
     elif isinstance(p.tail, AsymptoticTail) and p.tail.coefficient == 0.0 and p.tail.exact:
         tail = p.tail
     sign = "zero" if p.sign == "zero" else (
         "nonnegative" if certified_nonnegative(p) else None)
-    return Profile(ev, tail=tail, sign=sign, label=label or f"({p.label})^{e:g}")
+    ps = p.scalar
+    return _closed_form(Profile(ev, tail=tail, sign=sign,
+                                label=label or f"({p.label})^{e:g}"),
+                        lambda t: float(np.power(ps(t), e)))
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,20 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
+    def test_usage_error_repeats_after_a_run(self, config, tmp_path, capsys):
+        # one parser serves every call, so a call must leave nothing behind
+        outcomes = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", "--tol", "x"])
+            outcomes.append((exc.value.code, capsys.readouterr().err))
+            assert main(["geometry", "--config", str(config),
+                         "--out", str(tmp_path)]) == 0
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2
+        assert outcomes[0][1].endswith(
+            "error: argument --tol: invalid float value: 'x'\n")
+
     def test_spectral_empty_radii(self, tmp_path, capsys):
         cfg = tmp_path / "radii.ini"
         cfg.write_text(BASE_CONFIG.replace("radii = 1 10 100", "radii ="))

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import OdeSolution
+from scipy.integrate import DOP853, OdeSolution
 
 import sturmosc.ode
 from sturmosc import (CoefficientPair, CurvatureProfile, InvalidParams,
-                      OutOfValidity, SingularStartFailure, constant,
-                      extend_until_zero, locate_zeros, power, residual_max,
-                      solve_jacobi, solve_radial)
-from sturmosc.ode import RADIAL_START, _find_suspects, _scan_chunk
+                      OutOfValidity, Profile, SingularStartFailure, constant,
+                      extend_until_zero, locate_zeros, model_profiles, power,
+                      residual_max, solve_jacobi, solve_radial, space_form,
+                      warped_model)
+from sturmosc.ode import (DEFAULT_ZERO_TOL, JACOBI_START, RADIAL_START, _drive,
+                          _find_suspects, _scan_chunk, _singular_start)
+from sturmosc.profiles import DEFAULT_TOL
 from conftest import euler_pair, euler_zeros, pole_pair
 
 
@@ -59,6 +62,32 @@ class TestSolveJacobi:
         traj = solve_jacobi(k, horizon=17.0)
         assert [z.location for z in traj.zeros] == pytest.approx(
             [4.0, 8.0, 12.0, 16.0], abs=1e-6)
+
+    def test_negative_start_unchanged_by_the_step_floor(self, monkeypatch):
+        # u = sin(t + 1) from t = -1: no step comes near the floor, so the
+        # solve equals a plain DOP853 drive bit for bit
+        k = CurvatureProfile(constant(1.0), m=2)
+        traj = solve_jacobi(k, 5.0, t_start=-1.0, u0=0.0, du0=1.0)
+        monkeypatch.setattr(sturmosc.ode, "_Stepper", DOP853)
+        plain = solve_jacobi(k, 5.0, t_start=-1.0, u0=0.0, du0=1.0)
+        for name in ("ts", "values", "fluxes"):
+            assert getattr(traj, name).tobytes() == getattr(plain, name).tobytes()
+        assert (traj.zeros, traj.terminated_reason) == (plain.zeros, "horizon")
+        assert [z.location for z in traj.zeros] == pytest.approx(
+            [math.pi - 1.0], abs=1e-6)
+
+    def test_pole_ahead_of_a_negative_start_stops_at_step_floor(self):
+        # K = 1/(t + 1/3)^2 has a pole at t = -1/3; the floor is 1024 ulp of
+        # |t| on both sides of 0 and ends the solve after about 460 steps,
+        # where scipy's own 10-ulp floor alone takes over 11,000
+        k = Profile(lambda t: 1.0 / (t + 1.0 / 3.0) ** 2)
+        traj = solve_jacobi(k, 5.0, t_start=-1.0, u0=1.0, du0=1.0)
+        assert traj.terminated_reason == "step_underflow"
+        assert traj.t_end == pytest.approx(-1.0 / 3.0, abs=1e-6)
+        assert len(traj.zeros) == 6
+        floor = 1024 * np.array([math.ulp(t) for t in traj.ts[:-1]])
+        assert (np.diff(traj.ts) >= floor).all()
+        assert len(traj.ts) < 930
 
 
 class TestSolveRadial:
@@ -354,6 +383,59 @@ def test_one_solver_call_through_the_traced_name(solve):
     with recorded_solves() as sols:
         solve()
     assert len(sols) == 1
+
+
+def numpy_rhs_jacobi(k):
+    """The Jacobi right-hand side as written before profiles had scalar forms."""
+    kev = k.evaluator
+
+    def rhs(t, y):
+        return (y[1], -float(kev(np.float64(t))) * y[0])
+
+    return rhs
+
+
+def numpy_rhs_radial(pair):
+    """The radial right-hand side as written before profiles had scalar forms."""
+    vev, wev = pair.v.evaluator, pair.w.evaluator
+
+    def rhs(t, y):
+        tt = np.float64(t)
+        vt = float(vev(tt))
+        return (y[1] / vt, -float(wev(tt)) * vt * y[0])
+
+    return rhs
+
+
+SCALAR_RHS_CASES = {
+    "space form K=1": (model_profiles(space_form(3, 1.0))[0], 30.0),
+    "space form K=-1": (model_profiles(space_form(3, -1.0))[0], 30.0),
+    "cubic warping (no closed form)": (
+        model_profiles(warped_model(3, "cubic", alpha=0.5))[0], 30.0),
+    "v=t^2, W=0.9 from the origin": (CoefficientPair(power(1.0, 2.0), constant(0.9),
+                                                     b_const=0.0), 30.0),
+    "euler(mu=0.3) to 1e40": (euler_pair(0.3), 1e40),
+    "pole pair": (pole_pair(), 5.0),
+}
+
+
+@pytest.mark.parametrize("case", SCALAR_RHS_CASES)
+def test_scalar_rhs_drives_like_the_numpy_rhs(case):
+    coef, horizon = SCALAR_RHS_CASES[case]
+    # the solvers' tolerances at the default tol
+    tols = (DEFAULT_TOL, max(1e-14, DEFAULT_TOL * 1e-4), DEFAULT_ZERO_TOL, None)
+    if isinstance(coef, CoefficientPair):
+        traj = solve_radial(coef, 1.0, horizon)
+        t0, y0 = ((coef.t_start, (1.0, 0.0)) if coef.t_start > 0
+                  else _singular_start(coef, 1.0))
+        ref = _drive(numpy_rhs_radial(coef), t0, y0, horizon, *tols, coef.v)
+    else:
+        traj = solve_jacobi(coef, horizon)
+        ref = _drive(numpy_rhs_jacobi(coef.k), JACOBI_START,
+                     (JACOBI_START, 1.0), horizon, *tols, None)
+    for name in ("ts", "values", "fluxes"):
+        assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes()
+    assert (traj.zeros, traj.terminated_reason) == (ref.zeros, ref.terminated_reason)
 
 
 def find_suspects_loop(ts, vals):

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sturmosc import (ClosedFormTailIntegral, CoefficientPair,
                       InvalidParams, NonFiniteSample, Profile,
-                      TailInfoMissing, ToleranceNotMet, add, big_v, constant,
-                      elementwise_power, exponential, integrate,
-                      integrate_err, multiply, power, reciprocal, scaled,
+                      TailInfoMissing, ToleranceNotMet, add, big_v,
+                      certified_nonnegative, constant, elementwise_power,
+                      exponential, integrate, integrate_err, model_profiles,
+                      multiply, power, reciprocal, scaled, space_form,
                       subtract, tail_divergence, tail_integral,
-                      weighted_moment)
+                      warped_model, weighted_moment)
+from sturmosc.cli import _Resolver
 from sturmosc.profiles import CurvatureProfile, cumulative
 
 
@@ -138,6 +140,11 @@ class TestAlgebra:
         assert q(3.0) == pytest.approx(6.0)
         assert q.tail.exponent == 1.0
 
+    def test_elementwise_power_overflowing_tail_is_dropped(self):
+        huge = reciprocal(power(1e-230, 0.0))
+        assert huge.tail.coefficient == pytest.approx(1e230)
+        assert elementwise_power(huge, 1.5).tail is None
+
     def test_scaled_flips_sign_certificate(self):
         assert scaled(power(1.0, 1.0), -2.0).sign == "nonpositive"
 
@@ -228,3 +235,88 @@ class TestCatalogInvariants:
         ts = np.array([0.5, 1.0, 2.0])
         assert constant(3.0)(ts).shape == ts.shape
         assert multiply(power(1.0, 1.0), exponential(1.0, -1.0))(ts).shape == ts.shape
+
+
+# --- scalar forms ------------------------------------------------------------
+
+def _model_profiles():
+    out = []
+    for model in (space_form(3, 1.0), space_form(3, -1.0), space_form(2, 0.0),
+                  warped_model(3, "cubic", alpha=0.5)):
+        k, v = model_profiles(model)
+        out += [k.k, v]
+    return out
+
+
+def _elementwise_power(p, e):
+    # fractional powers need a nonnegative certificate; square otherwise
+    return elementwise_power(p, e if certified_nonnegative(p) else 2.0)
+
+
+_COEF = st.floats(-3.0, 3.0)
+_LEAVES = st.one_of(
+    st.builds(constant, _COEF),
+    st.builds(power, _COEF, st.floats(-3.0, 3.0)),
+    st.builds(exponential, _COEF, st.floats(-2.0, 2.0)),
+    st.sampled_from(_model_profiles() + [Profile(lambda t: np.sin(t) + 2.0)]),
+)
+PROFILE_TREES = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.builds(multiply, children, children),
+    st.builds(add, children, children),
+    st.builds(subtract, children, children),
+    st.builds(scaled, children, _COEF),
+    st.builds(reciprocal, children),
+    st.builds(_elementwise_power, children, st.sampled_from([0.5, 1.5, -1.0, 3.0])),
+), max_leaves=6)
+
+# every profile kind of the configuration language, model references included
+CLI_PROFILES = {
+    "profile:c": {"kind": "constant", "c": "-0.7"},
+    "profile:p": {"kind": "power", "c": "1.3", "p": "-1.5"},
+    "profile:e": {"kind": "exponential", "c": "2", "rate": "-0.4"},
+    "profile:prod": {"kind": "product", "factors": "p e c"},
+    "profile:sum": {"kind": "sum", "terms": "p e c"},
+    "profile:rec": {"kind": "reciprocal", "of": "sum"},
+    "profile:sc": {"kind": "scaled", "of": "prod", "factor": "-2.5"},
+    "profile:sq": {"kind": "sqrt", "of": "p"},
+    "model:round": {"m": "3", "kappa": "1"},
+    "model:cubic": {"kind": "warped", "m": "3", "warping": "cubic", "alpha": "0.5"},
+}
+CLI_REFS = ["c", "p", "e", "prod", "sum", "rec", "sc", "sq", "model:round.k",
+            "model:round.v", "model:cubic.k", "model:cubic.v"]
+
+
+def assert_scalar_form_exact(p, t):
+    """``p.scalar`` at a float and at a numpy float gives the old RHS value, bit for bit."""
+    with np.errstate(all="ignore"):
+        want = np.float64(float(p.evaluator(np.float64(t))))
+        for x in (float(t), np.float64(t)):
+            got = p.scalar(x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes()
+
+
+class TestScalarForm:
+    @given(PROFILE_TREES, st.floats(1e-3, 50.0))
+    @settings(max_examples=300, deadline=None)
+    @example(reciprocal(subtract(power(1.0, 1.0), constant(2.0))), 2.0)
+    @example(elementwise_power(constant(-2.0), 3.0), 1.0)
+    @example(power(1.0, -2.0), 1e-3)
+    def test_matches_evaluator(self, p, t):
+        assert_scalar_form_exact(p, t)
+
+    @pytest.mark.parametrize("ref", CLI_REFS)
+    def test_cli_profile_kinds(self, ref):
+        p = _Resolver(CLI_PROFILES).profile(ref)
+        for t in np.geomspace(1e-3, 50.0, 61):
+            assert_scalar_form_exact(p, t)
+
+    def test_bare_evaluator_gets_the_old_rhs_call(self):
+        calls = []
+
+        def ev(t):
+            calls.append(type(t))
+            return np.sin(t)
+
+        assert Profile(ev).scalar(0.5) == np.sin(np.float64(0.5))
+        assert calls == [np.float64]
