@@ -76,6 +76,13 @@ def load_config(path):
     return cfg
 
 
+def _finite(raw):
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError(raw)
+    return x
+
+
 class _Section:
     """Typed access to one configuration section with field diagnostics."""
 
@@ -104,7 +111,8 @@ class _Section:
                 f"[{self.name}] field {key!r}: {raw!r} is not {what}") from None
 
     def float(self, key, default=None, required=False):
-        return self._parse(key, default, required, float, float, "a number")
+        return self._parse(key, default, required, float, _finite,
+                           "a finite number")
 
     def int(self, key, default=None, required=False):
         return self._parse(key, default, required, int, int, "an integer")
@@ -122,8 +130,9 @@ class _Section:
 
     def floats(self, key, default=None, required=False):
         def split(raw):
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        return self._parse(key, default, required, list, split, "a number list")
+            return [_finite(tok) for tok in raw.replace(",", " ").split()]
+        return self._parse(key, default, required, list, split,
+                           "a finite number list")
 
     def strs(self, key, default=None, required=False):
         raw = self._raw(key, default, required)
@@ -506,6 +515,9 @@ def _build_parser():
 
 
 def run(command, config_path, out_dir, tol=None, horizon=None):
+    for flag, value in (("--tol", tol), ("--horizon", horizon)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} {value!r} is not a finite number")
     cfg = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

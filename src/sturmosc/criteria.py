@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisViolated, InvalidParams, TailInfoMissing
-from .profiles import (DEFAULT_TOL, big_v_minus_one,
-                       certified_nonpositive, cumulative, elementwise_power,
-                       integrate, multiply, power, tail_divergence,
-                       tail_integral, weighted_moment)
+from .profiles import (DEFAULT_TOL, LOG_ORDER, antiderivative_term,
+                       big_v_minus_one, certified_nonpositive, cumulative,
+                       elementwise_power, integrate, multiply, power,
+                       tail_divergence, tail_integral, weighted_moment)
 
 __all__ = [
     "Status",
@@ -203,14 +203,14 @@ def check_calabi(k, horizon=1e4, tol=DEFAULT_TOL):
     g_vals = [g - coeff * math.log(a) for g, a in zip(acc, grid)]
     witness = {"g_max": float(np.max(g_vals)), "g_last": float(g_vals[-1]),
                "log_threshold": coeff, "horizon": float(horizon)}
-    t = sqrt_k.tail
-    if t is not None and hasattr(t, "coefficient"):
-        c, p, rate = t.coefficient, t.exponent, t.rate
-        if c > 0 and (rate > 0 or (rate == 0 and p > -1.0)):
+    term = antiderivative_term(sqrt_k)
+    if term is not None and term[0] > 0:
+        c, order = term
+        if order > LOG_ORDER:
             return Verdict("calabi", Status.SATISFIED,
                            Conclusion.MANIFOLD_COMPACT, witness,
                            notes="sqrt(K) grows faster than 1/t; divergence certified")
-        if c > 0 and rate == 0 and p == -1.0:
+        if order == LOG_ORDER:
             witness["log_coefficient"] = c
             if _strict_margin(c, coeff, tol):
                 return Verdict("calabi", Status.SATISFIED,
@@ -220,15 +220,17 @@ def check_calabi(k, horizon=1e4, tol=DEFAULT_TOL):
 
 
 def _main_b2_rhs(a, b, lam, B):
-    if lam == 1.0:
-        if B == 0.0:
-            return 1.0 + 0.25 * math.log(b / a)
-        coth_a = (math.exp(2 * B * a) + 1.0) / (math.exp(2 * B * a) - 1.0)
-        return B * (b + a * coth_a) + 0.25 * math.log(b / a)
     if B == 0.0:
+        if lam == 1.0:
+            return 1.0 + 0.25 * math.log(b / a)
         return ((2.0 - lam) ** 2 / (4.0 * (1.0 - lam) * a ** (1.0 - lam))
                 - lam ** 2 / (4.0 * (1.0 - lam) * b ** (1.0 - lam)))
-    coth_a = (math.exp(2 * B * a) + 1.0) / (math.exp(2 * B * a) - 1.0)
+    # coth(B a) from an exponent clamped where the ratio is already exactly
+    # 1.0 (2 B a >= 37.43), so that exp cannot overflow
+    x = math.exp(min(2 * B * a, 40.0))
+    coth_a = (x + 1.0) / (x - 1.0)
+    if lam == 1.0:
+        return B * (b + a * coth_a) + 0.25 * math.log(b / a)
     return (B * (b ** lam + a ** lam * coth_a)
             + lam ** 2 / (4.0 * (1.0 - lam)) * (a ** (lam - 1.0) - b ** (lam - 1.0)))
 
@@ -342,80 +344,28 @@ def check_first_zero(pair, a, b, tol=DEFAULT_TOL):
     return Verdict("first_zero", Status.INCONCLUSIVE, Conclusion.NONE, witness)
 
 
-def _cumulative_class(p):
-    """Asymptotic class of t -> integral of p up to t.
-
-    Returns one of ('const',) for a finite limit, ('log', c), ('pow', c,
-    e), ('exp', c, e, rate), or None when the tail is undeclared.
-    """
-    t = p.tail
-    if t is None:
-        return None
-    if not hasattr(t, "coefficient"):  # closed-form tail: finite limit
-        return ("const",)
-    c, pw, rate = t.coefficient, t.exponent, t.rate
-    if c == 0.0 or rate < 0 or (rate == 0 and pw < -1.0):
-        return ("const",)
-    if rate > 0:
-        return ("exp", c / rate, pw, rate)
-    if pw == -1.0:
-        return ("log", c)
-    return ("pow", c / (pw + 1.0), pw + 1.0)
-
-
-def _decay_class(p):
-    """Asymptotic class of t -> integral of p over [t, +inf) for decaying p."""
-    t = p.tail
-    if t is None or not hasattr(t, "coefficient"):
-        return None
-    c, pw, rate = t.coefficient, t.exponent, t.rate
-    if rate < 0:
-        return ("exp", c / (-rate), pw, rate)
-    if rate == 0 and pw < -1.0:
-        return ("pow", c / (-pw - 1.0), pw + 1.0)
-    return None
-
-
 def _product_limit(pair):
     """Certified limit of (integral of Wv up to t) * (tail integral of 1/v).
 
     Returns (limit, certified); the limit may be +/-inf.  Catalog tails
     always produce an existing limit, so liminf = limsup = limit.
     """
-    grow = _cumulative_class(pair.wv)
-    decay = _decay_class(pair.v_inv)
-    if grow is None or decay is None:
+    grow = antiderivative_term(pair.wv)
+    decay = antiderivative_term(pair.v_inv)
+    if grow is None or decay is None or decay[1] >= LOG_ORDER:
         return None, False
-    kind = grow[0]
-    if kind == "const" or kind == "log":
+    (cg, (rg, eg)), (cd, (rd, ed)) = grow, decay
+    if cg == 0.0 or (rg, eg) <= LOG_ORDER:  # bounded or logarithmic growth
         return 0.0, True
-    if kind == "pow":
-        _, cg, eg = grow
-        if decay[0] == "pow":
-            _, cd, ed = decay
-            e = eg + ed
-            if e > 0:
-                return math.copysign(math.inf, cg * cd), True
-            if e == 0:
-                return cg * cd, True
-            return 0.0, True
-        return 0.0, True  # exponential decay beats any power growth
-    # kind == "exp": exponential growth of the cumulative
-    _, cg, eg, rg = grow
-    if decay[0] == "exp":
-        _, cd, ed, rd = decay
-        net = rg + rd
-        if net > 0:
-            return math.copysign(math.inf, cg * cd), True
-        if net < 0:
-            return 0.0, True
-        e = eg + ed
-        if e > 0:
-            return math.copysign(math.inf, cg * cd), True
-        if e == 0:
-            return cg * cd, True
-        return 0.0, True
-    return math.copysign(math.inf, cg), True
+    cd = -cd  # the tail integral of 1/v is minus its vanishing antiderivative
+    # the product has the order (rg + rd, eg + ed) and tends to cg * cd at
+    # (0, 0); comparing with the negated decay order adds nothing up, so a
+    # tie stays exact
+    if (rg, eg) > (-rd, -ed):
+        return math.copysign(math.inf, cg * cd), True
+    if (rg, eg) == (-rd, -ed):
+        return cg * cd, True
+    return 0.0, True
 
 
 def _product_witness(pair, R, horizon, tol):
@@ -519,20 +469,6 @@ def check_leighton(pair, tol=DEFAULT_TOL):
     return Verdict("leighton", Status.INCONCLUSIVE, Conclusion.NONE, witness)
 
 
-def _sqrt_chi_class(pair):
-    """Asymptotic class (coefficient, exponent) of sqrt(chi) for the critical function."""
-    decay = _decay_class(pair.v_inv)
-    if decay is None:
-        return None
-    if decay[0] == "pow":
-        # tail of 1/v is c t^p with p < -1: sqrt(chi) ~ (-p-1)/(2t)
-        p = pair.v_inv.tail.exponent
-        return ((-p - 1.0) / 2.0, -1.0)
-    # exponential decay at rate r < 0: sqrt(chi) -> -r/2
-    r = pair.v_inv.tail.rate
-    return (-r / 2.0, 0.0)
-
-
 def check_bmr(pair, T, horizon=1e4, tol=DEFAULT_TOL):
     """Oscillation against the critical function chi of the volume growth.
 
@@ -558,23 +494,28 @@ def check_bmr(pair, T, horizon=1e4, tol=DEFAULT_TOL):
     witness = {"T": float(T), "cumulative_max": float(np.max(cumulative)),
                "cumulative_last": float(cumulative[-1])}
 
-    chi_class = _sqrt_chi_class(pair)
-    wt = pair.w.tail
-    if chi_class is None or wt is None or not hasattr(wt, "coefficient"):
+    v_inv, w = antiderivative_term(pair.v_inv), antiderivative_term(pair.w)
+    if v_inv is None or v_inv[1] >= LOG_ORDER or w is None:
         return Verdict("bmr", Status.INCONCLUSIVE, Conclusion.NONE, witness)
-    cw, pw, rw = wt.coefficient, wt.exponent, wt.rate
+    # sqrt(chi) = -F'/(2F) for the vanishing antiderivative F of 1/v: the
+    # constant -r/2 when F ~ t^p e^{rt}, -e/(2t) when F ~ t^e; the integral
+    # of chi then has the order (0, 1) or (0, -1)
+    _, (rate, exponent) = v_inv
+    c_chi, chi_order = ((-rate / 2.0, (0.0, 1.0)) if rate != 0.0
+                        else (-exponent / 2.0, (0.0, -1.0)))
+    cw, w_order = w
+    # W's own leading coefficient: the term's derivative, exact when the
+    # orders tie (the exponent is then +-1)
+    cw *= w_order[0] or w_order[1] or 1.0
     if cw < 0:
         raise HypothesisViolated("W tail coefficient is negative")
-    c_chi, p_chi = chi_class
     witness["sqrt_chi_coefficient"] = c_chi
-    if cw > 0 and rw > 0:
-        return Verdict("bmr", Status.SATISFIED, Conclusion.OSCILLATORY, witness)
-    if cw > 0 and rw == 0:
-        sw, pw2 = math.sqrt(cw), pw / 2.0
-        if pw2 > p_chi:
-            return Verdict("bmr", Status.SATISFIED, Conclusion.OSCILLATORY,
-                           witness, notes="sqrt(W) dominates sqrt(chi)")
-        if pw2 == p_chi and _strict_margin(sw, c_chi, tol):
+    if cw > 0 and w_order > chi_order:
+        return Verdict("bmr", Status.SATISFIED, Conclusion.OSCILLATORY, witness,
+                       notes="" if w_order[0] > 0 else "sqrt(W) dominates sqrt(chi)")
+    if cw > 0 and w_order == chi_order:
+        sw = math.sqrt(cw)
+        if _strict_margin(sw, c_chi, tol):
             witness["sqrt_w_coefficient"] = sw
             return Verdict("bmr", Status.SATISFIED, Conclusion.OSCILLATORY,
                            witness, notes="same order, larger coefficient")

@@ -15,6 +15,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -45,6 +46,8 @@ __all__ = [
     "cumulative",
     "tail_integral",
     "tail_integral_converges",
+    "antiderivative_term",
+    "LOG_ORDER",
     "tail_divergence",
     "big_v",
     "weighted_moment",
@@ -447,23 +450,74 @@ def cumulative(p, ts, tol=DEFAULT_TOL):
 # Tail integrals
 # ---------------------------------------------------------------------------
 
+LOG_ORDER = (0.0, 0.0)
+
+
+def _antiderivative_order(t):
+    """``(rate, exponent)`` of the leading antiderivative term of tail ``t``.
+
+    The exponent is exact: ``q + 1`` stays a float when the sum does not
+    round and becomes a :class:`~fractions.Fraction` when it does, so that
+    two orders compare equal only when the terms grow alike (t**(1e-17 + 1)
+    is not t**1).
+    """
+    r, q = t.rate, t.exponent
+    if r != 0.0:
+        return (r, q)
+    if q == -1.0:
+        return LOG_ORDER
+    e = q + 1.0
+    # both differences give back the operands only when the sum did not round
+    if (e - 1.0 == q and e - q == 1.0) or not math.isfinite(q):
+        return (r, e)
+    return (r, Fraction(q) + 1)
+
+
+def antiderivative_term(p):
+    """Leading term at +inf of an antiderivative of ``p``, from its tail.
+
+    Returns ``(coefficient, (rate, exponent))`` for the term
+    ``coefficient * t**exponent * exp(rate*t)``: ``(c/r, (r, q))`` for a
+    tail ``c t^q e^{rt}`` with r != 0, ``(c/(q+1), (0, q+1))`` for a power
+    with q != -1.  Terms grow in the lexicographic order of ``(rate,
+    exponent)``, and the order is exact (see :func:`_antiderivative_order`).
+    The order :data:`LOG_ORDER` stands for ``c log t`` (q = -1), which sits
+    between every negative and every positive power; no other term has it.
+    The antiderivative is unbounded exactly when the order is at least
+    ``LOG_ORDER`` and ``c != 0``; below that order it tends to a limit, and
+    minus the term is the integral over (t, +inf).  Inexact (dominant-term)
+    tails qualify: only the leading form matters.
+
+    Returns None without an :class:`AsymptoticTail`, or when ``c != 0``
+    and ``c/r`` or ``c/(q+1)`` underflows to 0 (its sign would be lost).
+    """
+    t = p.tail
+    if not isinstance(t, AsymptoticTail):
+        return None
+    c = t.coefficient
+    r, e = order = _antiderivative_order(t)
+    term = (c / (r or e or 1.0), order)  # c/r, c/(q+1), or c for c log t
+    if term[0] == 0.0 and c != 0.0:
+        return None
+    return term
+
+
 def tail_divergence(p):
     """Classify the improper integral of ``p`` over (b, +inf) from its tail.
 
-    Returns '+inf', '-inf', 'finite', or None when no tail is declared.
-    Works for inexact (dominant-term) tails: the divergence class only
-    depends on the leading form.
+    Returns '+inf' or '-inf' when the antiderivative is unbounded (order at
+    least :data:`LOG_ORDER`, with the sign of the tail coefficient),
+    'finite' otherwise, and None when no tail is declared.
     """
     t = p.tail
-    if t is None:
-        return None
     if isinstance(t, ClosedFormTailIntegral):
         return "finite"
-    if t.coefficient == 0.0:
+    if not isinstance(t, AsymptoticTail):
+        return None
+    c = t.coefficient
+    if c == 0.0 or _antiderivative_order(t) < LOG_ORDER:
         return "finite"
-    if t.rate > 0 or (t.rate == 0 and t.exponent >= -1.0):
-        return "+inf" if t.coefficient > 0 else "-inf"
-    return "finite"
+    return "+inf" if c > 0 else "-inf"
 
 
 def tail_integral_converges(p):
@@ -486,18 +540,16 @@ def tail_integral(p, b, tol=DEFAULT_TOL):
     if b < 0:
         raise InvalidParams("tail_integral needs b >= 0")
     t = p.tail
-    if t is None:
-        raise TailInfoMissing(
-            f"profile {p.label or '<anonymous>'} declares no tail behavior")
     if isinstance(t, ClosedFormTailIntegral):
         return float(t.integral_from(b))
+    div = tail_divergence(p)
+    if div is None:
+        raise TailInfoMissing(
+            f"profile {p.label or '<anonymous>'} declares no tail behavior")
+    if div != "finite":
+        return math.inf if div == "+inf" else -math.inf
 
     c, pw, rate = t.coefficient, t.exponent, t.rate
-    div = tail_divergence(p)
-    if div == "+inf":
-        return math.inf
-    if div == "-inf":
-        return -math.inf
 
     if c == 0.0:
         if not t.exact:

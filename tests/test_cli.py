@@ -87,25 +87,35 @@ POLE_PAIR_CONFIG = (
     "[profile:W]\nkind = reciprocal\nof = sq\n"
     "[pair:p]\nv = one\nw = W\nt_start = 1.0\nvalidate = false\n")
 
-# one constant profile "a" plus a curvature check on profile "K"; each
-# parse case below replaces one field of this setup with a malformed one
+# one constant profile "a" plus a curvature check on profile "K", or a
+# solve on "a"; each parse case below gives one field a malformed value
 _HEAD = "[profile:a]\nkind = constant\nc = 1.0\n"
 _CHECK = "[curvature:k]\nk = K\n{m}[check]\ncriteria = calabi\ncurvature = k\n"
 _K_ONE = "[profile:K]\nkind = constant\nc = 1.0\n"
+_SOLVE = "[curvature:u]\nk = a\n[solve]\nproblem = jacobi\ncurvature = u\n"
 PARSE_ERRORS = [
     ("check", _HEAD + "[profile:K]\nkind = constant\nc = x\n" + _CHECK.format(m=""),
-     "[profile:K] field 'c': 'x' is not a number"),
+     "[profile:K] field 'c': 'x' is not a finite number"),
     ("check", _HEAD + _K_ONE + _CHECK.format(m="m = 2.5\n"),
      "[curvature:k] field 'm': '2.5' is not an integer"),
     ("sweep", _HEAD + _K_ONE + _CHECK.format(m="")
      + "[sweep]\nvary = profile:a.c\nvalues = 1 two\ncriteria = calabi\ncurvature = k\n",
-     "[sweep] field 'values': '1 two' is not a number list"),
+     "[sweep] field 'values': '1 two' is not a finite number list"),
     ("check", _HEAD + "[profile:K]\nkind = product\nfactors = a\n" + _CHECK.format(m=""),
      "[profile:K] needs >= 2 factors"),
     ("check", _HEAD + "[profile:K]\nkind = sum\nterms = a\n" + _CHECK.format(m=""),
      "[profile:K] needs >= 2 terms"),
     ("check", _HEAD + "[profile:K]\nkind = bogus\n" + _CHECK.format(m=""),
      "[profile:K] unknown kind 'bogus'"),
+    ("sweep", _HEAD + _K_ONE + _CHECK.format(m="")
+     + "[sweep]\nvary = profile:a.c\nvalues = 1 inf\ncriteria = calabi\ncurvature = k\n",
+     "[sweep] field 'values': '1 inf' is not a finite number list"),
+    ("solve", _HEAD + _SOLVE + "horizon = nan\n",
+     "[solve] field 'horizon': 'nan' is not a finite number"),
+    ("solve", _HEAD + _SOLVE + "horizon = inf\n",
+     "[solve] field 'horizon': 'inf' is not a finite number"),
+    ("solve", _HEAD + _SOLVE + "horizon = 4\ntol = nan\n",
+     "[solve] field 'tol': 'nan' is not a finite number"),
 ]
 
 
@@ -151,6 +161,18 @@ class TestCheck:
             "diameter_bound"] == pytest.approx(math.pi, rel=1e-10)
         assert verdicts["moore_liminf"]["status"] == "satisfied"
         assert payload["config"].startswith("[profile:K1]")
+
+
+    def test_main_b2_search_with_large_b_const(self, tmp_path):
+        # 2 B a reaches 800 on the default grid, past where exp overflows
+        cfg = tmp_path / "b2.ini"
+        cfg.write_text("[profile:K]\nkind = constant\nc = -1e4\n"
+                       "[curvature:k]\nk = K\nb_const = 100\n"
+                       "[check]\ncriteria = main_b2_search\ncurvature = k\n")
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 0
+        verdict = json.loads((out / "verdicts.json").read_text())["verdicts"][0]
+        assert verdict["status"] == "violated"
 
 
 class TestSweep:
@@ -272,12 +294,20 @@ class TestExitCodes:
         assert (tmp_path / "rayleigh.tsv").exists()
 
     @pytest.mark.parametrize("command,text,message", PARSE_ERRORS,
-                             ids=["c", "m", "values", "factors", "terms", "kind"])
+                             ids=["c", "m", "values", "factors", "terms", "kind",
+                                  "values_inf", "horizon_nan", "horizon_inf",
+                                  "tol_nan"])
     def test_malformed_field_message(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_non_finite_flag(self, config, tmp_path, capsys):
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path),
+                     "--horizon", "inf"]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: --horizon inf is not a finite number\n")
 
     def test_usage_error_repeats_after_a_run(self, config, tmp_path, capsys):
         # one parser serves every call, so a call must leave nothing behind

@@ -8,8 +8,8 @@ from sturmosc import (CoefficientPair, CurvatureProfile, HypothesisViolated,
                       check_ambrose_moore, check_bmr, check_calabi,
                       check_diameter_remark, check_first_zero, check_leighton,
                       check_main_B2, check_moore_liminf, check_myers_galloway,
-                      check_nehari, check_oscillation, constant,
-                      first_zero_threshold, power, search_main_B2)
+                      check_nehari, check_oscillation, constant, exponential,
+                      first_zero_threshold, multiply, power, search_main_B2)
 from conftest import moore_pair
 
 SAT = Status.SATISFIED
@@ -169,6 +169,26 @@ class TestMainB2:
         with pytest.raises(InvalidParams):
             check_main_B2(curvature(constant(1.0)), 2.0, 1.0, 0.0)
 
+    def test_large_b_a_does_not_overflow(self):
+        # 2 B a = 800: exp(2 B a) overflows, coth(B a) is 1.0
+        v = check_main_B2(curvature(constant(-1e4), b=100.0), 4.0, 8.0, 0.0)
+        assert v.status is VIO
+        assert v.witness["rhs"] == 200.0
+
+    @pytest.mark.parametrize("two_ba", [1.0, 20.0, 37.0, 37.5, 39.9, 40.0, 45.0, 700.0])
+    def test_coth_matches_the_unclamped_ratio(self, two_ba):
+        b_const, a = 100.0, two_ba / 200.0
+        e = math.exp(2 * b_const * a)
+        coth_a = (e + 1.0) / (e - 1.0)
+        for lam in (0.0, 0.5, 1.0):
+            expected = (b_const * (6.0 + a * coth_a) + 0.25 * math.log(6.0 / a)
+                        if lam == 1.0 else
+                        b_const * (6.0 ** lam + a ** lam * coth_a)
+                        + lam ** 2 / (4.0 * (1.0 - lam)) * (a ** (lam - 1.0) - 6.0 ** (lam - 1.0)))
+            v = check_main_B2(curvature(constant(1.0), b=b_const, validate=False),
+                              a, 6.0, lam)
+            assert v.witness["rhs"] == expected
+
 
 class TestFirstZero:
     def test_flat_volume_with_negative_bound(self):
@@ -229,6 +249,30 @@ class TestOscillation:
         v = check_oscillation(pair, 1.0)
         assert v.status is INC
         assert v.witness["certified_limsup"] == 0.0
+
+    @pytest.mark.parametrize("v,w,limit", [
+        (power(1.0, 2.0), power(0.3, -2.0), 0.3),                  # pow x pow, tie
+        (power(1.0, 2.0), constant(1.0), math.inf),                # pow x pow, grows
+        (power(1.0, 2.0), power(1.0, -3.0), 0.0),                  # log growth
+        (power(1.0, 2.0), constant(0.0), 0.0),                     # c = 0
+        (exponential(1.0, 1.0), exponential(2.0, -1.0), 0.0),      # pow x exp decay
+        (exponential(1.0, 1.0), constant(3.0), 3.0),               # exp x exp, tie
+        (exponential(1.0, 1.0), exponential(1.0, 0.5), math.inf),  # exp x exp, grows
+        (exponential(1.0, 2.0), exponential(1.0, -1.0), 0.0),      # exp x exp, vanishes
+        (power(1.0, 2.0), exponential(1.0, 1.0), math.inf),        # exp x pow
+        # W v ~ t^(1 + 2^-52): the float exponent sum 2 + 2^-52 rounds to 2
+        (power(1.0, 3.0), power(1.0, math.nextafter(-2.0, 0.0)), math.inf),
+        # v = -t^2, W = -e^t/t^2: the tail integral of 1/v is negative
+        (power(-1.0, 2.0), multiply(exponential(-1.0, 1.0), power(1.0, -2.0)),
+         -math.inf),
+    ], ids=["pow_tie", "pow_grow", "log", "zero", "exp_decay", "exp_tie",
+            "exp_grow", "exp_vanish", "exp_pow", "rounded_tie",
+            "exp_pow_negative"])
+    def test_certified_product_limits(self, v, w, limit):
+        pair = CoefficientPair(v, w, t_start=1.0, validate=False)
+        verdict = check_oscillation(pair, 1.0, horizon=30.0)
+        assert verdict.witness["certified_limsup"] == limit
+        assert verdict.status is (SAT if limit > 1.0 else INC)
 
     def test_window_branch_divergent(self):
         pair = CoefficientPair(constant(1.0), constant(1.0), b_const=1.0,
@@ -305,6 +349,34 @@ class TestBmr:
                                validate=False)
         with pytest.raises(HypothesisViolated):
             check_bmr(pair, 1.0)
+
+    # (v, W) -> status, sqrt(chi) and sqrt(W) coefficients, notes; sqrt(chi)
+    # is 1/(2t) for v = t^2 and the constant 1 for v = e^{2t}
+    @pytest.mark.parametrize("v,w,status,c_chi,sqrt_w,notes", [
+        (power(1.0, 2.0), power(1.0, -2.0), SAT, 0.5, 1.0,
+         "same order, larger coefficient"),
+        (power(1.0, 2.0), power(0.16, -2.0), INC, 0.5, None, ""),
+        (exponential(1.0, 2.0), constant(2.0), SAT, 1.0, math.sqrt(2.0),
+         "same order, larger coefficient"),
+        (exponential(1.0, 2.0), constant(1.0), INC, 1.0, None, ""),
+        (exponential(1.0, 2.0), power(1.0, 0.5), SAT, 1.0, None,
+         "sqrt(W) dominates sqrt(chi)"),
+        (power(1.0, 2.0), power(1.0, -1.0), SAT, 0.5, None,
+         "sqrt(W) dominates sqrt(chi)"),
+        (power(1.0, 2.0), exponential(1.0, 1.0), SAT, 0.5, None, ""),
+        (exponential(1.0, 2.0), power(4.0, -2.0), INC, 1.0, None, ""),
+        # 1 - 1e-17 rounds to 1: not a tie, sqrt(W) - sqrt(chi) -> -inf
+        (exponential(1.0, 2.0), power(4.0, -1e-17), INC, 1.0, None, ""),
+    ], ids=["pow_tie_above", "pow_tie_below", "exp_tie_above", "exp_tie_equal",
+            "w_above_exp_chi", "w_above_pow_chi", "w_exp_growth", "w_below",
+            "w_rounded_tie"])
+    def test_closed_form_classes(self, v, w, status, c_chi, sqrt_w, notes):
+        pair = CoefficientPair(v, w, t_start=1.0, validate=False)
+        verdict = check_bmr(pair, 1.0, horizon=10.0)
+        assert verdict.status is status
+        assert verdict.notes == notes
+        assert verdict.witness["sqrt_chi_coefficient"] == c_chi
+        assert verdict.witness.get("sqrt_w_coefficient") == sqrt_w
 
 
 class TestDiameterRemark:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from sturmosc import (ClosedFormTailIntegral, CoefficientPair,
                       subtract, tail_divergence, tail_integral,
                       warped_model, weighted_moment)
 from sturmosc.cli import _Resolver
-from sturmosc.profiles import CurvatureProfile, cumulative
+from sturmosc.profiles import (LOG_ORDER, CurvatureProfile, antiderivative_term,
+                               cumulative)
 
 
 class TestIntegrate:
@@ -110,6 +112,41 @@ class TestTailIntegral:
 
     def test_negative_coefficient_diverges_down(self):
         assert tail_integral(power(-1.0, 0.0), 1.0) == -math.inf
+
+
+# profile -> (leading antiderivative term, tail_divergence), exact values;
+# repr keeps the sign of a zero, which reciprocal's rate -0.0 carries
+ANTIDERIVATIVE_CASES = [
+    ("const", constant(3.0), (3.0, (0.0, 1.0)), "+inf"),
+    ("pow_growth", power(3.0, 0.5), (2.0, (0.0, 1.5)), "+inf"),
+    ("log", power(0.5, -1.0), (0.5, LOG_ORDER), "+inf"),
+    ("exp_growth", exponential(-2.0, 0.5), (-4.0, (0.5, 0.0)), "-inf"),
+    ("pow_decay", power(2.0, -3.0), (-1.0, (0.0, -2.0)), "finite"),
+    ("exp_decay", multiply(power(1.0, 2.0), exponential(6.0, -2.0)),
+     (-3.0, (-2.0, 2.0)), "finite"),
+    ("zero", constant(0.0), (0.0, (0.0, 1.0)), "finite"),
+    ("zero_decay", power(0.0, -3.0), (-0.0, (0.0, -2.0)), "finite"),
+    ("rate_minus_zero", reciprocal(power(4.0, 3.0)), (-0.125, (-0.0, -2.0)), "finite"),
+    ("log_rate_minus_zero", reciprocal(power(2.0, 1.0)), (0.5, LOG_ORDER), "+inf"),
+    ("rounded_shift", power(4.0, -1e-17), (4.0, (0.0, Fraction(-1e-17) + 1)), "+inf"),
+    ("underflow", exponential(5e-324, 4.0), None, "+inf"),
+    ("closed_form", Profile(np.exp, tail=ClosedFormTailIntegral(math.exp)), None,
+     "finite"),
+    ("no_tail", Profile(np.exp), None, None),
+]
+
+
+class TestAntiderivativeTerm:
+    @pytest.mark.parametrize("p,term,divergence",
+                             [case[1:] for case in ANTIDERIVATIVE_CASES],
+                             ids=[case[0] for case in ANTIDERIVATIVE_CASES])
+    def test_closed_form_table(self, p, term, divergence):
+        assert repr(antiderivative_term(p)) == repr(term)
+        assert tail_divergence(p) == divergence
+
+    def test_underflowing_term_keeps_its_integral(self):
+        # c/r underflows to 0, but the tail still decides divergence
+        assert tail_integral(exponential(5e-324, 4.0), 1.0) == math.inf
 
 
 class TestAlgebra:
