@@ -7,12 +7,12 @@ from .errors import (AtPole, CatalogDerivativeMissing, ConfigError,
                      SingularStartFailure, SturmoscError, TailInfoMissing,
                      ToleranceNotMet)
 from .profiles import (AsymptoticTail, ClosedFormTailIntegral, CoefficientPair,
-                       CurvatureProfile, ExpTail, PowerTail, Profile, add,
-                       big_v, big_v_minus_one, certified_nonnegative,
-                       certified_nonpositive, constant, elementwise_power, exponential,
-                       integrate, integrate_err, multiply, power, reciprocal,
-                       scaled, subtract, tail_divergence, tail_integral,
-                       tail_integral_converges, weighted_moment)
+                       CurvatureProfile, Profile, add, big_v, big_v_minus_one,
+                       certified_nonnegative, certified_nonpositive, constant,
+                       elementwise_power, exponential, integrate, integrate_err,
+                       multiply, power, reciprocal, scaled, subtract,
+                       tail_divergence, tail_integral, tail_integral_converges,
+                       weighted_moment)
 from .ode import (FirstZeroSearch, Trajectory, ZeroCertificate,
                   extend_until_zero, locate_zeros, residual_max, solve_jacobi,
                   solve_radial)

@@ -72,8 +72,12 @@ def load_config(path):
     except configparser.Error as exc:
         raise ConfigError(f"malformed configuration {path}: {exc}") from exc
     cfg = {section: dict(parser.items(section)) for section in parser.sections()}
-    cfg["__text__"] = text
+    cfg["__text__"], cfg["__defaults__"] = text, parser.defaults()
     return cfg
+
+
+_BOOLEANS = {**dict.fromkeys(("true", "yes", "1", "on"), True),
+             **dict.fromkeys(("false", "no", "0", "off"), False)}
 
 
 def _finite(raw):
@@ -86,27 +90,27 @@ def _finite(raw):
 class _Section:
     """Typed access to one configuration section with field diagnostics."""
 
-    def __init__(self, name, data):
+    def __init__(self, name, data, unread):
         self.name = name
         self.data = data
+        # unread: each section the run opened -> its keys that no read asked for
+        self.unread = unread.setdefault(name, set(data))
 
-    def _raw(self, key, default, required):
+    def str(self, key, default=None, required=False):
+        self.unread.discard(key)
         if key in self.data:
             return self.data[key]
         if required:
             raise ConfigError(f"[{self.name}] is missing required field {key!r}")
         return default
 
-    def str(self, key, default=None, required=False):
-        return self._raw(key, default, required)
-
     def _parse(self, key, default, required, typ, convert, what):
-        raw = self._raw(key, default, required)
+        raw = self.str(key, default, required)
         if raw is None or isinstance(raw, typ):
             return raw
         try:
             return convert(raw)
-        except ValueError:
+        except (ValueError, KeyError):
             raise ConfigError(
                 f"[{self.name}] field {key!r}: {raw!r} is not {what}") from None
 
@@ -118,15 +122,8 @@ class _Section:
         return self._parse(key, default, required, int, int, "an integer")
 
     def bool(self, key, default=None):
-        raw = self._raw(key, default, False)
-        if raw is None or isinstance(raw, bool):
-            return raw
-        low = raw.strip().lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] field {key!r}: {raw!r} is not a boolean")
+        return self._parse(key, default, False, bool,
+                           lambda raw: _BOOLEANS[raw.strip().lower()], "a boolean")
 
     def floats(self, key, default=None, required=False):
         def split(raw):
@@ -135,10 +132,8 @@ class _Section:
                            "a finite number list")
 
     def strs(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
-        if raw is None or isinstance(raw, list):
-            return raw
-        return raw.replace(",", " ").split()
+        return self._parse(key, default, required, list,
+                           lambda raw: raw.replace(",", " ").split(), "a list")
 
 
 # profile kinds built from numeric fields: kind -> (constructor, fields in order)
@@ -157,21 +152,30 @@ _FOLD_KINDS = {
 class _Resolver:
     """Builds profiles, pairs, curvatures, and models from a config dict."""
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, unread=None):
         self.cfg = cfg
+        self.unread = {} if unread is None else unread
         self._profiles = {}
         self._models = {}
         self._building = set()
 
-    def _section(self, name):
+    def section(self, name):
         if name not in self.cfg:
-            raise ConfigError(f"configuration has no section [{name}]")
-        return _Section(name, self.cfg[name])
+            raise ConfigError(f"configuration has no [{name}] section")
+        return _Section(name, self.cfg[name], self.unread)
+
+    def reject_unread(self):
+        """Refuse a run that left a key of an opened section unread."""
+        shared = self.cfg.get("__defaults__", {}).keys()  # [DEFAULT]: in every section
+        keys = ", ".join(f"[{name}] {key}" for name, left in self.unread.items()
+                         for key in sorted(left - shared))
+        if keys:
+            raise ConfigError("unknown keys: " + keys)
 
     def model(self, name):
         if name in self._models:
             return self._models[name]
-        sec = self._section(f"model:{name}")
+        sec = self.section(f"model:{name}")
         kind = sec.str("kind", default="space_form")
         m = sec.int("m", required=True)
         if kind == "space_form":
@@ -205,7 +209,7 @@ class _Resolver:
             raise ConfigError(f"profile {ref!r} references itself")
         self._building.add(ref)
         try:
-            sec = self._section(f"profile:{ref}")
+            sec = self.section(f"profile:{ref}")
             kind = sec.str("kind", required=True)
             if kind in _LEAF_KINDS:
                 make, fields = _LEAF_KINDS[kind]
@@ -232,20 +236,18 @@ class _Resolver:
         return prof
 
     def pair(self, name):
-        sec = self._section(f"pair:{name}")
-        kwargs = {}
-        if "v_inv_l1_at_infinity" in sec.data:
-            kwargs["v_inv_l1_at_infinity"] = sec.bool("v_inv_l1_at_infinity")
+        sec = self.section(f"pair:{name}")
         return profiles.CoefficientPair(
             v=self.profile(sec.str("v", required=True)),
             w=self.profile(sec.str("w", required=True)),
             b_const=sec.float("b_const", default=0.0),
             t_start=sec.float("t_start", default=0.0),
+            v_inv_l1_at_infinity=sec.bool("v_inv_l1_at_infinity"),
             validate=sec.bool("validate", default=True),
-            label=name, **kwargs)
+            label=name)
 
     def curvature(self, name):
-        sec = self._section(f"curvature:{name}")
+        sec = self.section(f"curvature:{name}")
         ref = sec.str("k", required=True)
         if ref.startswith("model:"):
             model = self.model(ref.split(":", 1)[1].split(".")[0])
@@ -325,6 +327,22 @@ def _run_criterion(name, resolver, sec, tol, horizon):
 # Commands
 # ---------------------------------------------------------------------------
 
+def _positive(what, value):
+    if value <= 0:
+        raise ConfigError(f"{what} {value!r} is not positive")
+    return value
+
+
+def _tol_horizon(sec, tol, horizon, default_horizon=1e4):
+    """The run's positive (tol, horizon): a flag wins over its key, read either way."""
+    t = sec.float("tol", default=profiles.DEFAULT_TOL)
+    h = sec.float("horizon", default=default_horizon,
+                  required=default_horizon is None and horizon is None)
+    return [_positive(f"[{sec.name}] field {key!r}:", value) if flag is None
+            else _positive(f"--{key}", flag)
+            for key, flag, value in (("tol", tol, t), ("horizon", horizon, h))]
+
+
 def _config_header(cfg):
     return ["# cfg: " + line for line in cfg["__text__"].splitlines()]
 
@@ -341,14 +359,9 @@ def _write_trajectory(path, traj, cfg):
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_solve(cfg, out_dir, tol, horizon):
-    if "solve" not in cfg:
-        raise ConfigError("configuration has no [solve] section")
-    resolver = _Resolver(cfg)
-    sec = _Section("solve", cfg["solve"])
+def cmd_solve(resolver, sec, out_dir, tol, horizon):
     problem = sec.str("problem", required=True)
-    h = horizon if horizon is not None else sec.float("horizon", required=True)
-    t = tol if tol is not None else sec.float("tol", default=profiles.DEFAULT_TOL)
+    t, h = _tol_horizon(sec, tol, horizon, default_horizon=None)
     zero_tol = sec.float("zero_tol", default=1e-8)
     if problem == "radial":
         pair = resolver.pair(sec.str("pair", required=True))
@@ -359,34 +372,31 @@ def cmd_solve(cfg, out_dir, tol, horizon):
         traj = solve_jacobi(k, horizon=h, tol=t, zero_tol=zero_tol)
     else:
         raise ConfigError(f"[solve] unknown problem {problem!r}")
-    _write_trajectory(out_dir / "trajectory.tsv", traj, cfg)
+    resolver.reject_unread()
+    _write_trajectory(out_dir / "trajectory.tsv", traj, resolver.cfg)
     if traj.terminated_reason == "step_underflow":
         raise SturmoscError(
             f"solver broke down (step_underflow) at t = {_fmt(traj.t_end)}")
     return 0
 
 
-def cmd_check(cfg, out_dir, tol, horizon):
-    resolver = _Resolver(cfg)
-    if "check" not in cfg:
-        raise ConfigError("configuration has no [check] section")
-    sec = _Section("check", cfg["check"])
+def cmd_check(resolver, sec, out_dir, tol, horizon):
     names = sec.strs("criteria", required=True)
-    t = tol if tol is not None else sec.float("tol", default=profiles.DEFAULT_TOL)
-    h = horizon if horizon is not None else sec.float("horizon", default=1e4)
+    t, h = _tol_horizon(sec, tol, horizon)
     verdicts = [_run_criterion(name, resolver, sec, t, h).to_dict()
                 for name in names]
+    resolver.reject_unread()
     _write_json(out_dir / "verdicts.json",
-                {"config": cfg["__text__"], "verdicts": verdicts})
+                {"config": resolver.cfg["__text__"], "verdicts": verdicts})
     return 0
 
 
-def _sweep_row(cfg, vary_section, vary_key, value, names, tol, horizon,
+def _sweep_row(parent, vary_section, vary_key, value, names, tol, horizon,
                count_zeros, count_horizon):
-    local = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cfg.items()}
+    local = {k: (dict(v) if isinstance(v, dict) else v) for k, v in parent.cfg.items()}
     local[vary_section][vary_key] = _fmt(float(value))
-    resolver = _Resolver(local)
-    sec = _Section("sweep", local["sweep"])
+    resolver = _Resolver(local, parent.unread)
+    sec = resolver.section("sweep")
     row = {"value": _fmt(float(value))}
     for name in names:
         try:
@@ -405,29 +415,29 @@ def _sweep_row(cfg, vary_section, vary_key, value, names, tol, horizon,
     return row
 
 
-def cmd_sweep(cfg, out_dir, tol, horizon):
-    if "sweep" not in cfg:
-        raise ConfigError("configuration has no [sweep] section")
-    sec = _Section("sweep", cfg["sweep"])
+def cmd_sweep(resolver, sec, out_dir, tol, horizon):
     vary = sec.str("vary", required=True)
     vary_section, _, vary_key = vary.rpartition(".")
-    if not vary_section or vary_section not in cfg:
+    if not vary_section or vary_section not in resolver.cfg:
         raise ConfigError(f"[sweep] vary target {vary!r} not found")
     values = sec.floats("values", required=True)
     if not values:
         raise ConfigError("[sweep] needs a non-empty value grid")
     names = sec.strs("criteria", required=True)
-    t = tol if tol is not None else sec.float("tol", default=profiles.DEFAULT_TOL)
-    h = horizon if horizon is not None else sec.float("horizon", default=1e4)
+    t, h = _tol_horizon(sec, tol, horizon)
     count_zeros = sec.bool("count_zeros", default=False)
-    count_horizon = sec.float("count_horizon", default=h)
-    rows = [_sweep_row(cfg, vary_section, vary_key, value, names, t, h,
+    count_horizon = _positive("[sweep] field 'count_horizon':",
+                              sec.float("count_horizon", default=h))
+    rows = [_sweep_row(resolver, vary_section, vary_key, value, names, t, h,
                        count_zeros, count_horizon) for value in values]
+    # every row reads the same keys, unless an error cut its criteria short
+    if any(all(row[name] != "error" for name in names) for row in rows):
+        resolver.reject_unread()
 
     fields = ["value"] + names + (["zeros"] if count_zeros else [])
     out_path = out_dir / "sweep.csv"
     with out_path.open("w", newline="") as fh:
-        for line in _config_header(cfg):
+        for line in _config_header(resolver.cfg):
             fh.write(line + "\n")
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
@@ -435,21 +445,17 @@ def cmd_sweep(cfg, out_dir, tol, horizon):
     return 0
 
 
-def cmd_spectral(cfg, out_dir, tol, horizon):
-    if "spectral" not in cfg:
-        raise ConfigError("configuration has no [spectral] section")
-    sec = _Section("spectral", cfg["spectral"])
-    resolver = _Resolver(cfg)
+def cmd_spectral(resolver, sec, out_dir, tol, horizon):
     pair = resolver.pair(sec.str("pair", required=True))
-    t = tol if tol is not None else sec.float("tol", default=profiles.DEFAULT_TOL)
-    h = horizon if horizon is not None else sec.float("horizon", default=1e4)
+    t, h = _tol_horizon(sec, tol, horizon)
     report = spectral.spectral_report(
         pair, sec.float("a", required=True), sec.float("b", required=True),
         radii=tuple(sec.floats("radii", default=[1.0, 10.0, 100.0])),
         horizon=h, tol=t)
+    resolver.reject_unread()
     _write_json(out_dir / "spectral.json",
-                {"config": cfg["__text__"], "report": report.to_dict()})
-    lines = _config_header(cfg) + ["# columns: t2\tquotient"]
+                {"config": resolver.cfg["__text__"], "report": report.to_dict()})
+    lines = _config_header(resolver.cfg) + ["# columns: t2\tquotient"]
     for t2, q in report.rayleigh_values:
         lines.append(f"{_fmt(float(t2))}\t{_fmt(float(q))}")
     (out_dir / "rayleigh.tsv").write_text("\n".join(lines) + "\n")
@@ -459,11 +465,7 @@ def cmd_spectral(cfg, out_dir, tol, horizon):
     return 0
 
 
-def cmd_geometry(cfg, out_dir, tol, horizon):
-    if "geometry" not in cfg:
-        raise ConfigError("configuration has no [geometry] section")
-    sec = _Section("geometry", cfg["geometry"])
-    resolver = _Resolver(cfg)
+def cmd_geometry(resolver, sec, out_dir, tol, horizon):
     model = resolver.model(sec.str("model", required=True))
     k, v = geometry.model_profiles(model)
     r0 = sec.float("r_start", default=0.1)
@@ -471,7 +473,8 @@ def cmd_geometry(cfg, out_dir, tol, horizon):
     n = sec.int("n", default=50)
     if n < 2 or r0 <= 0 or r1 <= r0:
         raise ConfigError("[geometry] needs 0 < r_start < r_stop and n >= 2")
-    lines = _config_header(cfg)
+    resolver.reject_unread()
+    lines = _config_header(resolver.cfg)
     lines.append(f"# model m={model.m} warping={model.warping.name} "
                  f"b_const={_fmt(k.b_const)}")
     lines.append("# columns: r\tK\tv")
@@ -521,7 +524,8 @@ def run(command, config_path, out_dir, tol=None, horizon=None):
     cfg = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[command](cfg, out, tol, horizon)
+    resolver = _Resolver(cfg)
+    return _COMMANDS[command](resolver, resolver.section(command), out, tol, horizon)
 
 
 def main(argv=None):

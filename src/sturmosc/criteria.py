@@ -501,12 +501,12 @@ def check_bmr(pair, T, horizon=1e4, tol=DEFAULT_TOL):
     # constant -r/2 when F ~ t^p e^{rt}, -e/(2t) when F ~ t^e; the integral
     # of chi then has the order (0, 1) or (0, -1)
     _, (rate, exponent) = v_inv
-    c_chi, chi_order = ((-rate / 2.0, (0.0, 1.0)) if rate != 0.0
-                        else (-exponent / 2.0, (0.0, -1.0)))
+    c_chi, chi_order = ((-float(rate) / 2.0, (0.0, 1.0)) if rate != 0.0
+                        else (-float(exponent) / 2.0, (0.0, -1.0)))
     cw, w_order = w
     # W's own leading coefficient: the term's derivative, exact when the
     # orders tie (the exponent is then +-1)
-    cw *= w_order[0] or w_order[1] or 1.0
+    cw *= float(w_order[0] or w_order[1] or 1.0)
     if cw < 0:
         raise HypothesisViolated("W tail coefficient is negative")
     witness["sqrt_chi_coefficient"] = c_chi

@@ -15,8 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CatalogDerivativeMissing, InvalidParams, TailInfoMissing
-from .profiles import (AsymptoticTail, CurvatureProfile, DEFAULT_TOL, PowerTail,
-                       Profile, certified_nonpositive, constant)
+from .profiles import (AsymptoticTail, CurvatureProfile, DEFAULT_TOL, Profile,
+                       certified_nonpositive, constant)
 from .ode import DEFAULT_ZERO_TOL, solve_jacobi
 
 __all__ = [
@@ -106,7 +106,7 @@ def sinh_warping(kappa):
 def linear_warping():
     """f = r: flat space, K = 0."""
     def volume_tail(m, omega):
-        return PowerTail(omega, m - 1)
+        return AsymptoticTail(omega, float(m - 1))
 
     return Warping(
         name="linear",

@@ -25,8 +25,6 @@ from .errors import InvalidParams, NonFiniteSample, TailInfoMissing, ToleranceNo
 __all__ = [
     "AsymptoticTail",
     "ClosedFormTailIntegral",
-    "PowerTail",
-    "ExpTail",
     "Profile",
     "CoefficientPair",
     "CurvatureProfile",
@@ -62,9 +60,29 @@ PANEL_BUDGET = 10**6
 # Tail metadata
 # ---------------------------------------------------------------------------
 
+def _exact(x):
+    """The order ``x`` as a float when the float equals it, else as a Fraction
+    (OverflowError beyond the float range)."""
+    f = float(x)
+    return f if f == x else x
+
+
+def _exact_sum(a, b):
+    """``a + b`` as :func:`_exact` holds it: in floats when the TwoSum error is 0."""
+    if type(a) is type(b) is float:
+        s = a + b
+        z = s - a
+        if (a - (s - z)) + (b - z) == 0.0:
+            return s
+    return _exact(Fraction(a) + Fraction(b))
+
+
 @dataclass(frozen=True)
 class AsymptoticTail:
     """Leading behavior ``coefficient * t**exponent * exp(rate*t)`` at +inf.
+
+    ``exponent`` and ``rate`` are exact (see :func:`_exact`), finite orders,
+    combined only by :func:`_exact_sum` and :func:`_exact`.
 
     ``exact=True`` asserts the profile *coincides* with this form for every
     ``t >= valid_from``, so truncated tail integrals may finish analytically.
@@ -73,22 +91,14 @@ class AsymptoticTail:
     """
 
     coefficient: float
-    exponent: float
-    rate: float = 0.0
+    exponent: Union[float, Fraction]
+    rate: Union[float, Fraction] = 0.0
     valid_from: float = 0.0
     exact: bool = True
 
-
-def PowerTail(coefficient, exponent, valid_from=0.0, exact=True):
-    """Tail form c * t**p."""
-    return AsymptoticTail(float(coefficient), float(exponent), 0.0,
-                          float(valid_from), bool(exact))
-
-
-def ExpTail(coefficient, rate, valid_from=0.0, exact=True):
-    """Tail form c * exp(rate * t)."""
-    return AsymptoticTail(float(coefficient), 0.0, float(rate),
-                          float(valid_from), bool(exact))
+    def __post_init__(self):
+        if not (math.isfinite(self.exponent) and math.isfinite(self.rate)):
+            raise InvalidParams("tail exponent and rate must be finite")
 
 
 @dataclass(frozen=True)
@@ -173,7 +183,7 @@ def constant(value, label=""):
     def ev(t):
         return np.full(np.shape(t), v)
 
-    return _closed_form(Profile(ev, tail=PowerTail(v, 0.0), sign=_sign_of_value(v),
+    return _closed_form(Profile(ev, tail=AsymptoticTail(v, 0.0), sign=_sign_of_value(v),
                                 label=label or f"const({v:g})"),
                         lambda t: v)
 
@@ -184,7 +194,7 @@ def power(coefficient, exponent, label=""):
     def ev(t):
         return c * np.power(t, p)
 
-    return _closed_form(Profile(ev, tail=PowerTail(c, p), sign=_sign_of_value(c),
+    return _closed_form(Profile(ev, tail=AsymptoticTail(c, p), sign=_sign_of_value(c),
                                 label=label or f"{c:g}*t^{p:g}"),
                         lambda t: c * float(np.power(t, p)))
 
@@ -195,7 +205,7 @@ def exponential(coefficient, rate, label=""):
     def ev(t):
         return c * np.exp(r * t)
 
-    return _closed_form(Profile(ev, tail=ExpTail(c, r), sign=_sign_of_value(c),
+    return _closed_form(Profile(ev, tail=AsymptoticTail(c, 0.0, r), sign=_sign_of_value(c),
                                 label=label or f"{c:g}*exp({r:g}t)"),
                         lambda t: c * float(np.exp(r * t)))
 
@@ -211,35 +221,32 @@ def _mul_sign(a, b):
 
 
 def _mul_tail(a, b):
-    if isinstance(a, AsymptoticTail) and isinstance(b, AsymptoticTail):
+    if not (isinstance(a, AsymptoticTail) and isinstance(b, AsymptoticTail)):
+        return None
+    try:
         return AsymptoticTail(a.coefficient * b.coefficient,
-                              a.exponent + b.exponent,
-                              a.rate + b.rate,
+                              _exact_sum(a.exponent, b.exponent),
+                              _exact_sum(a.rate, b.rate),
                               max(a.valid_from, b.valid_from),
                               a.exact and b.exact)
-    return None
+    except OverflowError:
+        return None  # an order leaves the float range: declare no tail
 
 
 def _add_tail(a, b):
     if not (isinstance(a, AsymptoticTail) and isinstance(b, AsymptoticTail)):
         return None
-    if a.coefficient == 0.0:
-        return replace(b, valid_from=max(a.valid_from, b.valid_from),
-                       exact=a.exact and b.exact)
-    if b.coefficient == 0.0:
-        return replace(a, valid_from=max(a.valid_from, b.valid_from),
-                       exact=a.exact and b.exact)
+    valid_from, exact = max(a.valid_from, b.valid_from), a.exact and b.exact
+    if a.coefficient == 0.0 or b.coefficient == 0.0:
+        return replace(b if a.coefficient == 0.0 else a, valid_from=valid_from, exact=exact)
     if (a.rate, a.exponent) == (b.rate, b.exponent):
         c = a.coefficient + b.coefficient
         if c == 0.0:
             return None  # cancellation: leading order unknown
-        return AsymptoticTail(c, a.exponent, a.rate,
-                              max(a.valid_from, b.valid_from),
-                              a.exact and b.exact)
-    dominant = a if (a.rate, a.exponent) > (b.rate, b.exponent) else b
+        return replace(a, coefficient=c, valid_from=valid_from, exact=exact)
     # the sub-leading term spoils exactness but not the divergence class
-    return replace(dominant, exact=False,
-                   valid_from=max(a.valid_from, b.valid_from))
+    return replace(max(a, b, key=lambda t: (t.rate, t.exponent)), exact=False,
+                   valid_from=valid_from)
 
 
 def multiply(p, q, label=""):
@@ -322,11 +329,12 @@ def elementwise_power(p, exponent, label=""):
 
     tail = None
     if isinstance(p.tail, AsymptoticTail) and p.tail.coefficient > 0.0:
+        q, r, f = Fraction(p.tail.exponent), Fraction(p.tail.rate), Fraction(e)
         try:
-            tail = AsymptoticTail(p.tail.coefficient ** e, p.tail.exponent * e,
-                                  p.tail.rate * e, p.tail.valid_from, p.tail.exact)
+            tail = AsymptoticTail(p.tail.coefficient ** e, _exact(q * f), _exact(r * f),
+                                  p.tail.valid_from, p.tail.exact)
         except OverflowError:
-            pass  # the tail coefficient leaves the float range: declare no tail
+            pass  # the coefficient or an order leaves the float range: declare no tail
     elif isinstance(p.tail, AsymptoticTail) and p.tail.coefficient == 0.0 and p.tail.exact:
         tail = p.tail
     sign = "zero" if p.sign == "zero" else (
@@ -454,23 +462,10 @@ LOG_ORDER = (0.0, 0.0)
 
 
 def _antiderivative_order(t):
-    """``(rate, exponent)`` of the leading antiderivative term of tail ``t``.
-
-    The exponent is exact: ``q + 1`` stays a float when the sum does not
-    round and becomes a :class:`~fractions.Fraction` when it does, so that
-    two orders compare equal only when the terms grow alike (t**(1e-17 + 1)
-    is not t**1).
-    """
+    """``(rate, exponent)`` of the leading antiderivative term of tail ``t``,
+    exact as the tail's orders are: t**(1e-17 + 1) does not tie with t**1."""
     r, q = t.rate, t.exponent
-    if r != 0.0:
-        return (r, q)
-    if q == -1.0:
-        return LOG_ORDER
-    e = q + 1.0
-    # both differences give back the operands only when the sum did not round
-    if (e - 1.0 == q and e - q == 1.0) or not math.isfinite(q):
-        return (r, e)
-    return (r, Fraction(q) + 1)
+    return (r, q) if r else (r, _exact_sum(q, 1.0))
 
 
 def antiderivative_term(p):
@@ -496,7 +491,7 @@ def antiderivative_term(p):
         return None
     c = t.coefficient
     r, e = order = _antiderivative_order(t)
-    term = (c / (r or e or 1.0), order)  # c/r, c/(q+1), or c for c log t
+    term = (c / float(r or e or 1.0), order)  # c/r, c/(q+1), or c for c log t
     if term[0] == 0.0 and c != 0.0:
         return None
     return term
@@ -549,7 +544,7 @@ def tail_integral(p, b, tol=DEFAULT_TOL):
     if div != "finite":
         return math.inf if div == "+inf" else -math.inf
 
-    c, pw, rate = t.coefficient, t.exponent, t.rate
+    c, pw, rate = t.coefficient, float(t.exponent), float(t.rate)
 
     if c == 0.0:
         if not t.exact:

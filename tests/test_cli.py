@@ -93,6 +93,8 @@ _HEAD = "[profile:a]\nkind = constant\nc = 1.0\n"
 _CHECK = "[curvature:k]\nk = K\n{m}[check]\ncriteria = calabi\ncurvature = k\n"
 _K_ONE = "[profile:K]\nkind = constant\nc = 1.0\n"
 _SOLVE = "[curvature:u]\nk = a\n[solve]\nproblem = jacobi\ncurvature = u\n"
+_SPECTRAL = ("[pair:p]\nv = a\nw = a\nt_start = 1.0\n"
+             "[spectral]\npair = p\na = 1\nb = 2\nradii = 3\n")
 PARSE_ERRORS = [
     ("check", _HEAD + "[profile:K]\nkind = constant\nc = x\n" + _CHECK.format(m=""),
      "[profile:K] field 'c': 'x' is not a finite number"),
@@ -116,6 +118,21 @@ PARSE_ERRORS = [
      "[solve] field 'horizon': 'inf' is not a finite number"),
     ("solve", _HEAD + _SOLVE + "horizon = 4\ntol = nan\n",
      "[solve] field 'tol': 'nan' is not a finite number"),
+    ("solve", _HEAD + _SOLVE + "horizon = 4\ntol = -1\n",
+     "[solve] field 'tol': -1.0 is not positive"),
+    ("check", _HEAD + _K_ONE + _CHECK.format(m="") + "horizon = -3\n",
+     "[check] field 'horizon': -3.0 is not positive"),
+    ("spectral", _HEAD + _SPECTRAL + "horizon = -3\n",
+     "[spectral] field 'horizon': -3.0 is not positive"),
+    ("sweep", _HEAD + _K_ONE + _CHECK.format(m="")
+     + "[sweep]\nvary = profile:a.c\nvalues = 1\ncriteria = calabi\ncurvature = k\n"
+     + "count_horizon = 0\n",
+     "[sweep] field 'count_horizon': 0.0 is not positive"),
+    ("spectral", _HEAD + _SPECTRAL + "horizon = 10\nz0 = 5\nhorizn = 10\n",
+     "unknown keys: [spectral] horizn, [spectral] z0"),
+    ("check", _HEAD + "[profile:K]\nkind = constant\nc = 1.0\np = 2\n"
+     + _CHECK.format(m=""),
+     "unknown keys: [profile:K] p"),
 ]
 
 
@@ -296,7 +313,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,text,message", PARSE_ERRORS,
                              ids=["c", "m", "values", "factors", "terms", "kind",
                                   "values_inf", "horizon_nan", "horizon_inf",
-                                  "tol_nan"])
+                                  "tol_nan", "tol_negative", "horizon_negative",
+                                  "spectral_horizon_negative", "count_horizon_zero",
+                                  "unknown_spectral_keys", "unknown_profile_key"])
     def test_malformed_field_message(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
@@ -308,6 +327,46 @@ class TestExitCodes:
                      "--horizon", "inf"]) == 1
         assert capsys.readouterr().err == (
             "configuration error: --horizon inf is not a finite number\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--tol", "-1", "--horizon", "4"], "--tol -1.0 is not positive"),
+        (["check", "--horizon", "-3"], "--horizon -3.0 is not positive"),
+        (["spectral", "--horizon", "-3"], "--horizon -3.0 is not positive"),
+    ], ids=["solve_tol", "check_horizon", "spectral_horizon"])
+    def test_non_positive_flag(self, config, tmp_path, capsys, argv, message):
+        assert main(argv + ["--config", str(config), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_unknown_keys_only_in_opened_sections(self, tmp_path, capsys):
+        # a misspelt [check] key does not stop a solve, which never opens [check]
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(BASE_CONFIG.replace("c_thresh = 0.26", "c_thresh = 0.26\nlamda = 1"))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: unknown keys: [check] lamda\n")
+        assert not (tmp_path / "c" / "verdicts.json").exists()
+
+    def test_default_section_keys_are_not_unknown(self, tmp_path):
+        # [DEFAULT]'s m reaches every section; only [curvature:k] reads it
+        cfg = tmp_path / "default.ini"
+        cfg.write_text("[DEFAULT]\nm = 2\n[profile:K]\nkind = constant\nc = 1.0\n"
+                       "[curvature:k]\nk = K\n[check]\ncriteria = calabi\ncurvature = k\n")
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    def test_sweep_without_a_clean_row_reports_no_unread_keys(self, tmp_path):
+        # sqrt of a negative profile fails before [curvature:k] b_const and m
+        # or the nehari keys are read, in every row
+        cfg = tmp_path / "err.ini"
+        cfg.write_text("[profile:K]\nkind = constant\nc = 1.0\n"
+                       "[profile:neg]\nkind = constant\nc = -1.0\n"
+                       "[profile:s]\nkind = sqrt\nof = neg\n"
+                       "[curvature:k]\nk = s\nb_const = 1.0\nm = 2\n"
+                       "[sweep]\nvary = profile:K.c\nvalues = 1 2\ncriteria = nehari\n"
+                       "curvature = k\nt0 = 1.0\nlambda = 0\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[-2:]
+        assert rows == ["1,error", "2,error"]
 
     def test_usage_error_repeats_after_a_run(self, config, tmp_path, capsys):
         # one parser serves every call, so a call must leave nothing behind

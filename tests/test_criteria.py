@@ -265,9 +265,12 @@ class TestOscillation:
         # v = -t^2, W = -e^t/t^2: the tail integral of 1/v is negative
         (power(-1.0, 2.0), multiply(exponential(-1.0, 1.0), power(1.0, -2.0)),
          -math.inf),
+        # W v ~ t^(8.1 - 4.4e-16): the float exponent sum rounds onto the tie
+        # 8.1, which would certify 166/81.81 > 1 for a product tending to 0
+        (power(1.0, 10.1), power(166.0, math.nextafter(-2.0, -math.inf)), 0.0),
     ], ids=["pow_tie", "pow_grow", "log", "zero", "exp_decay", "exp_tie",
             "exp_grow", "exp_vanish", "exp_pow", "rounded_tie",
-            "exp_pow_negative"])
+            "exp_pow_negative", "rounded_sum_below_tie"])
     def test_certified_product_limits(self, v, w, limit):
         pair = CoefficientPair(v, w, t_start=1.0, validate=False)
         verdict = check_oscillation(pair, 1.0, horizon=30.0)
@@ -292,6 +295,15 @@ class TestOscillation:
 class TestMooreLiminf:
     def test_euler_in_disguise(self):
         assert check_moore_liminf(moore_pair(0.3), 1.0, 0.26).status is SAT
+
+    def test_rounded_exponent_sum_is_no_tie(self):
+        # the exact exponent of W v is 4.4e-16 below 8.1: the product tends to 0
+        pair = CoefficientPair(power(1.0, 10.1),
+                               power(166.0, math.nextafter(-2.0, -math.inf)),
+                               t_start=1.0, validate=False)
+        v = check_moore_liminf(pair, 1.0, 1.0)
+        assert v.status is INC
+        assert v.witness["certified_liminf"] == 0.0
 
     def test_below_threshold(self):
         v = check_moore_liminf(moore_pair(0.2), 1.0, 0.26)

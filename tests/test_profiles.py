@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sturmosc import (ClosedFormTailIntegral, CoefficientPair,
+from sturmosc import (AsymptoticTail, ClosedFormTailIntegral, CoefficientPair,
                       InvalidParams, NonFiniteSample, Profile,
                       TailInfoMissing, ToleranceNotMet, add, big_v,
                       certified_nonnegative, constant, elementwise_power,
@@ -115,7 +115,8 @@ class TestTailIntegral:
 
 
 # profile -> (leading antiderivative term, tail_divergence), exact values;
-# repr keeps the sign of a zero, which reciprocal's rate -0.0 carries
+# repr keeps the sign of a zero, which reciprocal's rate -0.0 carries (the
+# order (-0.0, 0.0) of 1/t equals LOG_ORDER)
 ANTIDERIVATIVE_CASES = [
     ("const", constant(3.0), (3.0, (0.0, 1.0)), "+inf"),
     ("pow_growth", power(3.0, 0.5), (2.0, (0.0, 1.5)), "+inf"),
@@ -127,13 +128,72 @@ ANTIDERIVATIVE_CASES = [
     ("zero", constant(0.0), (0.0, (0.0, 1.0)), "finite"),
     ("zero_decay", power(0.0, -3.0), (-0.0, (0.0, -2.0)), "finite"),
     ("rate_minus_zero", reciprocal(power(4.0, 3.0)), (-0.125, (-0.0, -2.0)), "finite"),
-    ("log_rate_minus_zero", reciprocal(power(2.0, 1.0)), (0.5, LOG_ORDER), "+inf"),
+    ("log_rate_minus_zero", reciprocal(power(2.0, 1.0)), (0.5, (-0.0, 0.0)), "+inf"),
     ("rounded_shift", power(4.0, -1e-17), (4.0, (0.0, Fraction(-1e-17) + 1)), "+inf"),
     ("underflow", exponential(5e-324, 4.0), None, "+inf"),
     ("closed_form", Profile(np.exp, tail=ClosedFormTailIntegral(math.exp)), None,
      "finite"),
     ("no_tail", Profile(np.exp), None, None),
 ]
+
+
+_BELOW_MINUS_TWO = math.nextafter(-2.0, -math.inf)
+# orders whose float sums and products round, next to harmless ones
+_ORDERS = st.one_of(st.sampled_from([0.0, -1.0, 0.5, 0.1, 0.2, 10.1, 1e-17,
+                                     1.0 / 3.0, _BELOW_MINUS_TWO]),
+                    st.floats(-3.0, 3.0))
+_ORDER_COEFS = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+_ORDER_LEAVES = st.one_of(st.tuples(st.just("power"), _ORDER_COEFS, _ORDERS),
+                          st.tuples(st.just("exponential"), _ORDER_COEFS, _ORDERS))
+_POWERS = st.sampled_from([0.5, 1.5, -1.0, 3.0, 0.1])
+
+
+def _build_with_exact_order(tree):
+    """``(profile, want)`` of ``tree``, ``want`` its expected tail or None.
+
+    ``want`` is ``((rate, exponent), coefficient)`` with the orders as
+    Fractions, computed here in exact arithmetic.  Every node's declared
+    tail must carry it: each order a float when the float is exact, and
+    otherwise a Fraction that no float equals.
+    """
+    kind, *args = tree
+    if kind == "power":
+        p, want = power(args[0], args[1]), ((Fraction(0), Fraction(args[1])), args[0])
+    elif kind == "exponential":
+        p, want = exponential(*args), ((Fraction(args[1]), Fraction(0)), args[0])
+    elif kind == "elementwise_power":
+        a, inner = _build_with_exact_order(args[0])
+        e = args[1] if certified_nonnegative(a) else 3.0
+        p, want = elementwise_power(a, e), None
+        if inner is not None and inner[1] > 0.0:
+            want = (tuple(x * Fraction(e) for x in inner[0]), inner[1] ** e)
+        elif inner is not None and inner[1] == 0.0 and a.tail.exact:
+            want = inner  # zero stays zero
+    else:
+        built = [_build_with_exact_order(arg) for arg in args]
+        op = {"multiply": multiply, "add": add, "reciprocal": reciprocal}[kind]
+        p, want = op(*(b[0] for b in built)), None
+        if all(b[1] is not None for b in built):
+            (oa, ca), (ob, cb) = built[0][1], built[-1][1]
+            if kind == "multiply":
+                want = ((oa[0] + ob[0], oa[1] + ob[1]), ca * cb)
+            elif kind == "reciprocal":
+                want = ((-oa[0], -oa[1]), 1.0 / ca) if ca != 0.0 else None
+            elif ca == 0.0 or cb == 0.0:
+                want = (ob, cb) if ca == 0.0 else (oa, ca)
+            elif oa == ob:
+                want = (oa, ca + cb) if ca + cb != 0.0 else None
+            else:
+                want = max((oa, ca), (ob, cb))
+    if want is None:
+        assert p.tail is None
+        return p, None
+    orders = (p.tail.rate, p.tail.exponent)
+    for x in orders:
+        assert type(x) is float or (type(x) is Fraction and float(x) != x)
+    assert tuple(map(Fraction, orders)) == want[0]
+    assert p.tail.coefficient == want[1]
+    return p, want
 
 
 class TestAntiderivativeTerm:
@@ -147,6 +207,48 @@ class TestAntiderivativeTerm:
     def test_underflowing_term_keeps_its_integral(self):
         # c/r underflows to 0, but the tail still decides divergence
         assert tail_integral(exponential(5e-324, 4.0), 1.0) == math.inf
+
+
+class TestExactOrders:
+    @pytest.mark.parametrize("make", [
+        lambda: power(1.0, math.inf),
+        lambda: power(1.0, math.nan),
+        lambda: exponential(1.0, -math.inf),
+        lambda: AsymptoticTail(1.0, 0.0, math.nan),
+    ], ids=["power_inf", "power_nan", "exp_minus_inf", "rate_nan"])
+    def test_non_finite_order_rejected(self, make):
+        with pytest.raises(InvalidParams):
+            make()
+
+    def test_order_leaving_the_float_range_declares_no_tail(self):
+        p = elementwise_power(exponential(1.0, -1e308), 10.0)
+        assert p.tail is None
+        with pytest.raises(TailInfoMissing):
+            tail_integral(p, 1.0)
+        assert multiply(power(1.0, 1e308), power(1.0, 1e308)).tail is None
+
+    def test_power_of_a_power_is_exact(self):
+        exponent = elementwise_power(power(1.0, 0.1), 3.0).tail.exponent
+        assert exponent == 3 * Fraction(0.1)
+        assert type(exponent) is Fraction and exponent != 0.30000000000000004
+
+    def test_sum_that_does_not_round_stays_float(self):
+        tail = multiply(power(1.0, 2.5), exponential(1.0, -0.5)).tail
+        assert (type(tail.exponent), type(tail.rate)) == (float, float)
+        assert multiply(power(1.0, 0.1), power(1.0, 0.2)).tail.exponent == (
+            Fraction(0.1) + Fraction(0.2))
+
+    @given(st.recursive(_ORDER_LEAVES, lambda children: st.one_of(
+        st.tuples(st.just("multiply"), children, children),
+        st.tuples(st.just("add"), children, children),
+        st.tuples(st.just("reciprocal"), children),
+        st.tuples(st.just("elementwise_power"), children, _POWERS),
+    ), max_leaves=8))
+    @settings(max_examples=300, deadline=None)
+    @example(("multiply", ("power", 1.0, 10.1), ("power", 166.0, _BELOW_MINUS_TWO)))
+    @example(("elementwise_power", ("power", 1.0, 0.1), 3.0))
+    def test_declared_orders_match_exact_arithmetic(self, tree):
+        _build_with_exact_order(tree)
 
 
 class TestAlgebra:
