@@ -334,13 +334,16 @@ def _positive(what, value):
 
 
 def _tol_horizon(sec, tol, horizon, default_horizon=1e4):
-    """The run's positive (tol, horizon): a flag wins over its key, read either way."""
-    t = sec.float("tol", default=profiles.DEFAULT_TOL)
-    h = sec.float("horizon", default=default_horizon,
-                  required=default_horizon is None and horizon is None)
-    return [_positive(f"[{sec.name}] field {key!r}:", value) if flag is None
-            else _positive(f"--{key}", flag)
-            for key, flag, value in (("tol", tol, t), ("horizon", horizon, h))]
+    """The run's positive (tol, horizon): a flag wins over its key, which then
+    counts as read, unparsed."""
+    def resolve(key, flag, default):
+        if flag is not None:
+            sec.unread.discard(key)
+            return _positive(f"--{key}", flag)
+        value = sec.float(key, default=default, required=default is None)
+        return _positive(f"[{sec.name}] field {key!r}:", value)
+    return (resolve("tol", tol, profiles.DEFAULT_TOL),
+            resolve("horizon", horizon, default_horizon))
 
 
 def _config_header(cfg):
@@ -402,7 +405,7 @@ def _sweep_row(parent, vary_section, vary_key, value, names, tol, horizon,
         try:
             verdict = _run_criterion(name, resolver, sec, tol, horizon)
             row[name] = verdict.status.value
-        except HypothesisViolated:
+        except (ConfigError, HypothesisViolated):
             raise
         except SturmoscError:
             row[name] = "error"
@@ -430,7 +433,7 @@ def cmd_sweep(resolver, sec, out_dir, tol, horizon):
                               sec.float("count_horizon", default=h))
     rows = [_sweep_row(resolver, vary_section, vary_key, value, names, t, h,
                        count_zeros, count_horizon) for value in values]
-    # every row reads the same keys, unless an error cut its criteria short
+    # every row reads the same keys, unless a numerical error cut it short
     if any(all(row[name] != "error" for name in names) for row in rows):
         resolver.reject_unread()
 

@@ -61,18 +61,20 @@ PANEL_BUDGET = 10**6
 # ---------------------------------------------------------------------------
 
 def _exact(x):
-    """The order ``x`` as a float when the float equals it, else as a Fraction
-    (OverflowError beyond the float range)."""
+    """The order ``x`` as a float when the float equals it, else as a Fraction;
+    OverflowError off the float range, or off its grid of multiples of
+    2**-1074, where a nonzero order (or its q + 1) could round to 0.0."""
     f = float(x)
+    if f != x and x.denominator > 2 ** 1074:
+        raise OverflowError("order off the float grid")
     return f if f == x else x
 
 
 def _exact_sum(a, b):
-    """``a + b`` as :func:`_exact` holds it: in floats when the TwoSum error is 0."""
+    """``a + b`` as :func:`_exact` holds it: a float sum when it does not round."""
     if type(a) is type(b) is float:
         s = a + b
-        z = s - a
-        if (a - (s - z)) + (b - z) == 0.0:
+        if s - a == b and s - b == a:  # the difference from the larger one is exact
             return s
     return _exact(Fraction(a) + Fraction(b))
 
@@ -81,8 +83,7 @@ def _exact_sum(a, b):
 class AsymptoticTail:
     """Leading behavior ``coefficient * t**exponent * exp(rate*t)`` at +inf.
 
-    ``exponent`` and ``rate`` are exact (see :func:`_exact`), finite orders,
-    combined only by :func:`_exact_sum` and :func:`_exact`.
+    ``exponent`` and ``rate`` are finite orders, exact by :func:`_exact`.
 
     ``exact=True`` asserts the profile *coincides* with this form for every
     ``t >= valid_from``, so truncated tail integrals may finish analytically.
@@ -230,7 +231,7 @@ def _mul_tail(a, b):
                               max(a.valid_from, b.valid_from),
                               a.exact and b.exact)
     except OverflowError:
-        return None  # an order leaves the float range: declare no tail
+        return None  # an order leaves the float range or grid: declare no tail
 
 
 def _add_tail(a, b):
@@ -334,7 +335,7 @@ def elementwise_power(p, exponent, label=""):
             tail = AsymptoticTail(p.tail.coefficient ** e, _exact(q * f), _exact(r * f),
                                   p.tail.valid_from, p.tail.exact)
         except OverflowError:
-            pass  # the coefficient or an order leaves the float range: declare no tail
+            pass  # the coefficient or an order leaves the float range or grid: no tail
     elif isinstance(p.tail, AsymptoticTail) and p.tail.coefficient == 0.0 and p.tail.exact:
         tail = p.tail
     sign = "zero" if p.sign == "zero" else (
@@ -546,22 +547,18 @@ def tail_integral(p, b, tol=DEFAULT_TOL):
 
     c, pw, rate = t.coefficient, float(t.exponent), float(t.rate)
 
-    if c == 0.0:
-        if not t.exact:
-            raise TailInfoMissing(
-                "tail coefficient 0 without exactness cannot be integrated")
-        if b >= t.valid_from:
-            return 0.0
-        return integrate(p, b, t.valid_from, tol=tol)
     if not t.exact:
         raise TailInfoMissing(
             "asymptotic-only tail cannot produce a certified tail integral")
+    if c == 0.0:
+        return integrate(p, b, t.valid_from, tol=tol) if b < t.valid_from else 0.0
 
     T = max(b, t.valid_from)
     head = integrate(p, b, T, tol=tol) if T > b else 0.0
     if rate == 0.0:
-        # exact power remainder, exponent < -1
-        return head + c * T ** (pw + 1.0) / (-(pw + 1.0))
+        # exact power remainder, of the exact order q + 1 < 0
+        e = float(_antiderivative_order(t)[1])
+        return head + c * T ** e / -e
     # decaying exponential factor: extend until the envelope is negligible
     T2 = max(T, 1.0)
     if pw > 0:

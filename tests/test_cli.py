@@ -133,6 +133,10 @@ PARSE_ERRORS = [
     ("check", _HEAD + "[profile:K]\nkind = constant\nc = 1.0\np = 2\n"
      + _CHECK.format(m=""),
      "unknown keys: [profile:K] p"),
+    ("sweep", _HEAD + _K_ONE + _CHECK.format(m="")
+     + "[sweep]\nvary = profile:K.c\nvalues = 1 2\ncriteria = nehari\ncurvature = k\n"
+     + "to = 1.0\n",
+     "[sweep] is missing required field 't0'"),
 ]
 
 
@@ -315,7 +319,8 @@ class TestExitCodes:
                                   "values_inf", "horizon_nan", "horizon_inf",
                                   "tol_nan", "tol_negative", "horizon_negative",
                                   "spectral_horizon_negative", "count_horizon_zero",
-                                  "unknown_spectral_keys", "unknown_profile_key"])
+                                  "unknown_spectral_keys", "unknown_profile_key",
+                                  "sweep_misspelt_required_key"])
     def test_malformed_field_message(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
@@ -336,6 +341,13 @@ class TestExitCodes:
     def test_non_positive_flag(self, config, tmp_path, capsys, argv, message):
         assert main(argv + ["--config", str(config), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_flag_leaves_its_key_unparsed(self, tmp_path):
+        # --horizon and --tol win over malformed keys, which count as read
+        cfg = tmp_path / "flag.ini"
+        cfg.write_text(_HEAD + _SOLVE + "horizon = nan\ntol = -1\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path),
+                     "--horizon", "4", "--tol", "1e-8"]) == 0
 
     def test_unknown_keys_only_in_opened_sections(self, tmp_path, capsys):
         # a misspelt [check] key does not stop a solve, which never opens [check]

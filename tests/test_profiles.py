@@ -165,8 +165,11 @@ def _build_with_exact_order(tree):
         a, inner = _build_with_exact_order(args[0])
         e = args[1] if certified_nonnegative(a) else 3.0
         p, want = elementwise_power(a, e), None
-        if inner is not None and inner[1] > 0.0:
-            want = (tuple(x * Fraction(e) for x in inner[0]), inner[1] ** e)
+        orders = inner and tuple(x * Fraction(e) for x in inner[0])
+        # an order off the grid of multiples of 2**-1074 declares no tail
+        if inner is not None and inner[1] > 0.0 and all(
+                x.denominator <= 2 ** 1074 for x in orders):
+            want = (orders, inner[1] ** e)
         elif inner is not None and inner[1] == 0.0 and a.tail.exact:
             want = inner  # zero stays zero
     else:
@@ -193,6 +196,11 @@ def _build_with_exact_order(tree):
         assert type(x) is float or (type(x) is Fraction and float(x) != x)
     assert tuple(map(Fraction, orders)) == want[0]
     assert p.tail.coefficient == want[1]
+    (rate, exponent), c = want
+    if p.tail.exact and rate == 0 and exponent < -1 and c != 0.0:
+        # the power remainder from t = 1, in the exact order q + 1
+        assert tail_integral(p, 1.0) == pytest.approx(float(-Fraction(c) / (exponent + 1)),
+                                                      rel=1e-15)
     return p, want
 
 
@@ -227,6 +235,23 @@ class TestExactOrders:
             tail_integral(p, 1.0)
         assert multiply(power(1.0, 1e308), power(1.0, 1e308)).tail is None
 
+    def test_order_off_the_float_grid_declares_no_tail(self):
+        # the rate -0.4 * 2**-1074 is no multiple of 2**-1074 and rounds to
+        # -0.0; its power-tail remainder integrated to -1.0
+        p = elementwise_power(exponential(1.0, -5e-324), 0.4)
+        assert p.tail is None
+        with pytest.raises(TailInfoMissing):
+            tail_integral(p, 1.0)
+
+    def test_remainder_uses_the_exact_order(self):
+        # the order q + 1 = -2**-54 of t**-(1 + 2**-54) rounds to -1.0 + 1.0
+        p = elementwise_power(power(1.0, -0.1), 10.0)
+        assert tail_divergence(p) == "finite"
+        assert tail_integral(p, 1.0) == 2.0 ** 54
+        near = elementwise_power(power(1.0, -0.25), 4.0 + 2.0 ** -50)
+        assert tail_integral(near, 1.0) == pytest.approx(
+            float(-1 / (Fraction(-0.25) * Fraction(4.0 + 2.0 ** -50) + 1)), rel=1e-15)
+
     def test_power_of_a_power_is_exact(self):
         exponent = elementwise_power(power(1.0, 0.1), 3.0).tail.exponent
         assert exponent == 3 * Fraction(0.1)
@@ -247,6 +272,8 @@ class TestExactOrders:
     @settings(max_examples=300, deadline=None)
     @example(("multiply", ("power", 1.0, 10.1), ("power", 166.0, _BELOW_MINUS_TWO)))
     @example(("elementwise_power", ("power", 1.0, 0.1), 3.0))
+    @example(("elementwise_power", ("power", 1.0, -0.1), 10.0))
+    @example(("elementwise_power", ("exponential", 1.0, -5e-324), 0.1))
     def test_declared_orders_match_exact_arithmetic(self, tree):
         _build_with_exact_order(tree)
 
