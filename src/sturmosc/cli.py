@@ -17,6 +17,7 @@ import argparse
 import configparser
 import csv
 import functools
+import inspect
 import json
 import math
 import sys
@@ -147,17 +148,23 @@ _FOLD_KINDS = {
     "product": (profiles.multiply, "factors"),
     "sum": (profiles.add, "terms"),
 }
+# profile kinds over the one named profile `of`: kind -> (op, numeric fields)
+_UNARY_KINDS = {
+    "reciprocal": (profiles.reciprocal, ()),
+    "scaled": (profiles.scaled, ("factor",)),
+    "sqrt": (lambda p: profiles.elementwise_power(p, 0.5), ()),
+}
+
+_BUILDING = object()  # memo mark of a section whose object is being built
 
 
 class _Resolver:
-    """Builds profiles, pairs, curvatures, and models from a config dict."""
+    """Builds each declared profile, pair, curvature and model of a config once."""
 
     def __init__(self, cfg, unread=None):
         self.cfg = cfg
         self.unread = {} if unread is None else unread
-        self._profiles = {}
-        self._models = {}
-        self._building = set()
+        self._memo = {}  # section name -> its object, or _BUILDING
 
     def section(self, name):
         if name not in self.cfg:
@@ -172,71 +179,76 @@ class _Resolver:
         if keys:
             raise ConfigError("unknown keys: " + keys)
 
+    def _build(self, kind, name, make):
+        """The object of [kind:name] from make(section, name), made on first
+        use; a failed build is not kept."""
+        key = f"{kind}:{name}"
+        built = self._memo.get(key)
+        if built is _BUILDING:
+            raise ConfigError(f"{kind} {name!r} references itself")
+        if built is None:
+            self._memo[key] = _BUILDING
+            try:
+                built = make(self.section(key), name)
+            finally:
+                del self._memo[key]
+            self._memo[key] = built
+        return built
+
     def model(self, name):
-        if name in self._models:
-            return self._models[name]
-        sec = self.section(f"model:{name}")
+        """(model, curvature profile, volume profile) of [model:name]."""
+        return self._build("model", name, self._make_model)
+
+    def _make_model(self, sec, name):
         kind = sec.str("kind", default="space_form")
         m = sec.int("m", required=True)
         if kind == "space_form":
             model = geometry.space_form(m, sec.float("kappa", required=True))
         elif kind == "warped":
             warping = sec.str("warping", required=True)
-            params = {}
-            if warping in ("sin", "sinh"):
-                params["kappa"] = sec.float("kappa", required=True)
-            elif warping == "cubic":
-                params["alpha"] = sec.float("alpha", required=True)
-            model = geometry.warped_model(m, warping, **params)
+            factory = geometry.WARPING_CATALOG.get(warping)
+            params = inspect.signature(factory).parameters if factory else ()
+            model = geometry.warped_model(
+                m, warping, **{p: sec.float(p, required=True) for p in params})
         else:
             raise ConfigError(f"[model:{name}] unknown kind {kind!r}")
-        self._models[name] = model
-        return model
+        return (model, *geometry.model_profiles(model))
+
+    def _model_ref(self, ref, parts):
+        """Split `model:NAME.PART` (PART in parts) into PART, NAME's k and v."""
+        name, _, part = ref.removeprefix("model:").partition(".")
+        if part not in parts:
+            raise ConfigError(f"model reference {ref!r} must end in "
+                              + " or ".join("." + p for p in parts))
+        return (part, *self.model(name)[1:])
 
     def profile(self, ref):
         if ref.startswith("model:"):
-            target, _, component = ref.partition(".")
-            model = self.model(target.split(":", 1)[1])
-            k, v = geometry.model_profiles(model)
-            if component == "k":
-                return k.k
-            if component == "v":
-                return v
-            raise ConfigError(f"model reference {ref!r} must end in .k or .v")
-        if ref in self._profiles:
-            return self._profiles[ref]
-        if ref in self._building:
-            raise ConfigError(f"profile {ref!r} references itself")
-        self._building.add(ref)
-        try:
-            sec = self.section(f"profile:{ref}")
-            kind = sec.str("kind", required=True)
-            if kind in _LEAF_KINDS:
-                make, fields = _LEAF_KINDS[kind]
-                prof = make(*(sec.float(f, required=True) for f in fields), label=ref)
-            elif kind in _FOLD_KINDS:
-                combine, key = _FOLD_KINDS[kind]
-                names = sec.strs(key, required=True)
-                if len(names) < 2:
-                    raise ConfigError(f"[profile:{ref}] needs >= 2 {key}")
-                prof = functools.reduce(combine, map(self.profile, names))
-            elif kind == "reciprocal":
-                prof = profiles.reciprocal(self.profile(sec.str("of", required=True)))
-            elif kind == "scaled":
-                prof = profiles.scaled(self.profile(sec.str("of", required=True)),
-                                       sec.float("factor", required=True))
-            elif kind == "sqrt":
-                prof = profiles.elementwise_power(
-                    self.profile(sec.str("of", required=True)), 0.5)
-            else:
-                raise ConfigError(f"[profile:{ref}] unknown kind {kind!r}")
-        finally:
-            self._building.discard(ref)
-        self._profiles[ref] = prof
-        return prof
+            part, k, v = self._model_ref(ref, ("k", "v"))
+            return k.k if part == "k" else v
+        return self._build("profile", ref, self._make_profile)
+
+    def _make_profile(self, sec, ref):
+        kind = sec.str("kind", required=True)
+        if kind in _LEAF_KINDS:
+            make, fields = _LEAF_KINDS[kind]
+            return make(*(sec.float(f, required=True) for f in fields), label=ref)
+        if kind in _FOLD_KINDS:
+            combine, key = _FOLD_KINDS[kind]
+            names = sec.strs(key, required=True)
+            if len(names) < 2:
+                raise ConfigError(f"[profile:{ref}] needs >= 2 {key}")
+            return functools.reduce(combine, map(self.profile, names))
+        if kind in _UNARY_KINDS:
+            make, fields = _UNARY_KINDS[kind]
+            return make(self.profile(sec.str("of", required=True)),
+                        *(sec.float(f, required=True) for f in fields))
+        raise ConfigError(f"[profile:{ref}] unknown kind {kind!r}")
 
     def pair(self, name):
-        sec = self.section(f"pair:{name}")
+        return self._build("pair", name, self._make_pair)
+
+    def _make_pair(self, sec, name):
         return profiles.CoefficientPair(
             v=self.profile(sec.str("v", required=True)),
             w=self.profile(sec.str("w", required=True)),
@@ -247,12 +259,12 @@ class _Resolver:
             label=name)
 
     def curvature(self, name):
-        sec = self.section(f"curvature:{name}")
+        return self._build("curvature", name, self._make_curvature)
+
+    def _make_curvature(self, sec, name):
         ref = sec.str("k", required=True)
         if ref.startswith("model:"):
-            model = self.model(ref.split(":", 1)[1].split(".")[0])
-            k, _ = geometry.model_profiles(model)
-            return k
+            return self._model_ref(ref, ("k",))[1]
         return profiles.CurvatureProfile(
             k=self.profile(ref),
             b_const=sec.float("b_const", default=0.0),
@@ -260,67 +272,55 @@ class _Resolver:
 
 
 # ---------------------------------------------------------------------------
-# Criterion dispatch
+# Criterion table
 # ---------------------------------------------------------------------------
 
+# A field is (key, read) or (key, read, default): read is a typed _Section
+# read ("float", "int") or the declared object the key names (_OBJECTS).
+_OBJECTS = ("profile", "curvature", "pair")
+_K, _PAIR = ("curvature", "curvature"), ("pair", "pair")
+_A, _B = ("a", "float"), ("b", "float")
+_LAMBDA, _R_START = ("lambda", "float", 0.0), ("r_start", "float", 1.0)
+_TOL, _TOL_HORIZON = ("tol",), ("tol", "horizon")
+
+# criterion -> (checker, fields in call order, run settings it takes)
+_CRITERIA = {
+    "myers_galloway": (criteria.check_myers_galloway,
+                       (("c", "float"), ("f_const", "float", 0.0), ("m", "int", 2)), ()),
+    "diameter_remark": (criteria.check_diameter_remark,
+                        (_K, ("d_bound", "float")), _TOL),
+    "ambrose_moore": (criteria.check_ambrose_moore, (_K, _LAMBDA), _TOL_HORIZON),
+    "nehari": (criteria.check_nehari, (_K, _LAMBDA, ("t0", "float")), _TOL_HORIZON),
+    "calabi": (criteria.check_calabi, (_K,), _TOL_HORIZON),
+    "main_b2": (criteria.check_main_B2, (_K, _A, _B, _LAMBDA), _TOL),
+    "main_b2_search": (criteria.search_main_B2, (_K,), _TOL),
+    "first_zero": (criteria.check_first_zero, (_PAIR, _A, _B), _TOL),
+    "oscillation": (criteria.check_oscillation, (_PAIR, _R_START), _TOL_HORIZON),
+    "moore_liminf": (criteria.check_moore_liminf,
+                     (_PAIR, _R_START, ("c_thresh", "float")), _TOL_HORIZON),
+    "leighton": (criteria.check_leighton, (_PAIR,), _TOL),
+    "bmr": (criteria.check_bmr, (_PAIR, ("t_lower", "float", 1.0)), _TOL_HORIZON),
+    "lambda1_negative": (spectral.lambda1_negative, (_PAIR, _A, _B), _TOL),
+    "instability": (spectral.instability_at_infinity, (_PAIR, _R_START), _TOL_HORIZON),
+    "yamabe": (spectral.check_yamabe,
+               (("s_mean", "profile"), ("m", "int"), ("v", "profile"),
+                ("b_const", "float", 0.0), _A, _B), _TOL),
+}
+
+
+def _read_field(resolver, sec, key, read, *default):
+    if read in _OBJECTS:
+        return getattr(resolver, read)(sec.str(key, required=True))
+    return getattr(sec, read)(key, *default, required=not default)
+
+
 def _run_criterion(name, resolver, sec, tol, horizon):
-    if name == "myers_galloway":
-        return criteria.check_myers_galloway(
-            sec.float("c", required=True), sec.float("f_const", default=0.0),
-            sec.int("m", default=2))
-    if name == "diameter_remark":
-        return criteria.check_diameter_remark(
-            resolver.curvature(sec.str("curvature", required=True)),
-            sec.float("d_bound", required=True), tol=tol)
-    if name in ("ambrose_moore", "nehari", "calabi", "main_b2", "main_b2_search"):
-        k = resolver.curvature(sec.str("curvature", required=True))
-        if name == "ambrose_moore":
-            return criteria.check_ambrose_moore(
-                k, sec.float("lambda", default=0.0), horizon=horizon, tol=tol)
-        if name == "nehari":
-            return criteria.check_nehari(
-                k, sec.float("lambda", default=0.0),
-                sec.float("t0", required=True), horizon=horizon, tol=tol)
-        if name == "calabi":
-            return criteria.check_calabi(k, horizon=horizon, tol=tol)
-        if name == "main_b2":
-            return criteria.check_main_B2(
-                k, sec.float("a", required=True), sec.float("b", required=True),
-                sec.float("lambda", default=0.0), tol=tol)
-        return criteria.search_main_B2(k, tol=tol)
-    pair = resolver.pair(sec.str("pair", required=True))
-    if name == "first_zero":
-        return criteria.check_first_zero(
-            pair, sec.float("a", required=True), sec.float("b", required=True),
-            tol=tol)
-    if name == "oscillation":
-        return criteria.check_oscillation(
-            pair, sec.float("r_start", default=1.0), horizon=horizon, tol=tol)
-    if name == "moore_liminf":
-        return criteria.check_moore_liminf(
-            pair, sec.float("r_start", default=1.0),
-            sec.float("c_thresh", required=True), horizon=horizon, tol=tol)
-    if name == "leighton":
-        return criteria.check_leighton(pair, tol=tol)
-    if name == "bmr":
-        return criteria.check_bmr(pair, sec.float("t_lower", default=1.0),
-                                  horizon=horizon, tol=tol)
-    if name == "lambda1_negative":
-        return spectral.lambda1_negative(
-            pair, sec.float("a", required=True), sec.float("b", required=True),
-            tol=tol)
-    if name == "instability":
-        return spectral.instability_at_infinity(
-            pair, sec.float("r_start", default=1.0), horizon=horizon, tol=tol)
-    if name == "yamabe":
-        return spectral.check_yamabe(
-            resolver.profile(sec.str("s_mean", required=True)),
-            sec.int("m", required=True),
-            resolver.profile(sec.str("v", required=True)),
-            sec.float("b_const", default=0.0),
-            sec.float("a", required=True), sec.float("b", required=True),
-            tol=tol)
-    raise ConfigError(f"unknown criterion {name!r}")
+    if name not in _CRITERIA:
+        raise ConfigError(f"unknown criterion {name!r}")
+    check, fields, settings = _CRITERIA[name]
+    run = {"tol": tol, "horizon": horizon}
+    return check(*(_read_field(resolver, sec, *field) for field in fields),
+                 **{s: run[s] for s in settings})
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +469,7 @@ def cmd_spectral(resolver, sec, out_dir, tol, horizon):
 
 
 def cmd_geometry(resolver, sec, out_dir, tol, horizon):
-    model = resolver.model(sec.str("model", required=True))
-    k, v = geometry.model_profiles(model)
+    model, k, v = resolver.model(sec.str("model", required=True))
     r0 = sec.float("r_start", default=0.1)
     r1 = sec.float("r_stop", required=True)
     n = sec.int("n", default=50)

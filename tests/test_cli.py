@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from sturmosc import profiles
 from sturmosc.cli import main
 
 BASE_CONFIG = """\
@@ -93,6 +94,7 @@ _HEAD = "[profile:a]\nkind = constant\nc = 1.0\n"
 _CHECK = "[curvature:k]\nk = K\n{m}[check]\ncriteria = calabi\ncurvature = k\n"
 _K_ONE = "[profile:K]\nkind = constant\nc = 1.0\n"
 _SOLVE = "[curvature:u]\nk = a\n[solve]\nproblem = jacobi\ncurvature = u\n"
+_SF = "[model:sf]\nm = 2\nkappa = 1.0\n"
 _SPECTRAL = ("[pair:p]\nv = a\nw = a\nt_start = 1.0\n"
              "[spectral]\npair = p\na = 1\nb = 2\nradii = 3\n")
 PARSE_ERRORS = [
@@ -137,7 +139,24 @@ PARSE_ERRORS = [
      + "[sweep]\nvary = profile:K.c\nvalues = 1 2\ncriteria = nehari\ncurvature = k\n"
      + "to = 1.0\n",
      "[sweep] is missing required field 't0'"),
+    ("check", _HEAD + _K_ONE + _CHECK.format(m="").replace("calabi", "calabii"),
+     "unknown criterion 'calabii'"),
+    ("check", _SF + _CHECK.format(m="").replace("k = K", "k = model:sf.v"),
+     "model reference 'model:sf.v' must end in .k"),
+    ("check", _SF + _CHECK.format(m="").replace("k = K", "k = model:sf"),
+     "model reference 'model:sf' must end in .k"),
+    ("check", "[model:sf]\nkind = warped\nwarping = x\nm = 2\n"
+     + _CHECK.format(m="").replace("k = K", "k = model:sf.k"),
+     "unknown warping kind 'x'"),
 ]
+
+# v = t^2, W = 0.3/t^2 on [1, inf) under the five pair criteria of the
+# benchmark's Moore checks
+_MOORE_PAIR = ("[profile:v]\nkind = power\nc = 1.0\np = 2.0\n"
+               "[profile:w]\nkind = power\nc = 0.3\np = -2.0\n"
+               "[pair:p]\nv = v\nw = w\nt_start = 1.0\n")
+_PAIR_CRITERIA = ("criteria = first_zero oscillation moore_liminf bmr lambda1_negative\n"
+                  "pair = p\na = 1\nb = 3\nc_thresh = 0.26\n")
 
 
 @pytest.fixture
@@ -194,6 +213,35 @@ class TestCheck:
         assert main(["check", "--config", str(cfg), "--out", str(out)]) == 0
         verdict = json.loads((out / "verdicts.json").read_text())["verdicts"][0]
         assert verdict["status"] == "violated"
+
+    def test_yamabe_reads_no_pair(self, tmp_path):
+        cfg = tmp_path / "yamabe.ini"
+        cfg.write_text("[profile:s]\nkind = constant\nc = -1.0\n"
+                       "[profile:v]\nkind = power\nc = 1.0\np = 2.0\n"
+                       "[check]\ncriteria = yamabe\ns_mean = s\nv = v\nm = 3\n"
+                       "a = 1\nb = 3\n")
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        verdict = json.loads((tmp_path / "verdicts.json").read_text())["verdicts"][0]
+        assert verdict["criterion"] == "yamabe"
+
+    @pytest.mark.parametrize("command,section,builds", [
+        ("check", "[check]\n", ["p"]),
+        ("sweep", "[sweep]\nvary = profile:w.c\nvalues = 0.2 0.3 0.4\n", ["p"] * 3),
+    ], ids=["check", "sweep"])
+    def test_pair_built_once_per_run(self, tmp_path, monkeypatch, command, section,
+                                     builds):
+        # every criterion of a run (a sweep row) shares the pair it names
+        built, post_init = [], profiles.CoefficientPair.__post_init__
+
+        def counting(pair):
+            built.append(pair.label)
+            post_init(pair)
+
+        monkeypatch.setattr(profiles.CoefficientPair, "__post_init__", counting)
+        cfg = tmp_path / "pair.ini"
+        cfg.write_text(_MOORE_PAIR + section + _PAIR_CRITERIA)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert built == builds
 
 
 class TestSweep:
@@ -320,7 +368,9 @@ class TestExitCodes:
                                   "tol_nan", "tol_negative", "horizon_negative",
                                   "spectral_horizon_negative", "count_horizon_zero",
                                   "unknown_spectral_keys", "unknown_profile_key",
-                                  "sweep_misspelt_required_key"])
+                                  "sweep_misspelt_required_key", "unknown_criterion",
+                                  "curvature_model_v", "curvature_model_bare",
+                                  "unknown_warping"])
     def test_malformed_field_message(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
