@@ -7,8 +7,8 @@ from .errors import (AtPole, CatalogDerivativeMissing, ConfigError,
                      SingularStartFailure, SturmoscError, TailInfoMissing,
                      ToleranceNotMet)
 from .profiles import (AsymptoticTail, ClosedFormTailIntegral, CoefficientPair,
-                       CurvatureProfile, Profile, add, big_v, big_v_minus_one,
-                       certified_nonnegative, certified_nonpositive, constant,
+                       CurvatureProfile, Profile, add, big_v, certified_nonnegative,
+                       certified_nonpositive, constant, coth_band,
                        elementwise_power, exponential, integrate, integrate_err,
                        multiply, power, reciprocal, scaled, subtract,
                        tail_divergence, tail_integral, tail_integral_converges,

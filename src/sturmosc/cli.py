@@ -435,6 +435,9 @@ def cmd_sweep(resolver, sec, out_dir, tol, horizon):
                        count_zeros, count_horizon) for value in values]
     # every row reads the same keys, unless a numerical error cut it short
     if any(all(row[name] != "error" for name in names) for row in rows):
+        if vary_section not in resolver.unread:
+            raise ConfigError(f"[sweep] vary target {vary!r} is in a section "
+                              "that the sweep never opens")
         resolver.reject_unread()
 
     fields = ["value"] + names + (["zeros"] if count_zeros else [])

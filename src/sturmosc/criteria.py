@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import HypothesisViolated, InvalidParams, TailInfoMissing
 from .profiles import (DEFAULT_TOL, LOG_ORDER, antiderivative_term,
-                       big_v_minus_one, certified_nonpositive, cumulative,
+                       certified_nonpositive, coth_band, cumulative,
                        elementwise_power, integrate, multiply, power,
                        tail_divergence, tail_integral, weighted_moment)
 
@@ -311,19 +311,16 @@ def search_main_B2(k, a_grid=None, b_grid=None, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 def first_zero_threshold(pair, b, tol=DEFAULT_TOL):
-    """The case-split threshold 2B, or 2B V(b,inf)/(V(b,inf)-1), or the B = 0 limits."""
+    """The case-split threshold: 2B when 1/v is not integrable at +inf, else
+    2B V/(V - 1) with V = V(b, inf), computed as B + B coth(B x) with x the
+    tail integral of 1/v from b (1/x at B = 0)."""
     B = pair.b_const
     if pair.v_inv_l1_at_infinity is None:
         raise TailInfoMissing(
             "deciding the threshold needs the integrability of 1/v at +inf")
     if not pair.v_inv_l1_at_infinity:
         return 2.0 * B
-    if B == 0.0:
-        return 1.0 / tail_integral(pair.v_inv, b, tol=tol)
-    vm1 = big_v_minus_one(pair, b, math.inf, tol=tol)
-    if math.isinf(vm1):
-        return 2.0 * B
-    return 2.0 * B * (vm1 + 1.0) / vm1
+    return B + coth_band(B, tail_integral(pair.v_inv, b, tol=tol))
 
 
 def check_first_zero(pair, a, b, tol=DEFAULT_TOL):

@@ -48,6 +48,7 @@ __all__ = [
     "LOG_ORDER",
     "tail_divergence",
     "big_v",
+    "coth_band",
     "weighted_moment",
     "DEFAULT_TOL",
 ]
@@ -667,51 +668,43 @@ class CurvatureProfile:
 # Integral functionals
 # ---------------------------------------------------------------------------
 
-def _big_v_exponent(pair, t1, t2, tol):
-    """The exponent 2 B * integral of 1/v over [t1, t2] shared by big_v and
-    big_v_minus_one; None when t1 == t2 or B == 0, +inf on divergence."""
-    t1 = float(t1)
-    if t1 < 0 or t2 < t1:
-        raise InvalidParams("need 0 <= t1 <= t2")
-    if t1 == t2 or pair.b_const == 0.0:
-        return None
-    if math.isinf(t2):
-        expo = tail_integral(pair.v_inv, t1, tol=tol)
-    else:
-        expo = integrate(pair.v_inv, t1, float(t2), tol=tol)
-    if math.isinf(expo):
-        return math.inf
-    return 2.0 * pair.b_const * expo
-
-
 def big_v(pair, t1, t2, tol=DEFAULT_TOL):
     """exp(2 B * integral of 1/v over [t1, t2]); t2 may be +inf.
 
     Returns 1 when t1 == t2 or B == 0, and +inf when the exponent
     diverges.
     """
-    expo = _big_v_exponent(pair, t1, t2, tol)
-    if expo is None:
+    t1 = float(t1)
+    if t1 < 0 or t2 < t1:
+        raise InvalidParams("need 0 <= t1 <= t2")
+    if t1 == t2 or pair.b_const == 0.0:
         return 1.0
+    if math.isinf(t2):
+        expo = tail_integral(pair.v_inv, t1, tol=tol)
+    else:
+        expo = integrate(pair.v_inv, t1, float(t2), tol=tol)
     try:
-        return math.exp(expo)
+        return math.exp(2.0 * pair.b_const * expo)
     except OverflowError:
         return math.inf
 
 
-def big_v_minus_one(pair, t1, t2, tol=DEFAULT_TOL):
-    """big_v(pair, t1, t2) - 1 computed through expm1.
+def coth_band(b, x):
+    """The comparison band b * coth(b * x) for b >= 0 and x >= 0.
 
-    Exact where the growth factor itself rounds to 1.0, which is what the
-    V/(V - 1) thresholds need when the remaining tail of 1/v is tiny.
+    Exactly 1/x wherever b * x < 1e-8, where (1/x)(1 + (b x)^2 / 3)
+    already rounds to 1/x: so b = 0 gives 1/x (0 at x = +inf) and no
+    underflowed b * x is divided by.  +inf at x = 0, and b at x = +inf.
     """
-    expo = _big_v_exponent(pair, t1, t2, tol)
-    if expo is None:
-        return 0.0
-    try:
-        return math.expm1(expo)
-    except OverflowError:
+    b, x = float(b), float(x)
+    if x == 0.0:
         return math.inf
+    bx = b * x
+    if b == 0.0 or bx < 1e-8:
+        return 1.0 / x
+    if bx > 20.0:
+        return b  # 2b / expm1(2bx) is below half an ulp of b
+    return b + 2.0 * b / math.expm1(2.0 * bx)
 
 
 def weighted_moment(k, lam, a, b, tol=DEFAULT_TOL):

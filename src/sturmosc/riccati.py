@@ -19,9 +19,8 @@ from scipy.optimize import brentq
 
 from .errors import (AtPole, InvalidParams, MismatchedAnchor, OutOfValidity,
                      TailInfoMissing)
-from .profiles import (CoefficientPair, DEFAULT_TOL, big_v,
-                       big_v_minus_one, integrate, tail_integral,
-                       tail_integral_converges)
+from .profiles import (CoefficientPair, DEFAULT_TOL, coth_band, integrate,
+                       tail_integral, tail_integral_converges)
 
 __all__ = [
     "RiccatiTrajectory",
@@ -100,22 +99,29 @@ class ComparisonFamily:
             raise InvalidParams("radial flavor needs its coefficient pair")
 
 
-def _v_one_t(pair, t, tol):
-    """V(1, t) for any t > 0 (reciprocal below the base point)."""
-    if t >= 1.0:
-        return big_v(pair, 1.0, t, tol=tol)
-    below = big_v(pair, t, 1.0, tol=tol)
-    return math.inf if below == 0.0 else 1.0 / below
+def _signed_integral(v_inv, t0, t, tol):
+    """Integral of 1/v from t0 to t, negative for t < t0."""
+    if t < 0:
+        raise InvalidParams("the volume factor lives on t >= 0")
+    if t >= t0:
+        return integrate(v_inv, t0, t, tol=tol)
+    return -integrate(v_inv, t, t0, tol=tol)
+
+
+def _log_growth(flavor, b, t, pair, tol):
+    """The log of the flavor's growth factor at t: 2B t, or 2B times the
+    signed integral of 1/v over [1, t]."""
+    if flavor == "jacobi":
+        return 2.0 * b * t
+    return 2.0 * b * _signed_integral(pair.v_inv, 1.0, t, tol)
 
 
 def _growth(flavor, b, t, pair, tol):
     """The flavor's growth factor E at t: exp(2Bt), or V(1, t); inf on overflow."""
-    if flavor == "jacobi":
-        try:
-            return math.exp(2.0 * b * t)
-        except OverflowError:
-            return math.inf
-    return _v_one_t(pair, t, tol)
+    try:
+        return math.exp(_log_growth(flavor, b, t, pair, tol))
+    except OverflowError:
+        return math.inf
 
 
 def comparison_value(fam, t, tol=DEFAULT_TOL):
@@ -172,9 +178,11 @@ def blow_up_time(fam, tol=DEFAULT_TOL):
     """The forward pole of the family member, or +inf when there is none.
 
     For the radial flavor this solves ``integral of 1/v over [1, t] =
-    log(C) / (2B)`` by monotone root finding on the cumulative integral;
-    the pole is absent when 1/v is integrable at +inf and C is at least
-    the total growth V(1, +inf).
+    log(C) / (2B)`` (signed, so t < 1 when C < 1): t walks out from 1 by
+    doubling or halving while one integral per segment is summed, and the
+    root is refined inside the segment where the running sum crosses the
+    target.  The pole is absent when 1/v is integrable at +inf and C is at
+    least the total growth V(1, +inf).
     """
     b, c = fam.b_const, fam.c_param
     if b == 0.0 or c <= 0.0:
@@ -182,38 +190,35 @@ def blow_up_time(fam, tol=DEFAULT_TOL):
     target = math.log(c) / (2.0 * b)
     if fam.flavor == "jacobi":
         return max(target, 0.0) if c >= 1.0 else math.inf
-    pair = fam.pair
-    converges = tail_integral_converges(pair.v_inv)
-    if target > 0 and converges is None:
-        raise TailInfoMissing("deciding the pole needs tail info on 1/v")
-    if target > 0 and converges:
-        total = tail_integral(pair.v_inv, 1.0, tol=tol)
-        if target >= total:
+    v_inv = fam.pair.v_inv
+    if target > 0:
+        converges = tail_integral_converges(v_inv)
+        if converges is None:
+            raise TailInfoMissing("deciding the pole needs tail info on 1/v")
+        if converges and target >= tail_integral(v_inv, 1.0, tol=tol):
             return math.inf
     if target == 0.0:
         return 1.0
 
-    def g(t):
-        if t >= 1.0:
-            return integrate(pair.v_inv, 1.0, t, tol=tol) - target
-        return -integrate(pair.v_inv, t, 1.0, tol=tol) - target
-
-    if target > 0:
-        hi = 2.0
-        for _ in range(200):
-            if g(hi) >= 0:
-                break
-            hi *= 2.0
-        return float(brentq(g, 1.0, hi, xtol=1e-13, rtol=1e-13))
-    lo = 0.5
-    for _ in range(200):
-        if g(lo) <= 0:
+    sign = 1.0 if target > 0 else -1.0
+    t, total = 1.0, 0.0
+    while True:
+        nxt = t * 2.0 ** sign
+        if not 1e-12 <= nxt < math.inf:
+            raise TailInfoMissing(
+                f"cumulative integral of 1/v does not reach {target:g} "
+                f"towards {'+inf' if target > 0 else '0+'}; cannot bracket the pole")
+        reached = total + _signed_integral(v_inv, t, nxt, tol)
+        if sign * (reached - target) >= 0:
             break
-        lo *= 0.5
-        if lo < 1e-12:
-            raise TailInfoMissing("cumulative integral of 1/v does not "
-                                  "diverge towards 0+; cannot bracket the pole")
-    return float(brentq(g, lo, 1.0, xtol=1e-15, rtol=1e-13))
+        t, total = nxt, reached
+
+    def g(x):
+        return total + _signed_integral(v_inv, t, x, tol) - target
+
+    lo, hi = min(t, nxt), max(t, nxt)
+    # xtol scales with the segment, so a pole near 0 keeps its relative accuracy
+    return float(brentq(g, lo, hi, xtol=1e-15 * lo, rtol=1e-13))
 
 
 class EnvelopeKind(enum.Enum):
@@ -226,54 +231,38 @@ class EnvelopeKind(enum.Enum):
     DIAMETER = "diameter"              # band on (0, D/2) from a diameter bound D
 
 
-def _coth(x):
-    return 1.0 / math.tanh(x)
-
-
 def envelope(kind, t, b_const, pair=None, T=None, D=None, tol=DEFAULT_TOL):
     """(lower, upper) bound pair for the requested envelope at abscissa t.
 
-    All B = 0 instances are the analytic limits of the B > 0 formulas
-    (e.g. -B coth(Bt) -> -1/t and B (V+1)/(V-1) -> 1 / integral of 1/v),
-    never literal 0*inf evaluations.
+    Every band is B coth(B x) (:func:`~sturmosc.profiles.coth_band`) at a
+    distance x: t, D/2 - t, the integral of 1/v over (t, +inf) (which is
+    B (V+1)/(V-1) with V = V(t, +inf)) or over [T, t].  At B = 0 it is
+    exactly 1/x, the analytic limit, never a literal 0*inf evaluation.
     """
     t = float(t)
     b = float(b_const)
     if t <= 0:
         raise OutOfValidity("envelopes live on t > 0")
     if kind == EnvelopeKind.JACOBI:
-        lower = -1.0 / t if b == 0.0 else -b * _coth(b * t)
-        return lower, b
+        return -coth_band(b, t), b
     if kind == EnvelopeKind.RADIAL:
         return -b, b
     if kind == EnvelopeKind.RADIAL_TAIL:
         if pair is None:
             raise InvalidParams("RADIAL_TAIL needs the coefficient pair")
-        if b == 0.0:
-            upper = 1.0 / tail_integral(pair.v_inv, t, tol=tol)
-        else:
-            vm1 = big_v_minus_one(pair, t, math.inf, tol=tol)
-            upper = b if math.isinf(vm1) else b * (vm1 + 2.0) / vm1
-        return -b, upper
+        return -b, coth_band(b, tail_integral(pair.v_inv, t, tol=tol))
     if kind == EnvelopeKind.RADIAL_BEYOND:
         if pair is None or T is None:
             raise InvalidParams("RADIAL_BEYOND needs the pair and the abscissa T")
         if t <= T:
             raise OutOfValidity("RADIAL_BEYOND is valid for t > T")
-        if b == 0.0:
-            lower = -1.0 / integrate(pair.v_inv, T, t, tol=tol)
-        else:
-            vm1 = big_v_minus_one(pair, T, t, tol=tol)
-            lower = -math.inf if vm1 == 0.0 else -b * (vm1 + 2.0) / vm1
-        return lower, b
+        return -coth_band(b, integrate(pair.v_inv, T, t, tol=tol)), b
     if kind == EnvelopeKind.DIAMETER:
         if D is None:
             raise InvalidParams("DIAMETER needs the diameter bound D")
         if t >= D / 2.0:
             raise OutOfValidity("DIAMETER band is valid for t < D/2")
-        if b == 0.0:
-            return -1.0 / t, 1.0 / (D / 2.0 - t)
-        return -b * _coth(b * t), b * _coth(b * (D / 2.0 - t))
+        return -coth_band(b, t), coth_band(b, D / 2.0 - t)
     raise InvalidParams(f"unknown envelope kind {kind!r}")
 
 
@@ -309,23 +298,22 @@ def verify_comparison(q1, q2, t_bar, direction="forward", tol=1e-6):
         raise MismatchedAnchor(
             f"q1({t_bar:g}) = {y1a:.12g} vs q2({t_bar:g}) = {y2a:.12g}")
 
-    forward = direction == "forward"
-    if forward:
-        p1 = min((p for p in q1.poles if p > t_bar), default=math.inf)
-        p2 = min((p for p in q2.poles if p > t_bar), default=math.inf)
-        mask = (q1.ts > t_bar) & (q1.ts < p1) & (q1.ts < p2)
-        pole_ok = p1 <= p2 + 1e-6 * (1.0 + abs(p1)) if math.isfinite(p1) or math.isfinite(p2) else None
-    else:
-        p1 = max((p for p in q1.poles if p < t_bar), default=-math.inf)
-        p2 = max((p for p in q2.poles if p < t_bar), default=-math.inf)
-        mask = (q1.ts < t_bar) & (q1.ts > p1) & (q1.ts > p2)
-        pole_ok = p1 >= p2 - 1e-6 * (1.0 + abs(p1)) if math.isfinite(p1) or math.isfinite(p2) else None
+    s = 1.0 if direction == "forward" else -1.0  # reflect t -> -t backward
+
+    def nearest_pole(q):
+        return s * min((s * p for p in q.poles if s * p > s * t_bar), default=math.inf)
+
+    p1, p2 = nearest_pole(q1), nearest_pole(q2)
+    st = s * q1.ts
+    mask = (st > s * t_bar) & (st < s * p1) & (st < s * p2)
+    pole_ok = (s * p1 <= s * p2 + 1e-6 * (1.0 + abs(p1))
+               if math.isfinite(p1) or math.isfinite(p2) else None)
 
     ts = q1.ts[mask]
     v1 = q1.ys[mask]
     v2 = np.array([float(q2(t)) for t in ts])
     slack = tol * (1.0 + np.abs(v1) + np.abs(v2))
-    defect = (v2 - v1) if forward else (v1 - v2)
+    defect = s * (v2 - v1)
     bad = np.nonzero(defect > slack)[0]
     first = None
     if len(bad):

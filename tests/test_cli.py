@@ -148,6 +148,12 @@ PARSE_ERRORS = [
     ("check", "[model:sf]\nkind = warped\nwarping = x\nm = 2\n"
      + _CHECK.format(m="").replace("k = K", "k = model:sf.k"),
      "unknown warping kind 'x'"),
+    ("sweep", "[profile:v]\nkind = power\nc = 1.0\np = 2.0\n"
+     "[profile:w]\nkind = power\nc = 0.3\np = -2.0\n" + _HEAD.replace(":a]", ":unused]")
+     + "[pair:p]\nv = v\nw = w\nt_start = 1.0\n"
+     "[sweep]\nvary = profile:unused.c\nvalues = 0.1 0.5 2\ncriteria = oscillation\n"
+     "pair = p\n",
+     "[sweep] vary target 'profile:unused.c' is in a section that the sweep never opens"),
 ]
 
 # v = t^2, W = 0.3/t^2 on [1, inf) under the five pair criteria of the
@@ -213,6 +219,18 @@ class TestCheck:
         assert main(["check", "--config", str(cfg), "--out", str(out)]) == 0
         verdict = json.loads((out / "verdicts.json").read_text())["verdicts"][0]
         assert verdict["status"] == "violated"
+
+    def test_first_zero_with_underflowing_b_const(self, tmp_path):
+        # B = 1e-300: 2 B * (tail of 1/v) underflows, the threshold is b
+        cfg = tmp_path / "tiny.ini"
+        cfg.write_text("[profile:v]\nkind = power\nc = 1.0\np = 2.0\n"
+                       "[profile:w]\nkind = constant\nc = 0.0\n"
+                       "[pair:p]\nv = v\nw = w\nb_const = 1e-300\nt_start = 1.0\n"
+                       "[check]\ncriteria = first_zero\npair = p\na = 1\nb = 1e30\n")
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        verdict = json.loads((tmp_path / "verdicts.json").read_text())["verdicts"][0]
+        assert verdict["status"] == "inconclusive"
+        assert verdict["witness"]["rhs"] == 1e30
 
     def test_yamabe_reads_no_pair(self, tmp_path):
         cfg = tmp_path / "yamabe.ini"
@@ -370,7 +388,7 @@ class TestExitCodes:
                                   "unknown_spectral_keys", "unknown_profile_key",
                                   "sweep_misspelt_required_key", "unknown_criterion",
                                   "curvature_model_v", "curvature_model_bare",
-                                  "unknown_warping"])
+                                  "unknown_warping", "sweep_vary_unopened_section"])
     def test_malformed_field_message(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)

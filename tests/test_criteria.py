@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmosc import (CoefficientPair, CurvatureProfile, HypothesisViolated,
                       InvalidParams, Status, TailInfoMissing,
                       check_ambrose_moore, check_bmr, check_calabi,
                       check_diameter_remark, check_first_zero, check_leighton,
                       check_main_B2, check_moore_liminf, check_myers_galloway,
-                      check_nehari, check_oscillation, constant, exponential,
-                      first_zero_threshold, multiply, power, search_main_B2)
+                      big_v, check_nehari, check_oscillation, constant,
+                      exponential, first_zero_threshold, multiply, power,
+                      search_main_B2)
 from conftest import moore_pair
 
 SAT = Status.SATISFIED
@@ -219,6 +222,28 @@ class TestFirstZero:
         vb = math.exp(2.0 * 0.5)  # V(2, inf) with int = 1/2
         assert first_zero_threshold(l1, 2.0) == pytest.approx(
             2.0 * vb / (vb - 1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("b", [1e20, 1e30])
+    def test_tiny_b_threshold_is_the_b_zero_limit(self, b):
+        # 2 B x underflows (B = 1e-300, x = 1/b): the threshold is 1/x = b,
+        # not a division by an expm1 of a subnormal or of 0
+        pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1e-300,
+                               t_start=1.0)
+        assert first_zero_threshold(pair, b) == pytest.approx(b, rel=1e-15)
+        v = check_first_zero(pair, 1.0, b)
+        assert v.status is INC
+        assert v.witness["rhs"] == pytest.approx(b, rel=1e-15)
+
+    @given(st.floats(0.05, 5.0), st.floats(1.2, 4.0), st.floats(0.3, 3.0),
+           st.floats(1.0, 20.0))
+    @settings(max_examples=40, deadline=None)
+    def test_threshold_is_two_b_v_over_v_minus_one(self, B, q, a, b):
+        # the growth-factor form 2B V/(V - 1), V = V(b, inf), as a second
+        # route; V - 1 cancels, so it carries V/(V - 1) roundings of V
+        pair = CoefficientPair(power(a, q), constant(0.0), b_const=B, t_start=1.0)
+        V = big_v(pair, b, math.inf)
+        assert first_zero_threshold(pair, b) == pytest.approx(
+            2.0 * B * V / (V - 1.0), rel=1e-14 * V / (V - 1.0))
 
     def test_missing_tail_raises(self):
         from sturmosc import Profile

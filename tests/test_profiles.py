@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sturmosc import (AsymptoticTail, ClosedFormTailIntegral, CoefficientPair,
                       InvalidParams, NonFiniteSample, Profile,
                       TailInfoMissing, ToleranceNotMet, add, big_v,
-                      certified_nonnegative, constant, elementwise_power,
+                      certified_nonnegative, constant, coth_band, elementwise_power,
                       exponential, integrate, integrate_err, model_profiles,
                       multiply, power, reciprocal, scaled, space_form,
                       subtract, tail_divergence, tail_integral,
@@ -377,6 +377,36 @@ class TestBigV:
         assert all(a <= b for a, b in zip(values_t2, values_t2[1:]))
         values_t1 = [big_v(pair, t1, 8.0) for t1 in (1.0, 2.0, 4.0)]
         assert all(a >= b for a, b in zip(values_t1, values_t1[1:]))
+
+
+class TestCothBand:
+    @given(st.floats(1e-6, 1e3), st.floats(1e-6, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_expm1_forms(self, b, x):
+        # the ratios coth_band replaced: b (m + 2) / m for the band and
+        # 2b (m + 1) / m for the first-zero threshold, m = expm1(2 b x)
+        try:
+            m = math.expm1(2.0 * b * x)
+        except OverflowError:
+            m = math.inf
+        band = b * (m + 2.0) / m if math.isfinite(m) else b
+        threshold = 2.0 * b * (m + 1.0) / m if math.isfinite(m) else 2.0 * b
+        assert abs(coth_band(b, x) - band) <= 4 * math.ulp(band)
+        assert abs(b + coth_band(b, x) - threshold) <= 4 * math.ulp(threshold)
+
+    def test_limits(self):
+        assert coth_band(0.0, math.inf) == 0.0
+        assert coth_band(2.5, math.inf) == 2.5
+        assert coth_band(2.5, 0.0) == math.inf
+        assert coth_band(0.0, 0.0) == math.inf
+        assert coth_band(1.0, 50.0) == 1.0
+
+    @pytest.mark.parametrize("b,x", [(0.0, 1e-300), (0.0, 0.3), (0.0, 7.0), (0.0, 1e300),
+                                     (1e-300, 1e-20), (1e-300, 1e-30), (1e-5, 1e-4),
+                                     (1e-200, 1e-200)])
+    def test_exactly_one_over_x_below_1e_8(self, b, x):
+        # b x may underflow; (1/x)(1 + (b x)^2 / 3) rounds to 1/x anyway
+        assert coth_band(b, x) == 1.0 / x
 
 
 class TestWeightedMoment:

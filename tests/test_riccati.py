@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from sturmosc import (AtPole, CoefficientPair, ComparisonFamily, CurvatureProfile,
                       EnvelopeKind, InvalidParams, MismatchedAnchor, OutOfValidity,
-                      anchored_family, blow_up_time, comparison_value, constant,
-                      envelope, family_riccati, power, riccati_from_solution,
-                      solve_jacobi, solve_radial, verify_comparison)
+                      RiccatiTrajectory, TailInfoMissing, anchored_family,
+                      blow_up_time, comparison_value, constant, envelope,
+                      family_riccati, power, riccati_from_solution, solve_jacobi,
+                      solve_radial, verify_comparison)
 
 E2 = math.e ** 2
 COMPARISON_RATIO = (E2 + 1.0) / (E2 - 1.0)  # ~ 1.313035285
@@ -88,6 +89,11 @@ class TestAnchoredFamily:
             anchored_family("jacobi", 1.0, 400.0, 0.5)
         assert comparison_value(ComparisonFamily(1.0, 2.0, "jacobi"), 400.0) == -1.0
 
+    def test_radial_anchor_below_zero_raises(self):
+        pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1.0)
+        with pytest.raises(InvalidParams):
+            anchored_family("radial", 1.0, -1.0, 0.5, pair=pair)
+
 
 class TestBlowUpTime:
     def test_constant_flavor(self):
@@ -111,6 +117,21 @@ class TestBlowUpTime:
         fam2 = ComparisonFamily(1.0, math.exp(-2.0), "radial", pair2)
         t_c = blow_up_time(fam2)  # solves int_{t}^{1} s^-2 ds = 1 -> t = 1/2
         assert t_c == pytest.approx(0.5, rel=1e-9)
+
+    def test_target_beyond_the_float_range_raises(self):
+        pair = CoefficientPair(power(1.0, 1.0), constant(0.0), b_const=1.0)
+        with pytest.raises(TailInfoMissing):
+            blow_up_time(ComparisonFamily(1.0, math.inf, "radial", pair))
+
+    @pytest.mark.parametrize("b,log_c", [(0.5, -2.0), (0.5, 2.0), (0.5, 40.0),
+                                         (0.5, -20.0), (1.0, 300.0)])
+    def test_radial_pole_of_v_equal_t(self, b, log_c):
+        # v = t: the integral of 1/v over [1, t] is log t, so the pole is
+        # exp(log(C) / (2B)): below 1 when C < 1, and e^150 ~ 2^216 for
+        # B = 1, C = e^300
+        pair = CoefficientPair(power(1.0, 1.0), constant(0.0), b_const=b)
+        pole = blow_up_time(ComparisonFamily(b, math.exp(log_c), "radial", pair))
+        assert pole == pytest.approx(math.exp(log_c / (2.0 * b)), rel=1e-12, abs=0.0)
 
     @given(st.floats(1.1, 50.0), st.floats(1.01, 3.0))
     @settings(max_examples=40, deadline=None)
@@ -143,6 +164,12 @@ class TestEnvelope:
         pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=0.0)
         lo, hi = envelope(EnvelopeKind.RADIAL_TAIL, 2.0, 0.0, pair=pair)
         assert hi == pytest.approx(2.0, rel=1e-9)  # 1 / (tail of 1/v) = t
+
+    def test_radial_tail_with_underflowing_exponent(self):
+        # 2 B * (tail of 1/v) = 2e-330 underflows: the band is 1/tail = t
+        pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1e-300)
+        assert envelope(EnvelopeKind.RADIAL_TAIL, 1e30, 1e-300, pair=pair) == (
+            -1e-300, pytest.approx(1e30, rel=1e-15))
 
     def test_radial_beyond_band(self):
         pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1.0)
@@ -226,6 +253,27 @@ class TestVerifyComparison:
         forward = verify_comparison(q1, q2, 1.0, "forward")
         backward = verify_comparison(q1, q2, 1.0, "backward")
         assert forward.ok and backward.ok
+
+    def test_backward_is_forward_mirrored(self):
+        # t -> -t and y -> -y turn a forward check into a backward one,
+        # with the nodes kept in the same order
+        ts = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
+        y1 = np.array([0.0, 0.3, 0.1, 0.4, -0.2, 0.9, 0.0])
+        y2 = np.array([0.0, 0.3, 0.2, 0.1, 0.5, -0.9, 0.0])
+
+        def traj(ts, ys, poles):
+            table = dict(zip(ts.tolist(), ys.tolist()))
+            return RiccatiTrajectory(ts, ys, poles, lambda t: table[float(t)])
+
+        forward = verify_comparison(traj(ts, y1, (3.2,)), traj(ts, y2, (2.7, 0.7)),
+                                    1.0, "forward", tol=1e-3)
+        backward = verify_comparison(traj(-ts, -y1, (-3.2,)),
+                                     traj(-ts, -y2, (-2.7, -0.7)),
+                                     -1.0, "backward", tol=1e-3)
+        assert forward.n_checked == backward.n_checked == 3
+        assert forward.first_violation == (1.5, 0.1, 0.2)
+        assert backward.first_violation == (-1.5, -0.1, -0.2)
+        assert forward.pole_order_ok is backward.pole_order_ok is False
 
     def test_anchor_mismatch_raises(self, unit_curvature):
         traj = solve_jacobi(unit_curvature, horizon=3.0)
