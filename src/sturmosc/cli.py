@@ -350,15 +350,13 @@ def _config_header(cfg):
     return ["# cfg: " + line for line in cfg["__text__"].splitlines()]
 
 
-def _write_trajectory(path, traj, cfg):
-    lines = _config_header(cfg)
-    lines.append("# columns: t\tz\tdz")
-    for t, z, dz in traj.nodes:
-        lines.append(f"{_fmt(float(t))}\t{_fmt(float(z))}\t{_fmt(float(dz))}")
-    for cert in traj.zeros:
-        lines.append(f"# zero {_fmt(cert.t_lo)} {_fmt(cert.t_hi)}")
-    if traj.terminated_reason == "step_underflow":
-        lines.append(f"# terminated step_underflow at {_fmt(traj.t_end)}")
+def _write_tsv(path, cfg, columns, rows, notes=(), trailer=()):
+    """A TSV artifact: the `# cfg:` header, `#` note lines, the `# columns:`
+    line, one tab-separated row of numbers per row, then `#` trailer lines."""
+    lines = (_config_header(cfg) + [f"# {note}" for note in notes]
+             + ["# columns: " + "\t".join(columns)]
+             + ["\t".join(_fmt(float(x)) for x in row) for row in rows]
+             + [f"# {line}" for line in trailer])
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -376,7 +374,11 @@ def cmd_solve(resolver, sec, out_dir, tol, horizon):
     else:
         raise ConfigError(f"[solve] unknown problem {problem!r}")
     resolver.reject_unread()
-    _write_trajectory(out_dir / "trajectory.tsv", traj, resolver.cfg)
+    trailer = [f"zero {_fmt(cert.t_lo)} {_fmt(cert.t_hi)}" for cert in traj.zeros]
+    if traj.terminated_reason == "step_underflow":
+        trailer.append(f"terminated step_underflow at {_fmt(traj.t_end)}")
+    _write_tsv(out_dir / "trajectory.tsv", resolver.cfg, ("t", "z", "dz"),
+               traj.nodes, trailer=trailer)
     if traj.terminated_reason == "step_underflow":
         raise SturmoscError(
             f"solver broke down (step_underflow) at t = {_fmt(traj.t_end)}")
@@ -461,10 +463,8 @@ def cmd_spectral(resolver, sec, out_dir, tol, horizon):
     resolver.reject_unread()
     _write_json(out_dir / "spectral.json",
                 {"config": resolver.cfg["__text__"], "report": report.to_dict()})
-    lines = _config_header(resolver.cfg) + ["# columns: t2\tquotient"]
-    for t2, q in report.rayleigh_values:
-        lines.append(f"{_fmt(float(t2))}\t{_fmt(float(q))}")
-    (out_dir / "rayleigh.tsv").write_text("\n".join(lines) + "\n")
+    _write_tsv(out_dir / "rayleigh.tsv", resolver.cfg, ("t2", "quotient"),
+               report.rayleigh_values)
     if report.breakdown_at is not None:
         raise SturmoscError(
             f"solver broke down (step_underflow) at t = {_fmt(report.breakdown_at)}")
@@ -479,14 +479,11 @@ def cmd_geometry(resolver, sec, out_dir, tol, horizon):
     if n < 2 or r0 <= 0 or r1 <= r0:
         raise ConfigError("[geometry] needs 0 < r_start < r_stop and n >= 2")
     resolver.reject_unread()
-    lines = _config_header(resolver.cfg)
-    lines.append(f"# model m={model.m} warping={model.warping.name} "
-                 f"b_const={_fmt(k.b_const)}")
-    lines.append("# columns: r\tK\tv")
-    for i in range(n):
-        r = r0 + (r1 - r0) * i / (n - 1)
-        lines.append(f"{_fmt(r)}\t{_fmt(k.k(r))}\t{_fmt(v(r))}")
-    (out_dir / "profiles.tsv").write_text("\n".join(lines) + "\n")
+    rs = [r0 + (r1 - r0) * i / (n - 1) for i in range(n)]
+    _write_tsv(out_dir / "profiles.tsv", resolver.cfg, ("r", "K", "v"),
+               [(r, k.k(r), v(r)) for r in rs],
+               notes=[f"model m={model.m} warping={model.warping.name} "
+                      f"b_const={_fmt(k.b_const)}"])
     return 0
 
 

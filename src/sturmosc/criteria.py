@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,15 +68,42 @@ class Conclusion(str, enum.Enum):
     NONE = "none"
 
 
+# criterion -> the conclusion that a SATISFIED verdict of it licenses
+_CONCLUSIONS = {
+    "myers_galloway": Conclusion.DIAMETER_BOUND,
+    "diameter_remark": Conclusion.DIAMETER_BOUND,
+    "ambrose_moore": Conclusion.MANIFOLD_COMPACT,
+    "nehari": Conclusion.MANIFOLD_COMPACT,
+    "calabi": Conclusion.MANIFOLD_COMPACT,
+    "main_b2": Conclusion.MANIFOLD_COMPACT,
+    "first_zero": Conclusion.FIRST_ZERO_EXISTS,
+    "oscillation": Conclusion.OSCILLATORY,
+    "moore_liminf": Conclusion.OSCILLATORY,
+    "leighton": Conclusion.OSCILLATORY,
+    "bmr": Conclusion.OSCILLATORY,
+    "lambda1_negative": Conclusion.NEGATIVE_BOTTOM_SPECTRUM,
+    "instability_at_infinity": Conclusion.UNSTABLE_AT_INFINITY,
+    "yamabe": Conclusion.CONFORMAL_DEFORMATION,
+}
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of one criterion check, with the numbers that drove it."""
 
     criterion: str
     status: Status
-    conclusion: Conclusion = Conclusion.NONE
     witness: dict = field(default_factory=dict)
     notes: str = ""
+
+    def __post_init__(self):
+        if self.criterion not in _CONCLUSIONS:
+            raise InvalidParams(f"no conclusion for criterion {self.criterion!r}")
+
+    @property
+    def conclusion(self):
+        """The criterion's conclusion when SATISFIED, else Conclusion.NONE."""
+        return _CONCLUSIONS[self.criterion] if self.satisfied else Conclusion.NONE
 
     def to_dict(self):
         return {
@@ -90,6 +117,11 @@ class Verdict:
     @property
     def satisfied(self):
         return self.status is Status.SATISFIED
+
+
+def _status(holds):
+    """SATISFIED when the criterion's inequality holds, else INCONCLUSIVE."""
+    return Status.SATISFIED if holds else Status.INCONCLUSIVE
 
 
 def _strict_margin(lhs, rhs, tol):
@@ -121,8 +153,7 @@ def check_myers_galloway(c, F, m):
         raise InvalidParams("need F >= 0 and integer m >= 2")
     bound = (2.0 * F + math.sqrt(4.0 * F * F + math.pi ** 2 * (m - 1) * c)) / c
     return Verdict(
-        criterion="myers_galloway", status=Status.SATISFIED,
-        conclusion=Conclusion.DIAMETER_BOUND,
+        "myers_galloway", Status.SATISFIED,
         witness={"diameter_bound": bound, "c": float(c), "F": float(F),
                  "m": float(m)},
         notes="complete manifold is compact with diam <= diameter_bound")
@@ -150,14 +181,12 @@ def check_ambrose_moore(k, lam, horizon=1e4, tol=DEFAULT_TOL):
     witness = {"lambda": float(lam), "partial_moment": partial,
                "horizon": float(horizon)}
     if div == "+inf":
-        return Verdict("ambrose_moore", Status.SATISFIED,
-                       Conclusion.MANIFOLD_COMPACT, witness,
+        return Verdict("ambrose_moore", Status.SATISFIED, witness,
                        notes="tail class certifies the divergent moment")
     if div == "-inf":
-        return Verdict("ambrose_moore", Status.VIOLATED, Conclusion.NONE,
-                       witness, notes="moment certified divergent to -inf")
-    return Verdict("ambrose_moore", Status.INCONCLUSIVE, Conclusion.NONE,
-                   witness,
+        return Verdict("ambrose_moore", Status.VIOLATED, witness,
+                       notes="moment certified divergent to -inf")
+    return Verdict("ambrose_moore", Status.INCONCLUSIVE, witness,
                    notes="no divergence certificate from the tail class")
 
 
@@ -182,10 +211,8 @@ def check_nehari(k, lam, t0, horizon=1e4, tol=DEFAULT_TOL):
         witness["certified_total"] = total
     except TailInfoMissing:
         pass
-    if _strict_margin(partial, threshold, tol):
-        return Verdict("nehari", Status.SATISFIED, Conclusion.MANIFOLD_COMPACT,
-                       witness)
-    return Verdict("nehari", Status.INCONCLUSIVE, Conclusion.NONE, witness)
+    return Verdict("nehari", _status(_strict_margin(partial, threshold, tol)),
+                   witness)
 
 
 def check_calabi(k, horizon=1e4, tol=DEFAULT_TOL):
@@ -207,16 +234,14 @@ def check_calabi(k, horizon=1e4, tol=DEFAULT_TOL):
     if term is not None and term[0] > 0:
         c, order = term
         if order > LOG_ORDER:
-            return Verdict("calabi", Status.SATISFIED,
-                           Conclusion.MANIFOLD_COMPACT, witness,
+            return Verdict("calabi", Status.SATISFIED, witness,
                            notes="sqrt(K) grows faster than 1/t; divergence certified")
         if order == LOG_ORDER:
             witness["log_coefficient"] = c
             if _strict_margin(c, coeff, tol):
-                return Verdict("calabi", Status.SATISFIED,
-                               Conclusion.MANIFOLD_COMPACT, witness,
+                return Verdict("calabi", Status.SATISFIED, witness,
                                notes="log coefficient beats the threshold")
-    return Verdict("calabi", Status.INCONCLUSIVE, Conclusion.NONE, witness)
+    return Verdict("calabi", Status.INCONCLUSIVE, witness)
 
 
 def _main_b2_rhs(a, b, lam, B):
@@ -228,6 +253,8 @@ def _main_b2_rhs(a, b, lam, B):
     # coth(B a) from an exponent clamped where the ratio is already exactly
     # 1.0 (2 B a >= 37.43), so that exp cannot overflow
     x = math.exp(min(2 * B * a, 40.0))
+    if x == 1.0:  # 2 B a < 1.1e-16: B coth(B a) is 1/a, the B = 0 limit
+        return B * b ** lam + _main_b2_rhs(a, b, lam, 0.0)
     coth_a = (x + 1.0) / (x - 1.0)
     if lam == 1.0:
         return B * (b + a * coth_a) + 0.25 * math.log(b / a)
@@ -259,13 +286,12 @@ def _main_b2_verdict(k, a, b, lam, lhs, tol):
         witness["lhs_compact"] = (1.0 - math.exp(-2.0 * B * a)) * lhs
         witness["rhs_compact"] = 2.0 * B
     if _strict_margin(lhs, rhs, tol):
-        return Verdict("main_b2", Status.SATISFIED, Conclusion.MANIFOLD_COMPACT,
-                       witness)
+        return Verdict("main_b2", Status.SATISFIED, witness)
     if certified_nonpositive(k.k):
-        return Verdict("main_b2", Status.VIOLATED, Conclusion.NONE, witness,
+        return Verdict("main_b2", Status.VIOLATED, witness,
                        notes="K <= 0 certified: the comparison solution never "
                              "vanishes, so the criterion fails for all (a, b, lambda)")
-    return Verdict("main_b2", Status.INCONCLUSIVE, Conclusion.NONE, witness)
+    return Verdict("main_b2", Status.INCONCLUSIVE, witness)
 
 
 def search_main_B2(k, a_grid=None, b_grid=None, tol=DEFAULT_TOL):
@@ -296,14 +322,13 @@ def search_main_B2(k, a_grid=None, b_grid=None, tol=DEFAULT_TOL):
     for a, b in intervals:
         for lam in LAMBDA_GRID:
             lhs = float(moments[lam][at[b]] - moments[lam][at[a]])
-            v = _main_b2_verdict(k, a, b, float(lam), lhs, tol)
-            margin = ((v.witness["lhs"] - v.witness["rhs"])
-                      / (1.0 + abs(v.witness["rhs"])))
+            rhs = _main_b2_rhs(a, b, lam, k.b_const)
+            margin = (lhs - rhs) / (1.0 + abs(rhs))
             if best is None or _strict_margin(margin, best_margin, tol):
-                best, best_margin = v, margin
-    witness = dict(best.witness)
-    witness["grid_points"] = float(len(intervals) * len(LAMBDA_GRID))
-    return Verdict("main_b2", best.status, best.conclusion, witness, best.notes)
+                best, best_margin = (a, b, lam, lhs), margin
+    verdict = _main_b2_verdict(k, *best, tol)
+    return replace(verdict, witness={
+        **verdict.witness, "grid_points": float(len(intervals) * len(LAMBDA_GRID))})
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +360,7 @@ def check_first_zero(pair, a, b, tol=DEFAULT_TOL):
     rhs = first_zero_threshold(pair, b, tol=tol)
     witness = {"lhs": lhs, "rhs": rhs, "a": float(a), "b": float(b),
                "B": float(pair.b_const)}
-    if _strict_margin(lhs, rhs, tol):
-        return Verdict("first_zero", Status.SATISFIED,
-                       Conclusion.FIRST_ZERO_EXISTS, witness)
-    return Verdict("first_zero", Status.INCONCLUSIVE, Conclusion.NONE, witness)
+    return Verdict("first_zero", _status(_strict_margin(lhs, rhs, tol)), witness)
 
 
 def _product_limit(pair):
@@ -408,22 +430,19 @@ def check_oscillation(pair, R, horizon=1e4, tol=DEFAULT_TOL):
             witness["certified_limsup"] = limit
         if certified and (math.isinf(limit) and limit > 0
                           or (math.isfinite(limit) and _strict_margin(limit, 1.0, tol))):
-            return Verdict("oscillation", Status.SATISFIED,
-                           Conclusion.OSCILLATORY, witness,
+            return Verdict("oscillation", Status.SATISFIED, witness,
                            notes="limsup certified above 1 by tail algebra")
-        return Verdict("oscillation", Status.INCONCLUSIVE, Conclusion.NONE,
-                       witness)
+        return Verdict("oscillation", Status.INCONCLUSIVE, witness)
     div = tail_divergence(pair.wv)
     witness = {"R": float(R), "branch": 0.0, "threshold": 2.0 * B}
     witness.update(_window_sup_witness(pair, R, horizon, tol))
     if div == "+inf":
         witness["certified_limit"] = math.inf
-        return Verdict("oscillation", Status.SATISFIED, Conclusion.OSCILLATORY,
-                       witness,
+        return Verdict("oscillation", Status.SATISFIED, witness,
                        notes="window suprema certified divergent by tail algebra")
     if div in ("finite", "-inf"):
         witness["certified_limit"] = 0.0
-    return Verdict("oscillation", Status.INCONCLUSIVE, Conclusion.NONE, witness)
+    return Verdict("oscillation", Status.INCONCLUSIVE, witness)
 
 
 def check_moore_liminf(pair, R, c_thresh, horizon=1e4, tol=DEFAULT_TOL):
@@ -443,10 +462,7 @@ def check_moore_liminf(pair, R, c_thresh, horizon=1e4, tol=DEFAULT_TOL):
     witness.update(_product_witness(pair, R, horizon, tol))
     if certified:
         witness["certified_liminf"] = limit
-        if limit >= c_thresh:
-            return Verdict("moore_liminf", Status.SATISFIED,
-                           Conclusion.OSCILLATORY, witness)
-    return Verdict("moore_liminf", Status.INCONCLUSIVE, Conclusion.NONE,
+    return Verdict("moore_liminf", _status(certified and limit >= c_thresh),
                    witness)
 
 
@@ -457,13 +473,12 @@ def check_leighton(pair, tol=DEFAULT_TOL):
     if pair.v_inv_l1_at_infinity:
         raise InvalidParams("the Leighton test needs 1/v non-integrable at +inf")
     div = tail_divergence(pair.wv)
-    witness = {}
     if div is None:
         raise TailInfoMissing("divergence of the Wv integral is undeclared")
     if div == "+inf":
-        return Verdict("leighton", Status.SATISFIED, Conclusion.OSCILLATORY,
-                       witness, notes="integral of Wv certified divergent")
-    return Verdict("leighton", Status.INCONCLUSIVE, Conclusion.NONE, witness)
+        return Verdict("leighton", Status.SATISFIED,
+                       notes="integral of Wv certified divergent")
+    return Verdict("leighton", Status.INCONCLUSIVE)
 
 
 def check_bmr(pair, T, horizon=1e4, tol=DEFAULT_TOL):
@@ -480,12 +495,9 @@ def check_bmr(pair, T, horizon=1e4, tol=DEFAULT_TOL):
         raise InvalidParams("the critical-function test needs 1/v integrable at +inf")
     _sample_nonnegative(pair.w, T, horizon, "W")
 
-    def sqrt_chi(t):
-        return 1.0 / (2.0 * pair.v(t) * tail_integral(pair.v_inv, t, tol=tol))
-
     ts = np.geomspace(T, horizon, 48)
-    integrand = np.array([math.sqrt(max(pair.w(t), 0.0)) - sqrt_chi(t)
-                          for t in ts])
+    tails = np.array([tail_integral(pair.v_inv, t, tol=tol) for t in ts])
+    integrand = np.sqrt(np.maximum(pair.w(ts), 0.0)) - 1.0 / (2.0 * pair.v(ts) * tails)
     cumulative = np.concatenate(
         [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(ts))])
     witness = {"T": float(T), "cumulative_max": float(np.max(cumulative)),
@@ -493,7 +505,7 @@ def check_bmr(pair, T, horizon=1e4, tol=DEFAULT_TOL):
 
     v_inv, w = antiderivative_term(pair.v_inv), antiderivative_term(pair.w)
     if v_inv is None or v_inv[1] >= LOG_ORDER or w is None:
-        return Verdict("bmr", Status.INCONCLUSIVE, Conclusion.NONE, witness)
+        return Verdict("bmr", Status.INCONCLUSIVE, witness)
     # sqrt(chi) = -F'/(2F) for the vanishing antiderivative F of 1/v: the
     # constant -r/2 when F ~ t^p e^{rt}, -e/(2t) when F ~ t^e; the integral
     # of chi then has the order (0, 1) or (0, -1)
@@ -508,15 +520,15 @@ def check_bmr(pair, T, horizon=1e4, tol=DEFAULT_TOL):
         raise HypothesisViolated("W tail coefficient is negative")
     witness["sqrt_chi_coefficient"] = c_chi
     if cw > 0 and w_order > chi_order:
-        return Verdict("bmr", Status.SATISFIED, Conclusion.OSCILLATORY, witness,
+        return Verdict("bmr", Status.SATISFIED, witness,
                        notes="" if w_order[0] > 0 else "sqrt(W) dominates sqrt(chi)")
     if cw > 0 and w_order == chi_order:
         sw = math.sqrt(cw)
         if _strict_margin(sw, c_chi, tol):
             witness["sqrt_w_coefficient"] = sw
-            return Verdict("bmr", Status.SATISFIED, Conclusion.OSCILLATORY,
-                           witness, notes="same order, larger coefficient")
-    return Verdict("bmr", Status.INCONCLUSIVE, Conclusion.NONE, witness)
+            return Verdict("bmr", Status.SATISFIED, witness,
+                           notes="same order, larger coefficient")
+    return Verdict("bmr", Status.INCONCLUSIVE, witness)
 
 
 def check_diameter_remark(k, D, tol=DEFAULT_TOL):
@@ -527,8 +539,6 @@ def check_diameter_remark(k, D, tol=DEFAULT_TOL):
     witness = {"lhs": lhs, "rhs": float(D), "D": float(D)}
     if _strict_margin(lhs, float(D), tol):
         witness["diameter_bound"] = float(D)
-        return Verdict("diameter_remark", Status.SATISFIED,
-                       Conclusion.DIAMETER_BOUND, witness,
+        return Verdict("diameter_remark", Status.SATISFIED, witness,
                        notes="complete manifold is compact with diam <= D")
-    return Verdict("diameter_remark", Status.INCONCLUSIVE, Conclusion.NONE,
-                   witness)
+    return Verdict("diameter_remark", Status.INCONCLUSIVE, witness)

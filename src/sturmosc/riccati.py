@@ -101,8 +101,6 @@ class ComparisonFamily:
 
 def _signed_integral(v_inv, t0, t, tol):
     """Integral of 1/v from t0 to t, negative for t < t0."""
-    if t < 0:
-        raise InvalidParams("the volume factor lives on t >= 0")
     if t >= t0:
         return integrate(v_inv, t0, t, tol=tol)
     return -integrate(v_inv, t, t0, tol=tol)
@@ -146,6 +144,8 @@ def anchored_family(flavor, b_const, t_bar, q_value, pair=None, tol=DEFAULT_TOL)
 
     Solves B (C + E)/(C - E) = q for C, with E the flavor's growth factor.
     """
+    if t_bar <= 0:
+        raise InvalidParams("comparison functions live on t > 0")
     b = float(b_const)
     if b == 0.0:
         if abs(q_value) > 1e-12:

@@ -8,13 +8,13 @@ delegates to the first-zero and oscillation checkers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .criteria import (Conclusion, Status, Verdict, _strict_margin,
-                       check_first_zero, check_oscillation, first_zero_threshold)
+from .criteria import (Verdict, _status, _strict_margin, check_first_zero,
+                       check_oscillation, first_zero_threshold)
 from .errors import HypothesisViolated, InvalidParams, NoZeroAtT2
 from .profiles import (DEFAULT_TOL, CoefficientPair, constant, integrate,
                        multiply, scaled)
@@ -74,11 +74,8 @@ def lambda1_negative(pair, a, b, tol=DEFAULT_TOL):
     potential is the integral of W v); a SATISFIED verdict certifies a
     negative bottom of the spectrum on the whole space.
     """
-    inner = check_first_zero(pair, a, b, tol=tol)
-    conclusion = (Conclusion.NEGATIVE_BOTTOM_SPECTRUM
-                  if inner.satisfied else Conclusion.NONE)
-    return Verdict("lambda1_negative", inner.status, conclusion,
-                   dict(inner.witness), notes=inner.notes)
+    return replace(check_first_zero(pair, a, b, tol=tol),
+                   criterion="lambda1_negative")
 
 
 def instability_at_infinity(pair, R, horizon=1e4, tol=DEFAULT_TOL):
@@ -89,14 +86,10 @@ def instability_at_infinity(pair, R, horizon=1e4, tol=DEFAULT_TOL):
     negative; in that case the operator also has infinite index.
     """
     inner = check_oscillation(pair, R, horizon=horizon, tol=tol)
-    conclusion = (Conclusion.UNSTABLE_AT_INFINITY
-                  if inner.satisfied else Conclusion.NONE)
     notes = inner.notes
-    if inner.satisfied:
-        extra = "oscillation implies instability at infinity and infinite index"
-        notes = f"{notes}; {extra}" if notes else extra
-    return Verdict("instability_at_infinity", inner.status, conclusion,
-                   dict(inner.witness), notes=notes)
+    if inner.satisfied:  # each satisfied oscillation verdict carries notes
+        notes += "; oscillation implies instability at infinity and infinite index"
+    return replace(inner, criterion="instability_at_infinity", notes=notes)
 
 
 def index_lower_bound(pair, horizon, tol=DEFAULT_TOL):
@@ -212,8 +205,5 @@ def check_yamabe(s_mean, m, v, b_const, a, b, tol=DEFAULT_TOL):
                "c_m": cm, "B": float(b_const)}
     notes = ("assumes a positive bottom of the spectrum around the zero set "
              "of the target curvature (not checked here)")
-    if _strict_margin(lhs, rhs, tol):
-        return Verdict("yamabe", Status.SATISFIED,
-                       Conclusion.CONFORMAL_DEFORMATION, witness, notes=notes)
-    return Verdict("yamabe", Status.INCONCLUSIVE, Conclusion.NONE, witness,
+    return Verdict("yamabe", _status(_strict_margin(lhs, rhs, tol)), witness,
                    notes=notes)

@@ -11,6 +11,11 @@ from sturmosc import (CoefficientPair, CurvatureProfile, add, constant,
                       multiply, power, reciprocal)
 
 
+# the criterion name a CLI criterion's verdict carries, where the two differ
+EMITTED_NAMES = {"main_b2_search": "main_b2",
+                 "instability": "instability_at_infinity"}
+
+
 def euler_pair(mu, label=""):
     """v = 1 on [1, inf) with W = mu/t^2: the classical threshold family."""
     return CoefficientPair(constant(1.0), power(mu, -2.0), b_const=0.0,

@@ -1,10 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from sturmosc import profiles
-from sturmosc.cli import main
+from sturmosc.cli import _CRITERIA, main
+from sturmosc.criteria import _CONCLUSIONS
+from conftest import EMITTED_NAMES
 
 BASE_CONFIG = """\
 [profile:K1]
@@ -468,3 +471,14 @@ class TestExitCodes:
         assert main(["spectral", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
             "configuration error: need at least one radius\n")
+
+
+def test_readme_criteria_table_matches_the_cli():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| criterion | keys | `horizon` | conclusion |\n")[1]
+    rows = table.split("\n\n")[0].splitlines()[1:]  # past the --- line
+    cells = [row.strip("|").split("|") for row in rows]
+    listed = {row[0].strip(" `"): row[-1].strip(" `") for row in cells}
+    assert list(listed) == list(_CRITERIA)
+    assert listed == {name: _CONCLUSIONS[EMITTED_NAMES.get(name, name)].value
+                      for name in _CRITERIA}

@@ -13,7 +13,11 @@ from sturmosc import (CoefficientPair, CurvatureProfile, HypothesisViolated,
                       big_v, check_nehari, check_oscillation, constant,
                       exponential, first_zero_threshold, multiply, power,
                       search_main_B2)
-from conftest import moore_pair
+from sturmosc import cli, criteria
+from sturmosc.criteria import (_CONCLUSIONS, LAMBDA_GRID, Conclusion, Verdict,
+                               _main_b2_verdict, _strict_margin)
+from sturmosc.profiles import DEFAULT_TOL, cumulative
+from conftest import EMITTED_NAMES, moore_pair
 
 SAT = Status.SATISFIED
 INC = Status.INCONCLUSIVE
@@ -102,6 +106,30 @@ class TestCalabi:
         assert v.witness["log_coefficient"] == pytest.approx(0.25)
 
 
+def search_main_B2_loop(k, tol=DEFAULT_TOL):
+    """Per-instance reference for :func:`search_main_B2` on its default grid:
+    one verdict per instance, the best scaled margin winning by more than
+    the tolerance."""
+    intervals = [(float(a), float(b)) for a in np.geomspace(0.25, 4.0, 5)
+                 for b in np.geomspace(1.5 * a, 30.0 * a, 7)]
+    ends = sorted({t for ab in intervals for t in ab})
+    at = {t: i for i, t in enumerate(ends)}
+    moments = {lam: cumulative(multiply(power(1.0, lam), k.k), ends, tol=tol)
+               for lam in LAMBDA_GRID}
+    best = best_margin = None
+    for a, b in intervals:
+        for lam in LAMBDA_GRID:
+            lhs = float(moments[lam][at[b]] - moments[lam][at[a]])
+            v = _main_b2_verdict(k, a, b, float(lam), lhs, tol)
+            margin = ((v.witness["lhs"] - v.witness["rhs"])
+                      / (1.0 + abs(v.witness["rhs"])))
+            if best is None or _strict_margin(margin, best_margin, tol):
+                best, best_margin = v, margin
+    witness = dict(best.witness)
+    witness["grid_points"] = float(len(intervals) * len(LAMBDA_GRID))
+    return Verdict("main_b2", best.status, witness, best.notes)
+
+
 class TestMainB2:
     def test_compact_form_threshold(self):
         # B = 1, K = 1, lambda = 0, a = 1: fires iff b > 1 + 2/(1 - e^-2)
@@ -160,6 +188,31 @@ class TestMainB2:
         v = search_main_B2(curvature(power(c, -2.0)))
         assert (v.witness["a"], v.witness["b"], v.witness["lambda"]) == (0.25, 7.5, 1.0)
 
+    @pytest.mark.parametrize("k", [
+        curvature(power(0.5, -2.0)), curvature(power(1.0, -2.0)),
+        curvature(constant(1.0), b=1.0, validate=False),
+        curvature(constant(-1.0), b=1.0)],
+        ids=["tie_half", "tie_one", "unit", "hyperbolic"])
+    def test_search_matches_per_instance_loop(self, k, monkeypatch):
+        expected = search_main_B2_loop(k).to_dict()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _main_b2_verdict(*args)
+
+        monkeypatch.setattr(criteria, "_main_b2_verdict", counted)
+        assert search_main_B2(k).to_dict() == expected
+        assert len(calls) == 1
+
+    @given(st.floats(-2.0, 2.0),
+           st.sampled_from([-2.5, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+           st.floats(0.0, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_search_matches_per_instance_loop_on_powers(self, c, p, b):
+        k = curvature(power(c, p), b=b, validate=False)
+        assert search_main_B2(k).to_dict() == search_main_B2_loop(k).to_dict()
+
     def test_margin_monotone_in_b(self):
         k = curvature(constant(1.0), b=1.0, validate=False)
         for lam in (0.0, 0.5, 1.0):
@@ -177,6 +230,15 @@ class TestMainB2:
         v = check_main_B2(curvature(constant(-1e4), b=100.0), 4.0, 8.0, 0.0)
         assert v.status is VIO
         assert v.witness["rhs"] == 200.0
+
+    @pytest.mark.parametrize("b_const", [1e-17, 1e-300, 5e-324])
+    def test_tiny_b_rhs_is_the_b_zero_limit(self, b_const):
+        # exp(2 B a) rounds to 1.0, so coth(B a) is no ratio of exponentials
+        for lam in (0.0, 0.5, 1.0):
+            v = check_main_B2(curvature(constant(1.0), b=b_const), 0.5, 2.0, lam)
+            flat = check_main_B2(curvature(constant(1.0)), 0.5, 2.0, lam)
+            assert v.witness["rhs"] == pytest.approx(flat.witness["rhs"], rel=1e-15)
+            assert v.status is flat.status
 
     @pytest.mark.parametrize("two_ba", [1.0, 20.0, 37.0, 37.5, 39.9, 40.0, 45.0, 700.0])
     def test_coth_matches_the_unclamped_ratio(self, two_ba):
@@ -443,6 +505,22 @@ class TestVerdictSerialization:
         assert d["conclusion"] == "diameter_bound"
         assert set(d) == {"criterion", "status", "conclusion", "witness",
                           "notes"}
+
+
+class TestConclusions:
+    def test_unknown_criterion_raises(self):
+        with pytest.raises(InvalidParams, match="no conclusion"):
+            Verdict("no_such_criterion", SAT)
+
+    def test_only_satisfied_licenses_the_conclusion(self):
+        got = {status: Verdict("first_zero", status).conclusion
+               for status in (SAT, INC, VIO)}
+        assert got == {SAT: Conclusion.FIRST_ZERO_EXISTS,
+                       INC: Conclusion.NONE, VIO: Conclusion.NONE}
+
+    def test_every_cli_criterion_has_a_conclusion(self):
+        assert ({EMITTED_NAMES.get(name, name) for name in cli._CRITERIA}
+                == set(_CONCLUSIONS))
 
 
 class TestSolverSoundness:

@@ -94,6 +94,16 @@ class TestAnchoredFamily:
         with pytest.raises(InvalidParams):
             anchored_family("radial", 1.0, -1.0, 0.5, pair=pair)
 
+    @pytest.mark.parametrize("flavor, t_bar",
+                             [("jacobi", 0.0), ("jacobi", -2.0), ("radial", 0.0)])
+    def test_anchor_off_the_positive_axis_raises(self, flavor, t_bar):
+        # as in comparison_value; the jacobi flavor would otherwise return a
+        # family (C = -3 at t_bar = 0), the radial one fail in the quadrature
+        pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1.0)
+        with pytest.raises(InvalidParams, match="live on t > 0"):
+            anchored_family(flavor, 1.0, t_bar, 0.5,
+                            pair=pair if flavor == "radial" else None)
+
 
 class TestBlowUpTime:
     def test_constant_flavor(self):
