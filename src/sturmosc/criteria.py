@@ -245,29 +245,18 @@ def check_calabi(k, horizon=1e4, tol=DEFAULT_TOL):
 
 
 def _main_b2_rhs(a, b, lam, B):
-    if B == 0.0:
-        if lam == 1.0:
-            return 1.0 + 0.25 * math.log(b / a)
-        return ((2.0 - lam) ** 2 / (4.0 * (1.0 - lam) * a ** (1.0 - lam))
-                - lam ** 2 / (4.0 * (1.0 - lam) * b ** (1.0 - lam)))
-    # coth(B a) from an exponent clamped where the ratio is already exactly
-    # 1.0 (2 B a >= 37.43), so that exp cannot overflow
-    x = math.exp(min(2 * B * a, 40.0))
-    if x == 1.0:  # 2 B a < 1.1e-16: B coth(B a) is 1/a, the B = 0 limit
-        return B * b ** lam + _main_b2_rhs(a, b, lam, 0.0)
-    coth_a = (x + 1.0) / (x - 1.0)
-    if lam == 1.0:
-        return B * (b + a * coth_a) + 0.25 * math.log(b / a)
-    return (B * (b ** lam + a ** lam * coth_a)
-            + lam ** 2 / (4.0 * (1.0 - lam)) * (a ** (lam - 1.0) - b ** (lam - 1.0)))
+    """B b^lam + a^lam B coth(B a) + the lambda term; B = 0 is its limit."""
+    tail = (0.25 * math.log(b / a) if lam == 1.0 else
+            lam ** 2 / (4.0 * (1.0 - lam)) * (a ** (lam - 1.0) - b ** (lam - 1.0)))
+    return B * b ** lam + a ** lam * coth_band(B, a) + tail
 
 
 def check_main_B2(k, a, b, lam, tol=DEFAULT_TOL):
     """Weighted-moment test against the negative-lower-bound comparison value.
 
-    Dispatches the right-hand side on lambda = 1, on B = 0 (where the
-    formulas are analytic limits, never 0*inf evaluations), and records
-    the compact product form for lambda = 0, B > 0.  A failing instance
+    The right-hand side takes B coth(B a) from ``coth_band`` (so B = 0
+    gives its analytic limit 1/a), and the witness records the compact
+    product form for lambda = 0, B > 0.  A failing instance
     on certified-nonpositive curvature is VIOLATED: the comparison
     solution never vanishes, so no parameter choice can fire.
     """
@@ -335,15 +324,20 @@ def search_main_B2(k, a_grid=None, b_grid=None, tol=DEFAULT_TOL):
 # First-zero and oscillation criteria for coefficient pairs
 # ---------------------------------------------------------------------------
 
+def _v_inv_integrable(pair, what):
+    """Whether 1/v is integrable at +inf, as the pair declares or its tail
+    decides; TailInfoMissing when neither says."""
+    if pair.v_inv_l1_at_infinity is None:
+        raise TailInfoMissing(f"{what} needs the integrability of 1/v at +inf")
+    return pair.v_inv_l1_at_infinity
+
+
 def first_zero_threshold(pair, b, tol=DEFAULT_TOL):
     """The case-split threshold: 2B when 1/v is not integrable at +inf, else
     2B V/(V - 1) with V = V(b, inf), computed as B + B coth(B x) with x the
     tail integral of 1/v from b (1/x at B = 0)."""
     B = pair.b_const
-    if pair.v_inv_l1_at_infinity is None:
-        raise TailInfoMissing(
-            "deciding the threshold needs the integrability of 1/v at +inf")
-    if not pair.v_inv_l1_at_infinity:
+    if not _v_inv_integrable(pair, "deciding the threshold"):
         return 2.0 * B
     return B + coth_band(B, tail_integral(pair.v_inv, b, tol=tol))
 
@@ -419,10 +413,8 @@ def check_oscillation(pair, R, horizon=1e4, tol=DEFAULT_TOL):
     """
     if R <= 0:
         raise InvalidParams("need R > 0")
-    if pair.v_inv_l1_at_infinity is None:
-        raise TailInfoMissing("oscillation branch needs tail info on 1/v")
     B = pair.b_const
-    if pair.v_inv_l1_at_infinity:
+    if _v_inv_integrable(pair, "the oscillation branch"):
         limit, certified = _product_limit(pair)
         witness = {"R": float(R), "branch": 1.0}
         witness.update(_product_witness(pair, R, horizon, tol))
@@ -455,7 +447,7 @@ def check_moore_liminf(pair, R, c_thresh, horizon=1e4, tol=DEFAULT_TOL):
         raise InvalidParams("need c_thresh > 1/4")
     if R <= 0:
         raise InvalidParams("need R > 0")
-    if not pair.v_inv_l1_at_infinity:
+    if not _v_inv_integrable(pair, "the liminf test"):
         raise InvalidParams("the liminf test needs 1/v integrable at +inf")
     limit, certified = _product_limit(pair)
     witness = {"R": float(R), "c_thresh": float(c_thresh)}
@@ -468,9 +460,7 @@ def check_moore_liminf(pair, R, c_thresh, horizon=1e4, tol=DEFAULT_TOL):
 
 def check_leighton(pair, tol=DEFAULT_TOL):
     """Oscillation from a divergent integral of W v (1/v not integrable)."""
-    if pair.v_inv_l1_at_infinity is None:
-        raise TailInfoMissing("the Leighton test needs tail info on 1/v")
-    if pair.v_inv_l1_at_infinity:
+    if _v_inv_integrable(pair, "the Leighton test"):
         raise InvalidParams("the Leighton test needs 1/v non-integrable at +inf")
     div = tail_divergence(pair.wv)
     if div is None:
@@ -491,7 +481,7 @@ def check_bmr(pair, T, horizon=1e4, tol=DEFAULT_TOL):
     """
     if T <= 0:
         raise InvalidParams("need T > 0")
-    if not pair.v_inv_l1_at_infinity:
+    if not _v_inv_integrable(pair, "the critical-function test"):
         raise InvalidParams("the critical-function test needs 1/v integrable at +inf")
     _sample_nonnegative(pair.w, T, horizon, "W")
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,8 +20,8 @@ from scipy.optimize import brentq
 
 from .errors import (AtPole, InvalidParams, MismatchedAnchor, OutOfValidity,
                      TailInfoMissing)
-from .profiles import (CoefficientPair, DEFAULT_TOL, coth_band, integrate,
-                       tail_integral, tail_integral_converges)
+from .profiles import (CoefficientPair, DEFAULT_TOL, coth_band, cumulative,
+                       integrate, tail_integral, tail_integral_converges)
 
 __all__ = [
     "RiccatiTrajectory",
@@ -107,36 +108,47 @@ def _signed_integral(v_inv, t0, t, tol):
 
 
 def _log_growth(flavor, b, t, pair, tol):
-    """The log of the flavor's growth factor at t: 2B t, or 2B times the
-    signed integral of 1/v over [1, t]."""
+    """The log of the flavor's growth factor at t, a float or an array: 2B t,
+    or 2B times the signed integral of 1/v over [1, t], read off one running
+    integral along the sorted abscissae with 1 among them."""
     if flavor == "jacobi":
         return 2.0 * b * t
-    return 2.0 * b * _signed_integral(pair.v_inv, 1.0, t, tol)
+    knots = np.array(sorted({1.0, *np.ravel(t).tolist()}))
+    running = cumulative(pair.v_inv, knots, tol=tol)
+    at = np.searchsorted(knots, t)
+    return 2.0 * b * (running[at] - running[np.searchsorted(knots, 1.0)])
 
 
 def _growth(flavor, b, t, pair, tol):
     """The flavor's growth factor E at t: exp(2Bt), or V(1, t); inf on overflow."""
+    log_growth = _log_growth(flavor, b, t, pair, tol)
+    if np.ndim(log_growth):
+        with np.errstate(over="ignore"):
+            return np.exp(log_growth)
     try:
-        return math.exp(_log_growth(flavor, b, t, pair, tol))
+        return math.exp(log_growth)
     except OverflowError:
         return math.inf
 
 
 def comparison_value(fam, t, tol=DEFAULT_TOL):
-    """Evaluate the family member at t (B = 0 collapses to the zero function)."""
-    t = float(t)
-    if t <= 0:
+    """Evaluate the family member at t, a float or an array (B = 0 collapses
+    to the zero function); AtPole names the first t on the pole."""
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts <= 0):
         raise InvalidParams("comparison functions live on t > 0")
-    b = fam.b_const
+    b, c = fam.b_const, fam.c_param
     if b == 0.0:
-        return 0.0
-    growth = _growth(fam.flavor, b, t, fam.pair, tol)
-    if math.isinf(growth):
-        return -b  # past any pole the family has settled at its limit
-    den = fam.c_param - growth
-    if abs(den) <= _POLE_GUARD * (abs(fam.c_param) + abs(growth)):
-        raise AtPole(f"comparison function has a pole at t = {t:g}")
-    return b * (fam.c_param + growth) / den
+        return np.zeros(ts.shape) if ts.ndim else 0.0
+    growth = _growth(fam.flavor, b, ts, fam.pair, tol)
+    den = c - growth
+    at_pole = np.isfinite(growth) & (np.abs(den) <= _POLE_GUARD * (abs(c) + growth))
+    if np.any(at_pole):
+        raise AtPole(f"comparison function has a pole at t = {ts[at_pole][0]:g}")
+    # past any pole, where the growth overflows, the family has settled at -B
+    with np.errstate(invalid="ignore"):
+        values = np.where(np.isinf(growth), -b, b * (c + growth) / den)
+    return values if ts.ndim else float(values)
 
 
 def anchored_family(flavor, b_const, t_bar, q_value, pair=None, tol=DEFAULT_TOL):
@@ -146,18 +158,18 @@ def anchored_family(flavor, b_const, t_bar, q_value, pair=None, tol=DEFAULT_TOL)
     """
     if t_bar <= 0:
         raise InvalidParams("comparison functions live on t > 0")
-    b = float(b_const)
+    fam = ComparisonFamily(float(b_const), 1.0, flavor, pair)
+    b = fam.b_const
     if b == 0.0:
         if abs(q_value) > 1e-12:
             raise InvalidParams("B = 0 family is identically zero; cannot anchor")
-        return ComparisonFamily(0.0, 1.0, flavor, pair)
+        return fam
     if q_value == b:
         raise InvalidParams("anchor value equal to B has no finite parameter")
     growth = _growth(flavor, b, t_bar, pair, tol)
     if math.isinf(growth):
         raise InvalidParams(f"growth factor overflows at t_bar = {t_bar:g}")
-    c = (q_value + b) / (q_value - b) * growth
-    return ComparisonFamily(b, c, flavor, pair)
+    return replace(fam, c_param=(q_value + b) / (q_value - b) * growth)
 
 
 def family_riccati(fam, ts, tol=DEFAULT_TOL):
@@ -165,13 +177,8 @@ def family_riccati(fam, ts, tol=DEFAULT_TOL):
     ts = np.asarray(ts, dtype=float)
     pole = blow_up_time(fam, tol=tol)
     poles = () if math.isinf(pole) else (pole,)
-
-    def evaluator(t):
-        if np.ndim(t) == 0:
-            return comparison_value(fam, float(t), tol)
-        return np.array([comparison_value(fam, float(x), tol) for x in np.asarray(t)])
-
-    return RiccatiTrajectory(ts=ts, ys=evaluator(ts), poles=poles, evaluator=evaluator)
+    return RiccatiTrajectory(ts=ts, ys=comparison_value(fam, ts, tol), poles=poles,
+                             evaluator=partial(comparison_value, fam, tol=tol))
 
 
 def blow_up_time(fam, tol=DEFAULT_TOL):
@@ -291,6 +298,8 @@ def verify_comparison(q1, q2, t_bar, direction="forward", tol=1e-6):
     the ordering reverses.  Violations are reported at the first offending
     node.
     """
+    if direction not in ("forward", "backward"):
+        raise InvalidParams(f"direction must be 'forward' or 'backward', not {direction!r}")
     t_bar = float(t_bar)
     y1a, y2a = float(q1(t_bar)), float(q2(t_bar))
     gap = abs(y1a - y2a)

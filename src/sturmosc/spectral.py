@@ -198,8 +198,6 @@ def check_yamabe(s_mean, m, v, b_const, a, b, tol=DEFAULT_TOL):
     lhs = integrate(multiply(scaled(s_mean, -1.0), v), a, b, tol=tol)
     # the threshold is c_m times the first-zero threshold of (v, 0, B)
     pair = CoefficientPair(v, constant(0.0), b_const, validate=False)
-    if pair.v_inv_l1_at_infinity is None:
-        raise InvalidParams("deciding the threshold needs tail info on 1/v")
     rhs = cm * first_zero_threshold(pair, b, tol=tol)
     witness = {"lhs": lhs, "rhs": rhs, "a": float(a), "b": float(b),
                "c_m": cm, "B": float(b_const)}

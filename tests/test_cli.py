@@ -361,6 +361,18 @@ class TestExitCodes:
             "[solve]\nproblem = radial\npair = p\nhorizon = 10.0\n")
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_undecided_integrability_exit_code(self, config, tmp_path, capsys):
+        # the cubic warping with alpha = 0 declares no volume tail, so the
+        # integrability of 1/v is undecided: missing information, exit 2
+        cfg = tmp_path / "cone.ini"
+        cfg.write_text(config.read_text().replace("[model:sphere]", (
+            "[model:cone]\nkind = warped\nwarping = cubic\nalpha = 0.0\nm = 2\n"
+            "[pair:cone]\nv = model:cone.v\nw = W_euler\nt_start = 1.0\n"
+            "[model:sphere]")).replace("pair = euler\na = 1.0", "pair = cone\na = 1.0"))
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: the liminf test needs the integrability of 1/v at +inf\n")
+
     def test_solver_breakdown_exit_code(self, tmp_path):
         # v = 1, W = 1/(t-2)^2 has a pole at t = 2 inside the horizon
         cfg = tmp_path / "pole.ini"

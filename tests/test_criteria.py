@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sturmosc import (CoefficientPair, CurvatureProfile, HypothesisViolated,
-                      InvalidParams, Status, TailInfoMissing,
+                      InvalidParams, Profile, Status, TailInfoMissing,
                       check_ambrose_moore, check_bmr, check_calabi,
                       check_diameter_remark, check_first_zero, check_leighton,
                       check_main_B2, check_moore_liminf, check_myers_galloway,
@@ -15,13 +16,47 @@ from sturmosc import (CoefficientPair, CurvatureProfile, HypothesisViolated,
                       search_main_B2)
 from sturmosc import cli, criteria
 from sturmosc.criteria import (_CONCLUSIONS, LAMBDA_GRID, Conclusion, Verdict,
-                               _main_b2_verdict, _strict_margin)
+                               _main_b2_rhs, _main_b2_verdict, _strict_margin)
 from sturmosc.profiles import DEFAULT_TOL, cumulative
 from conftest import EMITTED_NAMES, moore_pair
 
 SAT = Status.SATISFIED
 INC = Status.INCONCLUSIVE
 VIO = Status.VIOLATED
+
+# _main_b2_rhs against 50 digits: every term is positive, so the sum is good
+# to a few roundings; four ulps of 1 bound it
+RHS_ULPS = 4 * 2.0 ** -52
+
+
+def main_b2_rhs_mp(a, b, lam, b_const, coth_a=None):
+    """B b^lam + a^lam B coth(B a) + the lambda term, at 50 digits."""
+    with mpmath.workdps(50):
+        a, b, lam, B = (mpmath.mpf(x) for x in (a, b, lam, b_const))
+        if coth_a is None:
+            band = 1 / a if B == 0 else B * mpmath.coth(B * a)
+        else:
+            band = B * coth_a
+        tail = (mpmath.log(b / a) / 4 if lam == 1 else
+                lam ** 2 / (4 * (1 - lam)) * (a ** (lam - 1) - b ** (lam - 1)))
+        return B * b ** lam + a ** lam * band + tail
+
+
+def _rel_error(value, exact):
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(value) / exact - 1))
+
+
+@st.composite
+def main_b2_instances(draw):
+    """(a, b, lambda, B): B = 0 or log-uniform in [1e-300, 1e2], a
+    log-uniform in [1e-3, 1e3] with 2 B a <= 800, and b/a in (1, 1e3]."""
+    lam = draw(st.sampled_from(LAMBDA_GRID))
+    b_const = draw(st.just(0.0) | st.floats(-300.0, 2.0).map(lambda e: 10.0 ** e))
+    a_max = 3.0 if b_const == 0.0 else min(3.0, math.log10(400.0 / b_const))
+    a = 10.0 ** draw(st.floats(-3.0, a_max))
+    b = a * 10.0 ** draw(st.floats(1e-6, 3.0))
+    return a, b, lam, b_const
 
 
 def curvature(profile, b=0.0, m=2, validate=True):
@@ -242,17 +277,36 @@ class TestMainB2:
 
     @pytest.mark.parametrize("two_ba", [1.0, 20.0, 37.0, 37.5, 39.9, 40.0, 45.0, 700.0])
     def test_coth_matches_the_unclamped_ratio(self, two_ba):
+        # coth(B a) = (e + 1)/(e - 1) with e = exp(2 B a) unclamped, at 50
+        # digits: around the band's cut at 2 B a = 40 and the old clamp at 37.43
         b_const, a = 100.0, two_ba / 200.0
-        e = math.exp(2 * b_const * a)
-        coth_a = (e + 1.0) / (e - 1.0)
+        with mpmath.workdps(50):
+            e = mpmath.exp(2 * mpmath.mpf(b_const) * mpmath.mpf(a))
+            coth_a = (e + 1) / (e - 1)
         for lam in (0.0, 0.5, 1.0):
-            expected = (b_const * (6.0 + a * coth_a) + 0.25 * math.log(6.0 / a)
-                        if lam == 1.0 else
-                        b_const * (6.0 ** lam + a ** lam * coth_a)
-                        + lam ** 2 / (4.0 * (1.0 - lam)) * (a ** (lam - 1.0) - 6.0 ** (lam - 1.0)))
             v = check_main_B2(curvature(constant(1.0), b=b_const, validate=False),
                               a, 6.0, lam)
-            assert v.witness["rhs"] == expected
+            assert _rel_error(v.witness["rhs"], main_b2_rhs_mp(a, 6.0, lam, b_const,
+                                                               coth_a)) <= RHS_ULPS
+
+    @given(main_b2_instances())
+    @example((0.25, 7.5, 0.0, 1e-12))          # 2 B a = 5e-13: the ratio was 9e-5 low
+    @example((0.5, 3.0, 1.0, 1e-8 / 0.5))      # B a at the band's 1/x cut
+    @example((1.0, 2.0, 2.0, 20.0))            # B a at the band's b cut
+    @example((1e3, 2e3, 1.5, 0.4))             # 2 B a = 800
+    @settings(max_examples=300, deadline=None)
+    def test_rhs_matches_mpmath(self, instance):
+        a, b, lam, b_const = instance
+        assert _rel_error(_main_b2_rhs(a, b, lam, b_const),
+                          main_b2_rhs_mp(a, b, lam, b_const)) <= RHS_ULPS
+
+    def test_tiny_two_b_a_is_not_satisfied(self):
+        # lhs 3.9999 sits 1e-4 below the true rhs 4 + 1e-12; the ratio
+        # form of coth(B a) gave rhs 3.99964 and SATISFIED
+        k = CurvatureProfile(constant(3.9999 / 7.25), b_const=1e-12, validate=False)
+        v = check_main_B2(k, 0.25, 7.5, 0.0)
+        assert v.status is INC
+        assert v.witness["rhs"] == pytest.approx(4.0 + 1e-12, rel=0.0, abs=1e-15)
 
 
 class TestFirstZero:
@@ -377,6 +431,39 @@ class TestOscillation:
         v = check_oscillation(pair, 1.0)
         assert v.status is INC
         assert v.witness["window_sup"] == pytest.approx(0.0, abs=1e-9)
+
+
+def bare_pair(integrable=None):
+    """v = t^2 from a bare evaluator (no tail), integrability as declared."""
+    bare_v = Profile(lambda t: np.asarray(t) ** 2, sign="nonnegative")
+    return CoefficientPair(bare_v, power(0.3, -2.0), t_start=1.0,
+                           v_inv_l1_at_infinity=integrable, validate=False)
+
+
+# each checker that branches on the integrability of 1/v at +inf
+INTEGRABILITY_CHECKS = {
+    "first_zero_threshold": lambda pair: first_zero_threshold(pair, 2.0),
+    "oscillation": lambda pair: check_oscillation(pair, 1.0, horizon=30.0),
+    "leighton": check_leighton,
+    "moore_liminf": lambda pair: check_moore_liminf(pair, 1.0, 0.3, horizon=30.0),
+    "bmr": lambda pair: check_bmr(pair, 1.0, horizon=30.0),
+}
+
+
+@pytest.mark.parametrize("check", INTEGRABILITY_CHECKS.values(), ids=INTEGRABILITY_CHECKS)
+def test_undecided_integrability_is_missing_tail_info(check):
+    # an undecided pair lacks information: it is not a wrong parameter
+    with pytest.raises(TailInfoMissing, match="integrability of 1/v at \\+inf"):
+        check(bare_pair())
+
+
+@pytest.mark.parametrize("check, integrable", [
+    (check_leighton, True),
+    (INTEGRABILITY_CHECKS["moore_liminf"], False),
+    (INTEGRABILITY_CHECKS["bmr"], False)], ids=["leighton", "moore_liminf", "bmr"])
+def test_declared_wrong_branch_is_invalid(check, integrable):
+    with pytest.raises(InvalidParams):
+        check(bare_pair(integrable))
 
 
 class TestMooreLiminf:

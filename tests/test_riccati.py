@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sturmosc import profiles, riccati
 from sturmosc import (AtPole, CoefficientPair, ComparisonFamily, CurvatureProfile,
                       EnvelopeKind, InvalidParams, MismatchedAnchor, OutOfValidity,
                       RiccatiTrajectory, TailInfoMissing, anchored_family,
@@ -19,6 +20,50 @@ COMPARISON_RATIO = (E2 + 1.0) / (E2 - 1.0)  # ~ 1.313035285
 def unit_pair(b=1.0):
     return CoefficientPair(constant(1.0), constant(1.0), b_const=b,
                            t_start=0.0, validate=False)
+
+
+def old_comparison_value(fam, t, tol=profiles.DEFAULT_TOL):
+    """comparison_value as it was: one signed integral of 1/v from 1 per point."""
+    b, c = fam.b_const, fam.c_param
+    if fam.flavor == "jacobi":
+        log_growth = 2.0 * b * t
+    else:
+        log_growth = 2.0 * b * riccati._signed_integral(fam.pair.v_inv, 1.0, t, tol)
+    try:
+        growth = math.exp(log_growth)
+    except OverflowError:
+        return -b
+    return b * (c + growth) / (c - growth)
+
+
+def recorded_integrals(monkeypatch):
+    """Route ``profiles.integrate_err`` through a recorder of each interval."""
+    calls = []
+    real = profiles.integrate_err
+
+    def record(p, a, b, **kwargs):
+        calls.append((a, b))
+        return real(p, a, b, **kwargs)
+
+    monkeypatch.setattr(profiles, "integrate_err", record)
+    return calls
+
+
+@st.composite
+def radial_families(draw):
+    """A family on v = a t^q anchored at (t_bar, y), with abscissae kept off
+    its pole by 1 %."""
+    a, q = draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, 4.0))
+    b = draw(st.floats(0.2, 2.0))
+    pair = CoefficientPair(power(a, q), constant(0.0), b_const=b, validate=False)
+    y = draw(st.floats(-3.0, 3.0).filter(lambda y: abs(y - b) > 1e-3))
+    fam = anchored_family("radial", b, draw(st.floats(0.3, 3.0)), y, pair=pair)
+    try:
+        pole = blow_up_time(fam)
+    except TailInfoMissing:  # a pole below 1e-12, or none where 1/v is integrable at 0
+        assume(False)
+    ts = draw(st.lists(st.floats(0.2, 6.0), min_size=1, max_size=12))
+    return fam, [t for t in ts if abs(t - pole) > 1e-2 * pole] or [1.0]
 
 
 class TestTransform:
@@ -81,6 +126,49 @@ class TestComparisonValue:
         with pytest.raises(AtPole):
             comparison_value(fam, 1.0)
 
+    def test_array_names_the_first_pole_point(self):
+        fam = ComparisonFamily(1.0, E2, "jacobi")
+        with pytest.raises(AtPole, match="at t = 1$"):
+            comparison_value(fam, np.array([0.5, 1.0, 3.0]))
+        with pytest.raises(InvalidParams):
+            comparison_value(fam, np.array([0.5, 0.0]))
+
+    def test_array_shapes_and_limits(self):
+        fam = ComparisonFamily(1.0, 2.0, "jacobi")
+        ys = comparison_value(fam, np.array([[1.0, 400.0], [1e3, 0.5]]))
+        assert ys.shape == (2, 2)
+        assert ys[0, 1] == ys[1, 0] == -1.0  # the growth overflows: settled at -B
+        zero = comparison_value(ComparisonFamily(0.0, 2.0, "jacobi"), [0.5, 2.0])
+        assert zero.tolist() == [0.0, 0.0]
+
+    @given(radial_families())
+    @settings(max_examples=60, deadline=None)
+    def test_array_matches_the_per_point_loop(self, drawn):
+        fam, ts = drawn
+        loop = np.array([comparison_value(fam, t) for t in ts])
+        assert np.allclose(comparison_value(fam, np.array(ts)), loop, rtol=1e-13, atol=0.0)
+        assert np.allclose(family_riccati(fam, ts).ys, loop, rtol=1e-13, atol=0.0)
+
+    @given(radial_families())
+    @settings(max_examples=30, deadline=None)
+    def test_scalar_matches_the_signed_integral_route(self, drawn):
+        fam, ts = drawn
+        for t in ts:
+            assert comparison_value(fam, t) == old_comparison_value(fam, t)
+
+    @pytest.mark.parametrize("ts", [np.linspace(0.6, 1.9, 12), [2.5, 0.7, 1.0, 2.5, 1.3],
+                                    [1.5, 1.2], [0.8]])
+    def test_family_integrates_once_per_segment(self, ts, monkeypatch):
+        # v = t^2, C = e: V(1, t) = exp(2 (1 - 1/t)) reaches C at t = 2
+        pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1.0)
+        fam = ComparisonFamily(1.0, math.e, "radial", pair)
+        calls = recorded_integrals(monkeypatch)
+        blow_up_time(fam)
+        bracket = len(calls)
+        family_riccati(fam, ts)
+        knots = sorted(set(ts) | {1.0})
+        assert calls[2 * bracket:] == list(zip(knots[:-1], knots[1:]))
+
 
 class TestAnchoredFamily:
     def test_overflowing_growth_raises(self):
@@ -103,6 +191,12 @@ class TestAnchoredFamily:
         with pytest.raises(InvalidParams, match="live on t > 0"):
             anchored_family(flavor, 1.0, t_bar, 0.5,
                             pair=pair if flavor == "radial" else None)
+
+    @pytest.mark.parametrize("flavor", ["radial", "jacobbi"])
+    def test_flavor_and_pair_checked_first(self, flavor):
+        # checked before the growth factor, which needs the pair's 1/v
+        with pytest.raises(InvalidParams, match="flavor"):
+            anchored_family(flavor, 1.0, 2.0, 0.5)
 
 
 class TestBlowUpTime:
@@ -284,6 +378,11 @@ class TestVerifyComparison:
         assert forward.first_violation == (1.5, 0.1, 0.2)
         assert backward.first_violation == (-1.5, -0.1, -0.2)
         assert forward.pole_order_ok is backward.pole_order_ok is False
+
+    def test_unknown_direction_raises(self, unit_curvature):
+        q1 = riccati_from_solution(solve_jacobi(unit_curvature, horizon=3.0))
+        with pytest.raises(InvalidParams, match="'fwd'"):
+            verify_comparison(q1, q1, 1.0, "fwd")
 
     def test_anchor_mismatch_raises(self, unit_curvature):
         traj = solve_jacobi(unit_curvature, horizon=3.0)

@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from sturmosc import (CoefficientPair, HypothesisViolated, InvalidParams,
-                      NoZeroAtT2, Status, check_first_zero, check_yamabe,
-                      constant, index_lower_bound, instability_at_infinity,
-                      lambda1_negative, power, rayleigh_quotient, solve_radial,
-                      spectral_report, yamabe_constant)
+                      NoZeroAtT2, Profile, Status, TailInfoMissing,
+                      check_first_zero, check_yamabe, constant, index_lower_bound,
+                      instability_at_infinity, lambda1_negative, power,
+                      rayleigh_quotient, solve_radial, spectral_report,
+                      yamabe_constant)
 from sturmosc.criteria import Conclusion
 from conftest import euler_pair, moore_pair, pole_pair
 
@@ -159,3 +161,8 @@ class TestYamabe:
     def test_hypothesis_violated(self):
         with pytest.raises(HypothesisViolated):
             check_yamabe(constant(1.0), 3, power(1.0, 2.0), 0.0, 1.0, 3.0)
+
+    def test_undecided_integrability_is_missing_tail_info(self):
+        bare_v = Profile(lambda t: np.asarray(t) ** 2, sign="nonnegative")
+        with pytest.raises(TailInfoMissing, match="integrability of 1/v"):
+            check_yamabe(constant(-1.0), 3, bare_v, 1.0, 1.0, 3.0)
