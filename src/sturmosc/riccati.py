@@ -320,7 +320,7 @@ def verify_comparison(q1, q2, t_bar, direction="forward", tol=1e-6):
 
     ts = q1.ts[mask]
     v1 = q1.ys[mask]
-    v2 = np.array([float(q2(t)) for t in ts])
+    v2 = np.asarray(q2(ts), dtype=float)
     slack = tol * (1.0 + np.abs(v1) + np.abs(v2))
     defect = s * (v2 - v1)
     bad = np.nonzero(defect > slack)[0]

@@ -10,12 +10,13 @@ from scipy.integrate import DOP853, OdeSolution
 
 import sturmosc.ode
 from sturmosc import (CoefficientPair, CurvatureProfile, InvalidParams,
-                      OutOfValidity, Profile, SingularStartFailure, constant,
-                      extend_until_zero, locate_zeros, model_profiles, power,
-                      residual_max, solve_jacobi, solve_radial, space_form,
-                      warped_model)
-from sturmosc.ode import (DEFAULT_ZERO_TOL, JACOBI_START, RADIAL_START, _drive,
-                          _find_suspects, _scan_chunk, _singular_start)
+                      OutOfValidity, Profile, SingularStartFailure, add,
+                      constant, extend_until_zero, locate_zeros, model_profiles,
+                      multiply, power, residual_max, solve_jacobi, solve_radial,
+                      space_form, warped_model)
+from sturmosc.ode import (_MIN_STEP_ULPS, DEFAULT_ZERO_TOL, JACOBI_START,
+                          RADIAL_START, _drive, _find_suspects, _scan_chunk,
+                          _singular_start)
 from sturmosc.profiles import DEFAULT_TOL
 from conftest import euler_pair, euler_zeros, pole_pair
 
@@ -65,10 +66,10 @@ class TestSolveJacobi:
 
     def test_negative_start_unchanged_by_the_step_floor(self, monkeypatch):
         # u = sin(t + 1) from t = -1: no step comes near the floor, so the
-        # solve equals a plain DOP853 drive bit for bit
+        # solve equals the float stepper without a floor bit for bit
         k = CurvatureProfile(constant(1.0), m=2)
         traj = solve_jacobi(k, 5.0, t_start=-1.0, u0=0.0, du0=1.0)
-        monkeypatch.setattr(sturmosc.ode, "_Stepper", DOP853)
+        monkeypatch.setattr(sturmosc.ode, "_MIN_STEP_ULPS", 0)
         plain = solve_jacobi(k, 5.0, t_start=-1.0, u0=0.0, du0=1.0)
         for name in ("ts", "values", "fluxes"):
             assert getattr(traj, name).tobytes() == getattr(plain, name).tobytes()
@@ -147,8 +148,32 @@ class TestSolveRadial:
         with pytest.raises(OutOfValidity):
             traj.value(np.array([1.5, 3.0 * traj.t_end]))
 
+    def test_weight_vanishing_at_the_horizon_breaks_down(self):
+        # v = (t - 2)^2 and W = 0: the last stage of a step onto t = 2 divides
+        # the flux 0 by v = 0, which rejects the step as numpy's nan would
+        shifted = add(power(1.0, 1.0), constant(-2.0))
+        pair = CoefficientPair(multiply(shifted, shifted), constant(0.0),
+                               b_const=0.0, t_start=1.0, validate=False)
+        with np.errstate(invalid="ignore"):
+            traj = solve_radial(pair, 1.0, horizon=2.0)
+        assert traj.terminated_reason == "step_underflow"
+        assert traj.t_end == pytest.approx(2.0, abs=1e-9)
+
+    def test_scalar_state_checks_its_range_like_the_array_path(self, sinc_pair):
+        traj = solve_radial(sinc_pair, 1.0, horizon=10.0)
+        inside = [traj.t_start, traj.t_end, *np.linspace(traj.t_start, traj.t_end, 17)]
+        for t in inside:
+            for scalar in (t, np.float64(t)):
+                assert (traj.state(scalar).tobytes()
+                        == traj.state(np.array([t]))[:, 0].tobytes())
+        for t in (math.nextafter(traj.t_start, -math.inf),
+                  math.nextafter(traj.t_end, math.inf)):
+            for arg in (t, np.float64(t), np.array([t])):
+                with pytest.raises(OutOfValidity):
+                    traj.state(arg)
+
     def test_pole_breakdown_stops_at_step_floor(self):
-        # the step floor ends the solve about 800 steps after the start;
+        # the step floor ends the solve 700 to 800 steps after the start;
         # scipy's own 10-ulp floor alone lets it grind on for over 13,000
         traj = solve_radial(pole_pair(), 1.0, horizon=5.0)
         assert traj.terminated_reason == "step_underflow"
@@ -383,6 +408,88 @@ def test_one_solver_call_through_the_traced_name(solve):
     with recorded_solves() as sols:
         solve()
     assert len(sols) == 1
+
+
+class ScipyStepper(DOP853):
+    """scipy's own DOP853 step, with the step floor of :class:`_Stepper`."""
+
+    def _step_impl(self):
+        t = self.t
+        success, message = super()._step_impl()
+        if (success and self.t != self.t_bound
+                and self.t - t < _MIN_STEP_ULPS * math.ulp(t)):
+            return False, "step floor"
+        return success, message
+
+
+ORACLE_SOLVES = {
+    "sin to 1e3": SOLVES["jacobi(K=1) to 1e3"],
+    "sinc": functools.partial(solve_radial, CoefficientPair(
+        power(1.0, 2.0), constant(1.0), b_const=0.0), 1.0, 10.0),
+    "radial zero_cap=2": SOLVES["radial zero_cap=2"],
+    "pole pair": SOLVES["pole pair"],
+    **{f"euler(mu={mu:g}) to {horizon:g}": functools.partial(
+        solve_radial, euler_pair(mu), 1.0, horizon)
+       for mu in (0.20, 0.24, 0.26, 0.30) for horizon in (1e4, 1e40)},
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_SOLVES)
+def test_float_stepper_agrees_with_scipys_dop853(case, monkeypatch):
+    # the float sums round differently from numpy's dot products, so the
+    # steps drift apart at rounding level; zeros agree far below zero_tol's
+    # 1e-8 relative
+    traj = ORACLE_SOLVES[case]()
+    monkeypatch.setattr(sturmosc.ode, "_Stepper", ScipyStepper)
+    ref = ORACLE_SOLVES[case]()
+    assert traj.terminated_reason == ref.terminated_reason
+    assert len(traj.zeros) == len(ref.zeros)
+    for ours, theirs in zip(traj.zeros, ref.zeros):
+        assert abs(ours.location - theirs.location) <= 1e-8 * (1.0 + abs(theirs.location))
+
+
+ONE_STEPS = {
+    # a smooth step, accepted at once
+    "airy": (lambda t, y: (y[1], -(1.0 + t) * y[0]), 0.3),
+    # the first try crosses the jump at t = 1 and is rejected; the retry
+    # sees a constant slope, so its factor is clamped to 1 after the rejection
+    "jump": (lambda t, y: (1.0 if t < 1.0 else 1e3, 0.0), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", ONE_STEPS)
+def test_one_step_matches_scipys_dop853(case):
+    rhs, first_step = ONE_STEPS[case]
+    ours, ref = (method(rhs, 0.0, np.array([0.3, 1.0]), 10.0, rtol=1e-9,
+                        atol=1e-13, first_step=first_step)
+                 for method in (sturmosc.ode._Stepper, DOP853))
+    ours.step()
+    ref.step()
+    assert ours.status == ref.status == "running"
+    assert ours.t == pytest.approx(ref.t, rel=1e-14)
+    assert ours.h_abs == pytest.approx(ref.h_abs, rel=1e-6)
+    np.testing.assert_allclose(ours.y, ref.y, rtol=1e-14)
+    ts = np.linspace(0.0, ref.t, 7)
+    np.testing.assert_allclose(ours.dense_output()(ts), ref.dense_output()(ts),
+                               rtol=1e-13, atol=1e-15)
+    assert ours.nfev == ref.nfev
+
+
+@pytest.mark.parametrize("case", SOLVES)
+def test_nfev_counts_every_rhs_call(case, monkeypatch):
+    calls = []
+    real = sturmosc.ode._drive
+
+    def drive(rhs, *args, **kwargs):
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+        return real(counted, *args, **kwargs)
+
+    monkeypatch.setattr(sturmosc.ode, "_drive", drive)
+    with recorded_solves() as sols:
+        SOLVES[case]()
+    assert sols[0].nfev == len(calls) > 0
 
 
 def numpy_rhs_jacobi(k):

@@ -358,6 +358,19 @@ class TestVerifyComparison:
         backward = verify_comparison(q1, q2, 1.0, "backward")
         assert forward.ok and backward.ok
 
+    def test_subsolution_evaluated_in_one_array_call(self, monkeypatch):
+        # past the two anchor values, q2 on the 30 checked nodes integrates
+        # 1/v once per segment between consecutive nodes, not once per node
+        pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1.0)
+        fam = anchored_family("radial", 1.0, 1.5, 0.3, pair=pair)
+        ts = np.linspace(1.5, 1.9, 31)
+        q1, q2 = family_riccati(fam, ts), family_riccati(fam, ts)
+        calls = recorded_integrals(monkeypatch)
+        report = verify_comparison(q1, q2, 1.5, "forward")
+        assert report.ok and report.n_checked == 30
+        knots = [1.0] + ts[1:].tolist()
+        assert calls == [(1.0, 1.5)] * 2 + list(zip(knots[:-1], knots[1:]))
+
     def test_backward_is_forward_mirrored(self):
         # t -> -t and y -> -y turn a forward check into a backward one,
         # with the nodes kept in the same order
@@ -367,7 +380,8 @@ class TestVerifyComparison:
 
         def traj(ts, ys, poles):
             table = dict(zip(ts.tolist(), ys.tolist()))
-            return RiccatiTrajectory(ts, ys, poles, lambda t: table[float(t)])
+            lookup = np.vectorize(table.__getitem__, otypes=[float])
+            return RiccatiTrajectory(ts, ys, poles, lookup)
 
         forward = verify_comparison(traj(ts, y1, (3.2,)), traj(ts, y2, (2.7, 0.7)),
                                     1.0, "forward", tol=1e-3)
