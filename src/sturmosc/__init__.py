@@ -7,7 +7,7 @@ from .errors import (AtPole, CatalogDerivativeMissing, ConfigError,
                      SingularStartFailure, SturmoscError, TailInfoMissing,
                      ToleranceNotMet)
 from .profiles import (AsymptoticTail, ClosedFormTailIntegral, CoefficientPair,
-                       CurvatureProfile, Profile, add, big_v, certified_nonnegative,
+                       CurvatureProfile, Profile, add, certified_nonnegative,
                        certified_nonpositive, constant, coth_band,
                        elementwise_power, exponential, integrate, integrate_err,
                        multiply, power, reciprocal, scaled, subtract,

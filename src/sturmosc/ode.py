@@ -150,10 +150,16 @@ class Trajectory:
         Raises :class:`~sturmosc.errors.OutOfValidity` outside that interval
         rather than extrapolating the dense output.
         """
+        scalar = np.ndim(t) == 0
+        s = self._state(t, scalar)
+        return np.array(s) if scalar else s
+
+    def _state(self, t, scalar):
+        """(value, flux) floats for a scalar t, [value, flux] rows otherwise."""
         if self.dense is None:
             raise InvalidParams("trajectory has no dense output "
                                 f"(terminated: {self.terminated_reason})")
-        if np.ndim(t) == 0:
+        if scalar:
             t = float(t)
             outside = t < self.t_start or t > self.t_end
         else:
@@ -162,20 +168,17 @@ class Trajectory:
         if outside:
             raise OutOfValidity(
                 f"trajectory is valid on [{self.t_start:g}, {self.t_end:g}]")
-        return np.array(self.dense(t)) if isinstance(t, float) else self.dense(t)
+        return self.dense._at(t) if scalar else self.dense(t)
 
     def value(self, t):
-        s = self.state(t)
-        return s[0] if np.ndim(t) else float(s[0])
+        return self._state(t, np.ndim(t) == 0)[0]
 
     def flux(self, t):
-        s = self.state(t)
-        return s[1] if np.ndim(t) else float(s[1])
+        return self._state(t, np.ndim(t) == 0)[1]
 
     def derivative(self, t):
-        s = self.state(t)
-        d = s[1] / self.weight(t) if self.weight is not None else s[1]
-        return d if np.ndim(t) else float(d)
+        d = self.flux(t)
+        return d if self.weight is None else d / self.weight(t)
 
     def __call__(self, t):
         return self.value(t), self.derivative(t)

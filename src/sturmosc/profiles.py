@@ -47,7 +47,6 @@ __all__ = [
     "antiderivative_term",
     "LOG_ORDER",
     "tail_divergence",
-    "big_v",
     "coth_band",
     "weighted_moment",
     "DEFAULT_TOL",
@@ -668,27 +667,6 @@ class CurvatureProfile:
 # Integral functionals
 # ---------------------------------------------------------------------------
 
-def big_v(pair, t1, t2, tol=DEFAULT_TOL):
-    """exp(2 B * integral of 1/v over [t1, t2]); t2 may be +inf.
-
-    Returns 1 when t1 == t2 or B == 0, and +inf when the exponent
-    diverges.
-    """
-    t1 = float(t1)
-    if t1 < 0 or t2 < t1:
-        raise InvalidParams("need 0 <= t1 <= t2")
-    if t1 == t2 or pair.b_const == 0.0:
-        return 1.0
-    if math.isinf(t2):
-        expo = tail_integral(pair.v_inv, t1, tol=tol)
-    else:
-        expo = integrate(pair.v_inv, t1, float(t2), tol=tol)
-    try:
-        return math.exp(2.0 * pair.b_const * expo)
-    except OverflowError:
-        return math.inf
-
-
 def coth_band(b, x):
     """The comparison band b * coth(b * x) for b >= 0 and x >= 0.
 
@@ -699,9 +677,9 @@ def coth_band(b, x):
     b, x = float(b), float(x)
     if x == 0.0:
         return math.inf
-    bx = b * x
-    if b == 0.0 or bx < 1e-8:
+    if b == 0.0 or b * x < 1e-8:  # b == 0 first: no 0 * inf at x = +inf
         return 1.0 / x
+    bx = b * x
     if bx > 20.0:
         return b  # 2b / expm1(2bx) is below half an ulp of b
     return b + 2.0 * b / math.expm1(2.0 * bx)

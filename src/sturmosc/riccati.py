@@ -5,6 +5,9 @@ y' = y^2/v + W v; with v = 1 it turns u'' + K u = 0 into h' = h^2 + K.
 Solutions of the lower-bound flows y' = (y^2 - B^2)/v and h' = h^2 - B^2
 are available in closed form and squeeze any pole-free transform between
 explicit envelopes; a pole of the transform is a zero of the solution.
+Each closed-form member is stored by its pole s in the integral coordinate
+I (the integral of 1/v from 1, or t itself for h): it is the comparison
+band coth_band(B, |s - I|) with the sign of s - I, so B = 0 is its limit.
 """
 
 from __future__ import annotations
@@ -80,16 +83,22 @@ def riccati_from_solution(traj):
 
 @dataclass(frozen=True)
 class ComparisonFamily:
-    """One member of the closed-form comparison family.
+    """One member of the closed-form comparison family, stored by its pole s.
 
-    flavor 'jacobi' solves q' = q^2 - B^2; flavor 'radial' (which needs the
-    coefficient pair for its volume factor) solves q' = (q^2 - B^2)/v.
+    Flavor 'jacobi' solves q' = q^2 - B^2; flavor 'radial' (which needs the
+    coefficient pair for its volume factor) solves q' = (q^2 - B^2)/v.  In
+    the integral coordinate I(t) (t itself, or the signed integral of 1/v
+    over [1, t]) the member is B coth(B (s - I)), with its pole where
+    I(t) = s; at B = 0 that is 1/(s - I), which solves q' = q^2/v.  A
+    ``bounded`` member (|q| < B) is B tanh(B (s - I)) and has no pole.  An
+    infinite s is the constant member +-B, the zero function at B = 0.
     """
 
     b_const: float
-    c_param: float
+    s: float
     flavor: str = "jacobi"
     pair: Optional[CoefficientPair] = None
+    bounded: bool = False
 
     def __post_init__(self):
         if self.b_const < 0:
@@ -99,6 +108,12 @@ class ComparisonFamily:
         if self.flavor == "radial" and self.pair is None:
             raise InvalidParams("radial flavor needs its coefficient pair")
 
+    @property
+    def c_param(self):
+        """C = +-e^(2Bs) of the form B (C + E)/(C - E), E = e^(2B I(t)),
+        negative for a bounded member; OverflowError past the float range."""
+        return (-1.0 if self.bounded else 1.0) * math.exp(2.0 * self.b_const * self.s)
+
 
 def _signed_integral(v_inv, t0, t, tol):
     """Integral of 1/v from t0 to t, negative for t < t0."""
@@ -107,69 +122,61 @@ def _signed_integral(v_inv, t0, t, tol):
     return -integrate(v_inv, t, t0, tol=tol)
 
 
-def _log_growth(flavor, b, t, pair, tol):
-    """The log of the flavor's growth factor at t, a float or an array: 2B t,
-    or 2B times the signed integral of 1/v over [1, t], read off one running
-    integral along the sorted abscissae with 1 among them."""
+def _integral_coordinate(flavor, t, pair, tol):
+    """I(t) at t, a float or an array: t itself, or the signed integral of
+    1/v over [1, t], read off one running integral along the sorted
+    abscissae with 1 among them."""
     if flavor == "jacobi":
-        return 2.0 * b * t
+        return t
     knots = np.array(sorted({1.0, *np.ravel(t).tolist()}))
     running = cumulative(pair.v_inv, knots, tol=tol)
-    at = np.searchsorted(knots, t)
-    return 2.0 * b * (running[at] - running[np.searchsorted(knots, 1.0)])
+    return running[np.searchsorted(knots, t)] - running[np.searchsorted(knots, 1.0)]
 
 
-def _growth(flavor, b, t, pair, tol):
-    """The flavor's growth factor E at t: exp(2Bt), or V(1, t); inf on overflow."""
-    log_growth = _log_growth(flavor, b, t, pair, tol)
-    if np.ndim(log_growth):
-        with np.errstate(over="ignore"):
-            return np.exp(log_growth)
-    try:
-        return math.exp(log_growth)
-    except OverflowError:
-        return math.inf
+_coth_bands = np.vectorize(coth_band, otypes=[float])
 
 
 def comparison_value(fam, t, tol=DEFAULT_TOL):
-    """Evaluate the family member at t, a float or an array (B = 0 collapses
-    to the zero function); AtPole names the first t on the pole."""
+    """Evaluate the family member at t, a float or an array: +-coth_band(B,
+    |s - I(t)|), or B tanh(B (s - I(t))) when bounded; AtPole names the
+    first t on the pole."""
     ts = np.asarray(t, dtype=float)
     if np.any(ts <= 0):
         raise InvalidParams("comparison functions live on t > 0")
-    b, c = fam.b_const, fam.c_param
-    if b == 0.0:
-        return np.zeros(ts.shape) if ts.ndim else 0.0
-    growth = _growth(fam.flavor, b, ts, fam.pair, tol)
-    den = c - growth
-    at_pole = np.isfinite(growth) & (np.abs(den) <= _POLE_GUARD * (abs(c) + growth))
-    if np.any(at_pole):
-        raise AtPole(f"comparison function has a pole at t = {ts[at_pole][0]:g}")
-    # past any pole, where the growth overflows, the family has settled at -B
-    with np.errstate(invalid="ignore"):
-        values = np.where(np.isinf(growth), -b, b * (c + growth) / den)
+    b = fam.b_const
+    big_i = _integral_coordinate(fam.flavor, ts, fam.pair, tol)
+    gap = fam.s - big_i
+    if fam.bounded:
+        values = b * np.tanh(b * gap)
+    else:
+        at_pole = np.abs(gap) <= _POLE_GUARD * np.abs(big_i)
+        if np.any(at_pole):
+            raise AtPole(f"comparison function has a pole at t = {ts[at_pole][0]:g}")
+        values = np.copysign(_coth_bands(b, np.abs(gap)), gap)
     return values if ts.ndim else float(values)
 
 
 def anchored_family(flavor, b_const, t_bar, q_value, pair=None, tol=DEFAULT_TOL):
     """The family member passing through (t_bar, q_value).
 
-    Solves B (C + E)/(C - E) = q for C, with E the flavor's growth factor.
+    With |q| > B the pole s lies the band distance x from I(t_bar), where
+    coth_band(B, x) = |q|: ahead for q > B, behind for q < -B.  x is
+    atanh(B/|q|)/B, or 1/|q| where B x is below coth_band's 1e-8 cut.  With
+    |q| < B the member is the bounded one, s = I(t_bar) + atanh(q/B)/B;
+    q = +-B is the constant member, s = +-inf.
     """
     if t_bar <= 0:
         raise InvalidParams("comparison functions live on t > 0")
-    fam = ComparisonFamily(float(b_const), 1.0, flavor, pair)
-    b = fam.b_const
-    if b == 0.0:
-        if abs(q_value) > 1e-12:
-            raise InvalidParams("B = 0 family is identically zero; cannot anchor")
-        return fam
-    if q_value == b:
-        raise InvalidParams("anchor value equal to B has no finite parameter")
-    growth = _growth(flavor, b, t_bar, pair, tol)
-    if math.isinf(growth):
-        raise InvalidParams(f"growth factor overflows at t_bar = {t_bar:g}")
-    return replace(fam, c_param=(q_value + b) / (q_value - b) * growth)
+    fam = ComparisonFamily(float(b_const), 0.0, flavor, pair)
+    b, q = fam.b_const, float(q_value)
+    here = float(_integral_coordinate(flavor, float(t_bar), pair, tol))
+    if abs(q) < b:
+        return replace(fam, s=here + math.atanh(q / b) / b, bounded=True)
+    if abs(q) == b:
+        return replace(fam, s=math.copysign(math.inf, q))
+    ratio = b / abs(q)
+    x = math.atanh(ratio) / b if ratio >= 1e-8 else 1.0 / abs(q)
+    return replace(fam, s=here + math.copysign(x, q))
 
 
 def family_riccati(fam, ts, tol=DEFAULT_TOL):
@@ -182,46 +189,48 @@ def family_riccati(fam, ts, tol=DEFAULT_TOL):
 
 
 def blow_up_time(fam, tol=DEFAULT_TOL):
-    """The forward pole of the family member, or +inf when there is none.
+    """The forward pole of the family member, where I(t) = s, or +inf when
+    there is none.
 
-    For the radial flavor this solves ``integral of 1/v over [1, t] =
-    log(C) / (2B)`` (signed, so t < 1 when C < 1): t walks out from 1 by
-    doubling or halving while one integral per segment is summed, and the
-    root is refined inside the segment where the running sum crosses the
-    target.  The pole is absent when 1/v is integrable at +inf and C is at
-    least the total growth V(1, +inf).
+    A bounded member, or one with s = +-inf, has no pole.  For the radial
+    flavor t walks out from 1 by doubling (s > 0) or halving (s < 0) while
+    one integral of 1/v per segment is summed, and the root is refined
+    inside the segment where the running sum crosses s.  The pole is
+    absent when 1/v is integrable at +inf and s is at least its tail from 1.
+    Towards 0 the walk stops at t = 1e-12 with TailInfoMissing: the pole lies
+    below 1e-12, or there is none because 1/v is integrable at 0+ (which the
+    paper excludes), and profiles carry no metadata at 0+ to tell which.
     """
-    b, c = fam.b_const, fam.c_param
-    if b == 0.0 or c <= 0.0:
+    s = fam.s
+    if fam.bounded or math.isinf(s):
         return math.inf
-    target = math.log(c) / (2.0 * b)
     if fam.flavor == "jacobi":
-        return max(target, 0.0) if c >= 1.0 else math.inf
+        return s if s >= 0.0 else math.inf
     v_inv = fam.pair.v_inv
-    if target > 0:
+    if s > 0:
         converges = tail_integral_converges(v_inv)
         if converges is None:
             raise TailInfoMissing("deciding the pole needs tail info on 1/v")
-        if converges and target >= tail_integral(v_inv, 1.0, tol=tol):
+        if converges and s >= tail_integral(v_inv, 1.0, tol=tol):
             return math.inf
-    if target == 0.0:
+    if s == 0.0:
         return 1.0
 
-    sign = 1.0 if target > 0 else -1.0
+    sign = 1.0 if s > 0 else -1.0
     t, total = 1.0, 0.0
     while True:
         nxt = t * 2.0 ** sign
         if not 1e-12 <= nxt < math.inf:
-            raise TailInfoMissing(
-                f"cumulative integral of 1/v does not reach {target:g} "
-                f"towards {'+inf' if target > 0 else '0+'}; cannot bracket the pole")
+            raise TailInfoMissing(f"cumulative integral of 1/v does not reach {s:g} " + (
+                "within the float range" if s > 0 else "by t = 1e-12: the pole lies "
+                "below 1e-12, or there is none because 1/v is integrable at 0+"))
         reached = total + _signed_integral(v_inv, t, nxt, tol)
-        if sign * (reached - target) >= 0:
+        if sign * (reached - s) >= 0:
             break
         t, total = nxt, reached
 
     def g(x):
-        return total + _signed_integral(v_inv, t, x, tol) - target
+        return total + _signed_integral(v_inv, t, x, tol) - s
 
     lo, hi = min(t, nxt), max(t, nxt)
     # xtol scales with the segment, so a pole near 0 keeps its relative accuracy

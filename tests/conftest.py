@@ -1,5 +1,5 @@
-"""Shared catalog fixtures, the randomized admissible-pair family and the
-closed-form Euler oracle."""
+"""Shared catalog fixtures, the randomized admissible-pair family, the
+closed-form Euler oracle and the growth factor V as a second route."""
 
 import itertools
 import math
@@ -8,12 +8,20 @@ import numpy as np
 import pytest
 
 from sturmosc import (CoefficientPair, CurvatureProfile, add, constant,
-                      multiply, power, reciprocal)
+                      integrate, multiply, power, reciprocal, tail_integral)
 
 
 # the criterion name a CLI criterion's verdict carries, where the two differ
 EMITTED_NAMES = {"main_b2_search": "main_b2",
                  "instability": "instability_at_infinity"}
+
+
+def big_v(pair, t1, t2):
+    """V(t1, t2) = exp(2B * integral of 1/v over [t1, t2]), t2 possibly +inf:
+    the growth factor the comparison closed forms were once written in."""
+    if math.isinf(t2):
+        return math.exp(2.0 * pair.b_const * tail_integral(pair.v_inv, t1))
+    return math.exp(2.0 * pair.b_const * integrate(pair.v_inv, t1, t2))
 
 
 def euler_pair(mu, label=""):

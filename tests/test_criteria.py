@@ -11,14 +11,14 @@ from sturmosc import (CoefficientPair, CurvatureProfile, HypothesisViolated,
                       check_ambrose_moore, check_bmr, check_calabi,
                       check_diameter_remark, check_first_zero, check_leighton,
                       check_main_B2, check_moore_liminf, check_myers_galloway,
-                      big_v, check_nehari, check_oscillation, constant,
+                      check_nehari, check_oscillation, constant,
                       exponential, first_zero_threshold, multiply, power,
                       search_main_B2)
 from sturmosc import cli, criteria
 from sturmosc.criteria import (_CONCLUSIONS, LAMBDA_GRID, Conclusion, Verdict,
                                _main_b2_rhs, _main_b2_verdict, _strict_margin)
 from sturmosc.profiles import DEFAULT_TOL, cumulative
-from conftest import EMITTED_NAMES, moore_pair
+from conftest import EMITTED_NAMES, big_v, moore_pair
 
 SAT = Status.SATISFIED
 INC = Status.INCONCLUSIVE

@@ -172,6 +172,21 @@ class TestSolveRadial:
                 with pytest.raises(OutOfValidity):
                     traj.state(arg)
 
+    def test_scalar_calls_return_floats(self, sinc_pair):
+        # float, int and np.float64 give Python floats equal to the array
+        # path's entries; arrays give arrays
+        traj = solve_radial(sinc_pair, 1.0, horizon=10.0)
+        ts = np.array([0.5, 2.0, 7.25, traj.t_end])
+        for name in ("value", "flux", "derivative"):
+            f = getattr(traj, name)
+            rows = f(ts)
+            assert type(rows) is np.ndarray and rows.shape == ts.shape
+            for t, row in zip(ts.tolist(), rows.tolist()):
+                for scalar in (t, np.float64(t)):
+                    assert type(f(scalar)) is float and f(scalar) == row
+            assert type(f(2)) is float and f(2) == rows[1]
+        assert type(traj(2.0)[1]) is float
+
     def test_pole_breakdown_stops_at_step_floor(self):
         # the step floor ends the solve 700 to 800 steps after the start;
         # scipy's own 10-ulp floor alone lets it grind on for over 13,000

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sturmosc import (AsymptoticTail, ClosedFormTailIntegral, CoefficientPair,
                       InvalidParams, NonFiniteSample, Profile,
-                      TailInfoMissing, ToleranceNotMet, add, big_v,
+                      TailInfoMissing, ToleranceNotMet, add,
                       certified_nonnegative, constant, coth_band, elementwise_power,
                       exponential, integrate, integrate_err, model_profiles,
                       multiply, power, reciprocal, scaled, space_form,
@@ -17,6 +17,7 @@ from sturmosc import (AsymptoticTail, ClosedFormTailIntegral, CoefficientPair,
 from sturmosc.cli import _Resolver
 from sturmosc.profiles import (LOG_ORDER, CurvatureProfile, antiderivative_term,
                                cumulative)
+from conftest import big_v
 
 
 class TestIntegrate:
@@ -354,6 +355,9 @@ class TestCoefficientPair:
 
 
 class TestBigV:
+    """The growth factor V of conftest, a second route beside the comparison
+    band, built on integrate and tail_integral."""
+
     def test_unit_volume(self):
         pair = CoefficientPair(constant(1.0), constant(1.0), b_const=1.0,
                                validate=False)

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sturmosc import profiles, riccati
@@ -23,7 +24,8 @@ def unit_pair(b=1.0):
 
 
 def old_comparison_value(fam, t, tol=profiles.DEFAULT_TOL):
-    """comparison_value as it was: one signed integral of 1/v from 1 per point."""
+    """comparison_value as it was: B (C + E)/(C - E) with C = +-e^(2Bs) and
+    the growth factor E from one signed integral of 1/v from 1 per point."""
     b, c = fam.b_const, fam.c_param
     if fam.flavor == "jacobi":
         log_growth = 2.0 * b * t
@@ -60,8 +62,8 @@ def radial_families(draw):
     fam = anchored_family("radial", b, draw(st.floats(0.3, 3.0)), y, pair=pair)
     try:
         pole = blow_up_time(fam)
-    except TailInfoMissing:  # a pole below 1e-12, or none where 1/v is integrable at 0
-        assume(False)
+    except TailInfoMissing:  # the walk reached 1e-12: a pole below it, or none
+        assume(False)      # because 1/v = t^-q is integrable at 0+ (q < 1)
     ts = draw(st.lists(st.floats(0.2, 6.0), min_size=1, max_size=12))
     return fam, [t for t in ts if abs(t - pole) > 1e-2 * pole] or [1.0]
 
@@ -103,42 +105,55 @@ class TestTransform:
 
 class TestComparisonValue:
     def test_constant_flavor(self):
-        fam = ComparisonFamily(1.0, math.e ** 4, "jacobi")
+        fam = ComparisonFamily(1.0, 2.0, "jacobi")
         assert comparison_value(fam, 1.0) == pytest.approx(COMPARISON_RATIO,
                                                            rel=1e-12)
 
     def test_limit_towards_minus_b(self):
-        values = [comparison_value(ComparisonFamily(1.0, c, "jacobi"), 1.0)
-                  for c in (math.e ** 4, math.e ** 6, math.e ** 10)]
-        assert values[0] > values[1] > values[2] > -1.0
+        # poles further behind t = 1 bring the member closer to -B, which
+        # s = -inf is exactly
+        values = [comparison_value(ComparisonFamily(1.0, s, "jacobi"), 1.0)
+                  for s in (-2.0, -3.0, -5.0, -math.inf)]
+        assert values[0] < values[1] < values[2] < values[3] == -1.0
+
+    @pytest.mark.parametrize("flavor", ["jacobi", "radial"])
+    def test_b_zero_is_one_over_the_pole_distance(self, flavor):
+        # the limit 1/(s - I) of B coth(B (s - I)); I(t) = 1 - 1/t on v = t^2
+        pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=0.0)
+        fam = ComparisonFamily(0.0, 0.5, flavor, pair)
+        ts = np.array([0.3, 0.7, 1.9, 2.1, 5.0])
+        big_i = ts if flavor == "jacobi" else 1.0 - 1.0 / ts
+        assert np.allclose(comparison_value(fam, ts), 1.0 / (0.5 - big_i),
+                           rtol=1e-13, atol=0.0)
 
     def test_b_zero_identically_zero(self):
-        fam = ComparisonFamily(0.0, 5.0, "jacobi")
-        assert comparison_value(fam, 0.7) == 0.0
+        for s in (math.inf, -math.inf):
+            fam = ComparisonFamily(0.0, s, "jacobi")
+            assert comparison_value(fam, 0.7) == 0.0
 
     def test_weighted_flavor_at_base_point(self):
-        fam = ComparisonFamily(1.0, E2, "radial", unit_pair())
+        fam = ComparisonFamily(1.0, 1.0, "radial", unit_pair())
         assert comparison_value(fam, 1.0) == pytest.approx(COMPARISON_RATIO,
                                                            rel=1e-10)
 
     def test_pole_raises(self):
-        fam = ComparisonFamily(1.0, E2, "jacobi")
+        fam = ComparisonFamily(1.0, 1.0, "jacobi")
         with pytest.raises(AtPole):
             comparison_value(fam, 1.0)
 
     def test_array_names_the_first_pole_point(self):
-        fam = ComparisonFamily(1.0, E2, "jacobi")
+        fam = ComparisonFamily(1.0, 1.0, "jacobi")
         with pytest.raises(AtPole, match="at t = 1$"):
             comparison_value(fam, np.array([0.5, 1.0, 3.0]))
         with pytest.raises(InvalidParams):
             comparison_value(fam, np.array([0.5, 0.0]))
 
     def test_array_shapes_and_limits(self):
-        fam = ComparisonFamily(1.0, 2.0, "jacobi")
+        fam = ComparisonFamily(1.0, 0.35, "jacobi")
         ys = comparison_value(fam, np.array([[1.0, 400.0], [1e3, 0.5]]))
         assert ys.shape == (2, 2)
-        assert ys[0, 1] == ys[1, 0] == -1.0  # the growth overflows: settled at -B
-        zero = comparison_value(ComparisonFamily(0.0, 2.0, "jacobi"), [0.5, 2.0])
+        assert ys[0, 1] == ys[1, 0] == -1.0  # far past the pole: -B to the last bit
+        zero = comparison_value(ComparisonFamily(0.0, math.inf, "jacobi"), [0.5, 2.0])
         assert zero.tolist() == [0.0, 0.0]
 
     @given(radial_families())
@@ -152,16 +167,20 @@ class TestComparisonValue:
     @given(radial_families())
     @settings(max_examples=30, deadline=None)
     def test_scalar_matches_the_signed_integral_route(self, drawn):
+        # the two forms round differently: the largest relative gap measured
+        # was 4.6e-12, over 11,909 points of both flavors with B in [1e-3, 10]
+        # kept 1 % off the pole
         fam, ts = drawn
         for t in ts:
-            assert comparison_value(fam, t) == old_comparison_value(fam, t)
+            assert comparison_value(fam, t) == pytest.approx(
+                old_comparison_value(fam, t), rel=2e-11, abs=0.0)
 
     @pytest.mark.parametrize("ts", [np.linspace(0.6, 1.9, 12), [2.5, 0.7, 1.0, 2.5, 1.3],
                                     [1.5, 1.2], [0.8]])
     def test_family_integrates_once_per_segment(self, ts, monkeypatch):
-        # v = t^2, C = e: V(1, t) = exp(2 (1 - 1/t)) reaches C at t = 2
+        # v = t^2, s = 1/2: I(t) = 1 - 1/t reaches s at t = 2
         pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1.0)
-        fam = ComparisonFamily(1.0, math.e, "radial", pair)
+        fam = ComparisonFamily(1.0, 0.5, "radial", pair)
         calls = recorded_integrals(monkeypatch)
         blow_up_time(fam)
         bracket = len(calls)
@@ -171,11 +190,64 @@ class TestComparisonValue:
 
 
 class TestAnchoredFamily:
-    def test_overflowing_growth_raises(self):
-        # exp(2 B t_bar) = exp(800) overflows; comparison_value settles at -B
-        with pytest.raises(InvalidParams):
-            anchored_family("jacobi", 1.0, 400.0, 0.5)
-        assert comparison_value(ComparisonFamily(1.0, 2.0, "jacobi"), 400.0) == -1.0
+    @pytest.mark.parametrize("q", [0.5, -0.5, 1.5, -1.5])
+    def test_anchor_far_out(self, q):
+        # at t_bar = 400 the growth factor exp(2 B t_bar) = exp(800) would
+        # overflow; the pole s is I(t_bar) plus or minus a band distance
+        fam = anchored_family("jacobi", 1.0, 400.0, q)
+        assert fam.bounded is (abs(q) < 1.0)
+        assert comparison_value(fam, 400.0) == pytest.approx(q, rel=1e-12)
+
+    @pytest.mark.parametrize("flavor", ["jacobi", "radial"])
+    @pytest.mark.parametrize("b", [1.0, 0.0])
+    def test_anchor_at_plus_or_minus_b_is_the_constant_member(self, flavor, b):
+        pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=b)
+        for q in (b, -b):
+            fam = anchored_family(flavor, b, 1.5, q, pair=pair)
+            assert fam.s == math.copysign(math.inf, q)
+            assert comparison_value(fam, np.array([0.2, 1.5, 30.0])).tolist() == [q] * 3
+            assert blow_up_time(fam) == math.inf
+
+    @given(st.sampled_from(["jacobi", "radial"]), st.floats(0.3, 3.0),
+           st.floats(0.01, 10.0), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_tiny_b_anchor_is_the_b_zero_member(self, flavor, t_bar, q, negative):
+        # B x = 1e-12 / |q| is below coth_band's cut, so B = 1e-12 anchors and
+        # evaluates as B = 0: 1/(s - I), with I(t) = 1 - 1/t on v = t^2
+        q = -q if negative else q
+        ts = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+        values = []
+        for b in (1e-12, 0.0):
+            pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=b)
+            fam = anchored_family(flavor, b, t_bar, q, pair=pair)
+            big_i = ts if flavor == "jacobi" else 1.0 - 1.0 / ts
+            assume(np.all(np.abs(fam.s - big_i) > 1e-3))
+            values.append(comparison_value(fam, ts))
+            assert np.allclose(values[-1], 1.0 / (fam.s - big_i), rtol=1e-12, atol=0.0)
+        assert values[0].tolist() == values[1].tolist()
+
+    @given(st.floats(-3.0, 1.0), st.floats(0.2, 6.0), st.floats(0.1, 10.0),
+           st.booleans(), st.floats(0.2, 6.0))
+    @example(log_b=-2.95872597403952, t_bar=0.7716937348325188, q=6.18836037035927,
+             negative=True, t=0.6384015952001537)
+    @settings(max_examples=200, deadline=None)
+    def test_jacobi_matches_mpmath(self, log_b, t_bar, q, negative, t):
+        # the member through the exact anchor (t_bar, q), at 40 digits, where
+        # the pole distance |s - t| is above 1e-2; the growth-factor form was
+        # 6.3e-12 off at the example, from C - E cancelling at small B
+        b, q = 10.0 ** log_b, -q if negative else q
+        assume(abs(abs(q) - b) > 1e-9 * b)  # q = +-B is the constant member
+        with mpmath.workdps(40):
+            big_b, big_q = mpmath.mpf(b), mpmath.mpf(q)
+            if abs(big_q) > big_b:
+                gap = t_bar - t + mpmath.acoth(big_q / big_b) / big_b
+                exact = big_b * mpmath.coth(big_b * gap)
+            else:
+                gap = t_bar - t + mpmath.atanh(big_q / big_b) / big_b
+                exact = big_b * mpmath.tanh(big_b * gap)
+        assume(abs(gap) > 1e-2)
+        fam = anchored_family("jacobi", b, t_bar, q)
+        assert comparison_value(fam, t) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
     def test_radial_anchor_below_zero_raises(self):
         pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1.0)
@@ -186,7 +258,8 @@ class TestAnchoredFamily:
                              [("jacobi", 0.0), ("jacobi", -2.0), ("radial", 0.0)])
     def test_anchor_off_the_positive_axis_raises(self, flavor, t_bar):
         # as in comparison_value; the jacobi flavor would otherwise return a
-        # family (C = -3 at t_bar = 0), the radial one fail in the quadrature
+        # family (s = atanh(1/2) at t_bar = 0), the radial one fail in the
+        # quadrature
         pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1.0)
         with pytest.raises(InvalidParams, match="live on t > 0"):
             anchored_family(flavor, 1.0, t_bar, 0.5,
@@ -194,54 +267,78 @@ class TestAnchoredFamily:
 
     @pytest.mark.parametrize("flavor", ["radial", "jacobbi"])
     def test_flavor_and_pair_checked_first(self, flavor):
-        # checked before the growth factor, which needs the pair's 1/v
+        # checked before I(t_bar), which needs the pair's 1/v
         with pytest.raises(InvalidParams, match="flavor"):
             anchored_family(flavor, 1.0, 2.0, 0.5)
 
 
 class TestBlowUpTime:
     def test_constant_flavor(self):
-        assert blow_up_time(ComparisonFamily(1.0, E2, "jacobi")) == pytest.approx(1.0)
+        assert blow_up_time(ComparisonFamily(1.0, 1.0, "jacobi")) == 1.0
+        # a pole at s < 0 lies behind t = 0, where the member does not live
+        assert blow_up_time(ComparisonFamily(1.0, -1.0, "jacobi")) == math.inf
 
     def test_weighted_unit_volume(self):
-        fam = ComparisonFamily(1.0, E2, "radial", unit_pair())
+        fam = ComparisonFamily(1.0, 1.0, "radial", unit_pair())
         assert blow_up_time(fam) == pytest.approx(2.0, rel=1e-9)
 
     def test_no_pole_past_total_growth(self):
         pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1.0)
-        fam = ComparisonFamily(1.0, math.e ** 4, "radial", pair)
-        assert blow_up_time(fam) == math.inf  # V(1, inf) = e^2 < C
+        fam = ComparisonFamily(1.0, 2.0, "radial", pair)
+        assert blow_up_time(fam) == math.inf  # the tail of 1/v from 1 is 1 < s
 
     def test_pole_below_base_point(self):
-        fam = ComparisonFamily(1.0, math.exp(-2.0), "radial", unit_pair())
-        # integral of 1/v from t_C to 1 equals 1: pole at t = 0 exactly;
-        # for v = 1 the target is reachable only in the limit, ruled out by
-        # the bracket guard
-        pair2 = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1.0)
-        fam2 = ComparisonFamily(1.0, math.exp(-2.0), "radial", pair2)
-        t_c = blow_up_time(fam2)  # solves int_{t}^{1} s^-2 ds = 1 -> t = 1/2
-        assert t_c == pytest.approx(0.5, rel=1e-9)
+        # v = t^2: the integral of 1/v over [t, 1] is 1/t - 1 = -s at t = 1/2
+        pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1.0)
+        fam = ComparisonFamily(1.0, -1.0, "radial", pair)
+        assert blow_up_time(fam) == pytest.approx(0.5, rel=1e-9)
+        # v = 1 reaches s = -1 only in the limit t -> 0, which the walk stops short of
+        with pytest.raises(TailInfoMissing):
+            blow_up_time(ComparisonFamily(1.0, -1.0, "radial", unit_pair()))
+
+    def test_no_pole_where_one_over_v_is_integrable_at_zero(self):
+        # v = t^0.5: I(t) = 2 (sqrt(t) - 1) > -2 > s, so the member has no
+        # pole, but no profile metadata at 0+ shows it
+        pair = CoefficientPair(power(1.0, 0.5), constant(0.0), b_const=1.0,
+                               validate=False)
+        fam = ComparisonFamily(1.0, -5.0, "radial", pair)
+        with pytest.raises(TailInfoMissing, match=r"below 1e-12, or there is none "
+                                                  r"because 1/v is integrable at 0\+"):
+            blow_up_time(fam)
+        # s - I(1e-6) = -5 + 1.998 = -3.002
+        assert comparison_value(fam, 1e-6) == pytest.approx(-1.0 / math.tanh(3.002),
+                                                            rel=1e-9)
 
     def test_target_beyond_the_float_range_raises(self):
+        # v = t: I(t) = log t stays below 710 on the floats
         pair = CoefficientPair(power(1.0, 1.0), constant(0.0), b_const=1.0)
-        with pytest.raises(TailInfoMissing):
-            blow_up_time(ComparisonFamily(1.0, math.inf, "radial", pair))
+        with pytest.raises(TailInfoMissing, match="within the float range"):
+            blow_up_time(ComparisonFamily(1.0, 1000.0, "radial", pair))
 
-    @pytest.mark.parametrize("b,log_c", [(0.5, -2.0), (0.5, 2.0), (0.5, 40.0),
-                                         (0.5, -20.0), (1.0, 300.0)])
-    def test_radial_pole_of_v_equal_t(self, b, log_c):
-        # v = t: the integral of 1/v over [1, t] is log t, so the pole is
-        # exp(log(C) / (2B)): below 1 when C < 1, and e^150 ~ 2^216 for
-        # B = 1, C = e^300
+    @pytest.mark.parametrize("flavor", ["jacobi", "radial"])
+    def test_infinite_s_has_no_pole(self, flavor):
+        pair = CoefficientPair(power(1.0, 1.0), constant(0.0), b_const=1.0)
+        for fam in (ComparisonFamily(1.0, math.inf, flavor, pair),
+                    ComparisonFamily(1.0, -math.inf, flavor, pair),
+                    ComparisonFamily(1.0, 0.5, flavor, pair, bounded=True)):
+            assert blow_up_time(fam) == math.inf
+            assert family_riccati(fam, [0.5, 2.0]).poles == ()
+
+    @pytest.mark.parametrize("b,s", [(0.5, -2.0), (0.5, 2.0), (0.5, 40.0),
+                                     (0.5, -20.0), (1.0, 300.0), (0.0, 2.0)])
+    def test_radial_pole_of_v_equal_t(self, b, s):
+        # v = t: I(t) = log t, so the pole is e^s for every B: below 1 when
+        # s < 0, and e^300 ~ 2^433 for s = 300
         pair = CoefficientPair(power(1.0, 1.0), constant(0.0), b_const=b)
-        pole = blow_up_time(ComparisonFamily(b, math.exp(log_c), "radial", pair))
-        assert pole == pytest.approx(math.exp(log_c / (2.0 * b)), rel=1e-12, abs=0.0)
+        pole = blow_up_time(ComparisonFamily(b, s, "radial", pair))
+        assert pole == pytest.approx(math.exp(s), rel=1e-12, abs=0.0)
 
     @given(st.floats(1.1, 50.0), st.floats(1.01, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_strictly_increasing_in_c(self, c, factor):
-        t1 = blow_up_time(ComparisonFamily(1.0, c, "jacobi"))
-        t2 = blow_up_time(ComparisonFamily(1.0, c * factor, "jacobi"))
+        # C = e^(2Bs) grows with s, and so does the pole
+        t1 = blow_up_time(ComparisonFamily(1.0, math.log(c) / 2.0, "jacobi"))
+        t2 = blow_up_time(ComparisonFamily(1.0, math.log(c * factor) / 2.0, "jacobi"))
         assert t2 > t1
 
 
@@ -305,7 +402,7 @@ class TestEnvelope:
 class TestFamilyResiduals:
     @pytest.mark.parametrize("b,c", [(1.0, math.e ** 4), (0.5, 3.0), (2.0, 1.5)])
     def test_constant_flavor_residual(self, b, c):
-        fam = ComparisonFamily(b, c, "jacobi")
+        fam = ComparisonFamily(b, math.log(c) / (2.0 * b), "jacobi")  # C = e^(2Bs)
         pole = blow_up_time(fam)
         ts = [t for t in np.linspace(0.05, pole + 2.0, 60)
               if abs(t - pole) > 0.1]
@@ -319,13 +416,26 @@ class TestFamilyResiduals:
             assert abs(d - target) <= 1e-6 * (1.0 + abs(target))
 
     def test_weighted_flavor_residual(self):
-        pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1.0)
-        fam = ComparisonFamily(1.0, math.e ** 4, "radial", pair)
+        self.check_weighted_residual(1.0, 2.0, False)
+
+    @pytest.mark.parametrize("b,s,bounded", [(0.0, 0.5, False), (1.0, 0.5, False),
+                                             (1.0, 0.5, True), (0.3, -1.0, True)])
+    def test_b_zero_and_bounded_residuals(self, b, s, bounded):
+        # on v = t^2 the members with s = 1/2 have their pole at t = 2; the
+        # B = 0 one is 1/(s - I) and solves y' = y^2/v
+        self.check_weighted_residual(b, s, bounded)
+
+    @staticmethod
+    def check_weighted_residual(b, s, bounded):
+        pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=b)
+        fam = ComparisonFamily(b, s, "radial", pair, bounded)
         delta = 1e-5
         for t in np.linspace(0.5, 6.0, 25):
+            if abs(t - blow_up_time(fam)) < 0.15:
+                continue
             d = (comparison_value(fam, t + delta)
                  - comparison_value(fam, t - delta)) / (2 * delta)
-            target = (comparison_value(fam, t) ** 2 - 1.0) / pair.v(t)
+            target = (comparison_value(fam, t) ** 2 - b * b) / pair.v(t)
             assert abs(d - target) <= 1e-6 * (1.0 + abs(target))
 
 
@@ -348,10 +458,12 @@ class TestVerifyComparison:
         assert report.ok and report.anchor_gap == 0.0
 
     def test_exact_family_member_matches(self, hyperbolic_curvature):
-        # -coth t solves the comparison flow itself: anchoring recovers C = 1
+        # -coth t solves the comparison flow itself: anchoring recovers its
+        # pole s = 0, which is C = 1
         traj = solve_jacobi(hyperbolic_curvature, horizon=20.0)
         q1 = riccati_from_solution(traj)
         fam = anchored_family("jacobi", 1.0, 1.0, float(q1(1.0)))
+        assert not fam.bounded and fam.s == pytest.approx(0.0, abs=1e-9)
         assert fam.c_param == pytest.approx(1.0, abs=1e-9)
         q2 = family_riccati(fam, q1.ts)
         forward = verify_comparison(q1, q2, 1.0, "forward")
@@ -412,8 +524,9 @@ class TestVerifyComparison:
         k = CurvatureProfile(constant(1.0), b_const=1.0, m=2, validate=False)
         traj = solve_jacobi(k, horizon=6.0)
         q1 = riccati_from_solution(traj)
-        t_bar = 2.0  # past the region where h > B, C lands in (1, e^{2Bt})
+        t_bar = 2.0  # h(2) = -cot 2 lies in (-B, B): the bounded member
         fam = anchored_family("jacobi", 1.0, t_bar, float(q1(t_bar)))
+        assert fam.bounded
         q2 = family_riccati(fam, q1.ts)
         report = verify_comparison(q1, q2, t_bar, "forward")
         assert report.ok
