@@ -384,7 +384,7 @@ def _product_limit(pair):
 def _product_witness(pair, R, horizon, tol):
     ts = np.geomspace(max(2.0 * R, R + 1.0), horizon, 16)
     try:
-        tails = [tail_integral(pair.v_inv, t, tol=tol) for t in ts]
+        tails = tail_integral(pair.v_inv, ts, tol=tol)
     except TailInfoMissing:
         return {}
     best_t, best = float(ts[0]), -math.inf
@@ -477,7 +477,8 @@ def check_bmr(pair, T, horizon=1e4, tol=DEFAULT_TOL):
     chi(t) = [1 / (2 v(t) * tail integral of 1/v)]^2, by differentiating
     the tail integral in closed form.  SATISFIED needs the cumulative of
     sqrt(W) - sqrt(chi) certified divergent by comparing asymptotic
-    classes; the sampled cumulative is only a witness.
+    classes; its running integral along a 48-point geometric grid from T
+    to the horizon is only a witness.
     """
     if T <= 0:
         raise InvalidParams("need T > 0")
@@ -485,13 +486,13 @@ def check_bmr(pair, T, horizon=1e4, tol=DEFAULT_TOL):
         raise InvalidParams("the critical-function test needs 1/v integrable at +inf")
     _sample_nonnegative(pair.w, T, horizon, "W")
 
-    ts = np.geomspace(T, horizon, 48)
-    tails = np.array([tail_integral(pair.v_inv, t, tol=tol) for t in ts])
-    integrand = np.sqrt(np.maximum(pair.w(ts), 0.0)) - 1.0 / (2.0 * pair.v(ts) * tails)
-    cumulative = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(ts))])
-    witness = {"T": float(T), "cumulative_max": float(np.max(cumulative)),
-               "cumulative_last": float(cumulative[-1])}
+    def sqrt_w_minus_sqrt_chi(t):
+        chi_root = 1.0 / (2.0 * pair.v(t) * tail_integral(pair.v_inv, t, tol=tol))
+        return np.sqrt(np.maximum(pair.w(t), 0.0)) - chi_root
+
+    running = cumulative(sqrt_w_minus_sqrt_chi, np.geomspace(T, horizon, 48), tol=tol)
+    witness = {"T": float(T), "cumulative_max": float(np.max(running)),
+               "cumulative_last": float(running[-1])}
 
     v_inv, w = antiderivative_term(pair.v_inv), antiderivative_term(pair.w)
     if v_inv is None or v_inv[1] >= LOG_ORDER or w is None:

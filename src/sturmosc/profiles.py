@@ -377,20 +377,42 @@ def _as_callable(p):
     return p.evaluator if isinstance(p, Profile) else p
 
 
-def _gk_panel(f, a, b):
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c + h * _K15_NODES
+def _samples(f, x):
+    """``f`` at the nodes ``x``, as floats of x's shape."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
         y = np.broadcast_to(y, x.shape)
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(np.asarray(y))][0]
-        raise NonFiniteSample(f"integrand is not finite near t = {bad:.6g}")
-    k = h * float(_K15_WEIGHTS @ y)
-    g = h * float(_G7_WEIGHTS @ y[_G7_IDX])
+    return y
+
+
+def _non_finite(x, y):
+    bad = x[~np.isfinite(y)][0]
+    return NonFiniteSample(f"integrand is not finite near t = {bad:.6g}")
+
+
+def _gk_sums(h, y):
+    """(K15 value, |K15 - G7|) of the 15 samples ``y`` of a panel of half-width h."""
+    k = h * float(_K15_WEIGHTS.dot(y))
+    g = h * float(_G7_WEIGHTS.dot(y[_G7_IDX]))
     return k, abs(k - g)
+
+
+def _gk_panel(f, a, b):
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    x = c + h * _K15_NODES
+    y = _samples(f, x)
+    if not np.all(np.isfinite(y)):
+        raise _non_finite(x, y)
+    return _gk_sums(h, y)
+
+
+def _check_interval(a, b):
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidParams("integrate needs finite endpoints; use tail_integral")
+    if a > b:
+        raise InvalidParams(f"empty interval [{a:g}, {b:g}]")
 
 
 def integrate_err(p, a, b, tol=DEFAULT_TOL, max_panels=PANEL_BUDGET):
@@ -401,18 +423,20 @@ def integrate_err(p, a, b, tol=DEFAULT_TOL, max_panels=PANEL_BUDGET):
     interior, so integrable endpoint singularities (and a = 0) are fine.
     """
     a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InvalidParams("integrate needs finite endpoints; use tail_integral")
-    if a > b:
-        raise InvalidParams(f"empty interval [{a:g}, {b:g}]")
+    _check_interval(a, b)
     if a == b:
         return 0.0, 0.0
     if tol <= 0:
         raise InvalidParams("tol must be positive")
     f = _as_callable(p)
+    return _bisect(f, a, b, *_gk_panel(f, a, b), tol, max_panels)
 
+
+def _bisect(f, a, b, val, err, tol, max_panels):
+    """Global adaptive bisection of [a, b] from its first panel (val, err):
+    split the panel of largest error until the total error is within
+    tol * (1 + |total|); returns (total, error)."""
     counter = itertools.count()
-    val, err = _gk_panel(f, a, b)
     heap = [(-err, next(counter), a, b, val, err)]
     total_val, total_err = val, err
     panels = 1
@@ -448,10 +472,39 @@ def integrate(p, a, b, tol=DEFAULT_TOL, max_panels=PANEL_BUDGET):
 def cumulative(p, ts, tol=DEFAULT_TOL):
     """Running integrals [0, integral over [ts0, ts1], ...] of ``p`` along ``ts``.
 
-    One :func:`integrate` per segment, summed left to right, so ``ts``
-    must be nondecreasing.
+    Each segment's integral is the one :func:`integrate` gives, bit for
+    bit, and the pieces are summed left to right, so ``ts`` must be
+    nondecreasing.  The first G7-K15 panel of every nonempty segment is
+    sampled in one evaluator call; only the segments whose first panel
+    misses ``tol`` go on to the adaptive bisection.  Errors are raised
+    as the per-segment loop would raise them: a non-finite sample or a
+    bad endpoint only once every segment before it is done.
     """
-    pieces = [integrate(p, a, b, tol=tol) for a, b in zip(ts[:-1], ts[1:])]
+    ends = [float(t) for t in ts]
+    segments = list(zip(ends[:-1], ends[1:]))
+    pieces = [0.0] * len(segments)
+    # the loop would stop at the first segment with a bad endpoint
+    stop = next((j for j, (a, b) in enumerate(segments)
+                 if not (math.isfinite(a) and math.isfinite(b)) or a > b), len(segments))
+    rows = [j for j in range(stop) if segments[j][0] < segments[j][1]]
+    if rows:
+        if tol <= 0:
+            raise InvalidParams("tol must be positive")
+        f = _as_callable(p)
+        a, b = np.array([segments[j] for j in rows]).T
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        x = c[:, None] + h[:, None] * _K15_NODES
+        y = _samples(f, x.ravel()).reshape(x.shape)
+        finite = np.isfinite(y).all(axis=1)
+        for i, (j, hj) in enumerate(zip(rows, h.tolist())):
+            if not finite[i]:
+                raise _non_finite(x[i], y[i])
+            k, err = _gk_sums(hj, y[i])
+            if err > tol * (1.0 + abs(k)):
+                k = _bisect(f, *segments[j], k, err, tol, PANEL_BUDGET)[0]
+            pieces[j] = k
+    if stop < len(segments):
+        _check_interval(*segments[stop])
     return np.cumsum([0.0] + pieces)
 
 
@@ -531,7 +584,27 @@ def tail_integral(p, b, tol=DEFAULT_TOL):
     beyond their ``valid_from`` point; the truncated head is integrated
     adaptively and the remainder finished analytically (power tails) or by
     extending the truncation until an exponential envelope is negligible.
+
+    An array ``b`` gives the array of values at its points, each the one a
+    float ``b`` gives.  An exact power tail valid from every point is read
+    once and finished per point on floats; any other tail takes the float
+    route point by point.
     """
+    if np.ndim(b):
+        bs = np.asarray(b, dtype=float).tolist()
+        t = p.tail
+        if not (bs and isinstance(t, AsymptoticTail) and t.exact and t.rate == 0.0
+                and max(t.valid_from, 0.0) <= min(bs)):
+            return np.array([tail_integral(p, x, tol=tol) for x in bs])
+        div = tail_divergence(p)
+        if div != "finite":
+            return np.full(len(bs), math.inf if div == "+inf" else -math.inf)
+        c = t.coefficient
+        if c == 0.0:
+            return np.zeros(len(bs))
+        e = float(_antiderivative_order(t)[1])
+        # no head to integrate: the float route's 0.0 plus the remainder at T = b
+        return np.array([0.0 + c * x ** e / -e for x in bs])
     b = float(b)
     if b < 0:
         raise InvalidParams("tail_integral needs b >= 0")

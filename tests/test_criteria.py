@@ -520,6 +520,14 @@ class TestBmr:
         assert v.status is SAT
         assert v.witness["sqrt_chi_coefficient"] == pytest.approx(0.5)
 
+    def test_witness_is_the_running_integral(self):
+        # sqrt(W) - sqrt(chi) = (sqrt(0.5) - 1/2)/t on v = t^2, W = 0.5/t^2
+        pair = CoefficientPair(power(1.0, 2.0), power(0.5, -2.0), t_start=1.0)
+        witness = check_bmr(pair, 1.0, horizon=1e4).witness
+        exact = (math.sqrt(0.5) - 0.5) * math.log(1e4)
+        assert witness["cumulative_last"] == pytest.approx(exact, rel=1e-8)
+        assert witness["cumulative_max"] == pytest.approx(exact, rel=1e-8)
+
     def test_zero_potential_inconclusive(self):
         pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=0.0)
         assert check_bmr(pair, 1.0).status is INC

@@ -14,9 +14,10 @@ from sturmosc import (AsymptoticTail, ClosedFormTailIntegral, CoefficientPair,
                       multiply, power, reciprocal, scaled, space_form,
                       subtract, tail_divergence, tail_integral,
                       warped_model, weighted_moment)
+from sturmosc import profiles
 from sturmosc.cli import _Resolver
-from sturmosc.profiles import (LOG_ORDER, CurvatureProfile, antiderivative_term,
-                               cumulative)
+from sturmosc.profiles import (LOG_ORDER, PANEL_BUDGET, CurvatureProfile,
+                               antiderivative_term, cumulative)
 from conftest import big_v
 
 
@@ -56,15 +57,35 @@ class TestIntegrate:
         assert whole == pytest.approx(parts, abs=2e-10 * (1 + abs(whole)))
 
 
+def segment_loop(p, ts, max_panels=PANEL_BUDGET):
+    """The running integral as one integrate per segment, summed left to right."""
+    pieces = [integrate(p, a, b, max_panels=max_panels) for a, b in zip(ts[:-1], ts[1:])]
+    return np.cumsum([0.0] + pieces)
+
+
+INTEGRANDS = {"sin(40t)": lambda t: np.sin(40.0 * t), "t^-0.5": power(1.0, -0.5),
+              "0.3 t^1.5 + 0.7": add(power(0.3, 1.5), constant(0.7))}
+
+
+def gappy_sine(t):
+    """sin(40 t), NaN on (0.55, 0.56) and beyond 3."""
+    return np.where(((t > 0.55) & (t < 0.56)) | (t > 3.0), np.nan, np.sin(40.0 * t))
+
+
 class TestCumulative:
-    @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8))
-    @settings(max_examples=30, deadline=None)
-    def test_sums_segments_left_to_right(self, steps):
-        p = add(power(0.3, 1.5), constant(0.7))
-        ts = 0.1 + np.cumsum(steps)
-        pieces = [integrate(p, a, b) for a, b in zip(ts[:-1], ts[1:])]
-        expected = np.cumsum([0.0] + pieces)
-        assert np.array_equal(cumulative(p, ts), expected)
+    @given(st.sampled_from(sorted(INTEGRANDS)), st.sampled_from([0.0, 0.1, 1.0]),
+           st.lists(st.sampled_from([0.0]) | st.floats(1e-3, 5.0), min_size=1,
+                    max_size=8))
+    @settings(max_examples=60, deadline=None)
+    @example("sin(40t)", 0.0, [5.0])
+    @example("t^-0.5", 0.0, [0.0, 1.0, 1.0, 0.0, 2.5])
+    def test_sums_segments_left_to_right(self, name, start, steps):
+        # bit for bit the per-segment loop: oscillating and singular
+        # integrands need refinement past the first panel, zero steps
+        # repeat a knot, and one step is a one-segment grid
+        p = INTEGRANDS[name]
+        ts = start + np.cumsum([0.0] + steps)
+        assert cumulative(p, ts).tobytes() == segment_loop(p, ts).tobytes()
 
     def test_sin_closed_form(self):
         ts = np.linspace(0.0, 10.0, 21)
@@ -74,6 +95,38 @@ class TestCumulative:
     def test_decreasing_grid_raises(self):
         with pytest.raises(InvalidParams):
             cumulative(constant(1.0), [1.0, 3.0, 2.0])
+
+    @pytest.mark.parametrize("ts, budget, raised", [
+        # the first panel of [3, 3.5] is NaN, after two clean segments
+        ([1.0, 2.0, 3.0, 3.5, 4.0], PANEL_BUDGET, NonFiniteSample),
+        # the refinement of [0, 1] meets the NaN window before [3.5, 4]
+        # is looked at
+        ([0.0, 1.0, 3.5, 4.0], PANEL_BUDGET, NonFiniteSample),
+        # [0, 2] exhausts a budget of 3 panels before [3.5, 4] is reached
+        ([0.0, 2.0, 3.5, 4.0], 3, ToleranceNotMet),
+        # a bad endpoint stops the loop only where the loop reaches it
+        ([0.0, 1.0, 3.5, 4.0, math.inf], PANEL_BUDGET, NonFiniteSample),
+        ([1.0, 2.0, 1.5, 3.5, 4.0], PANEL_BUDGET, InvalidParams),
+    ])
+    def test_raises_what_the_segment_loop_raises(self, ts, budget, raised, monkeypatch):
+        monkeypatch.setattr(profiles, "PANEL_BUDGET", budget)
+        outcomes = []
+        for run in (cumulative, lambda p, ts: segment_loop(p, ts, max_panels=budget)):
+            with pytest.raises(raised) as info:
+                run(gappy_sine, ts)
+            outcomes.append(str(info.value))
+        assert outcomes[0] == outcomes[1]
+
+    def test_first_panels_in_one_evaluator_call(self):
+        calls = []
+
+        def counted(t):
+            calls.append(t.shape)
+            return 0.3 * t ** 2 + 1.0
+
+        ts = np.linspace(1.0, 2.0, 11)
+        assert cumulative(counted, ts)[-1] == pytest.approx(1.7, rel=1e-14)
+        assert calls == [(150,)]
 
 
 class TestTailIntegral:
@@ -113,6 +166,26 @@ class TestTailIntegral:
 
     def test_negative_coefficient_diverges_down(self):
         assert tail_integral(power(-1.0, 0.0), 1.0) == -math.inf
+
+    @pytest.mark.parametrize("p", [
+        reciprocal(power(1.0, 2.0)), power(-3.0, -3.5), power(0.0, -2.0),
+        power(1.0, -1.0), power(-1.0, 0.5), exponential(2.0, -0.5),
+        Profile(lambda t: 2.0 * t ** -3.0, tail=AsymptoticTail(2.0, -3.0, valid_from=2.0)),
+        Profile(lambda t: np.exp(-t), tail=ClosedFormTailIntegral(lambda b: math.exp(-b))),
+    ], ids=["1/t^2", "-3t^-3.5", "zero", "harmonic", "-sqrt", "exp", "valid_from_2",
+            "closed_form"])
+    def test_grid_is_the_float_route_per_point(self, p):
+        bs = np.geomspace(1.0, 1e4, 9)
+        expected = np.array([tail_integral(p, b) for b in bs])
+        assert tail_integral(p, bs).tobytes() == expected.tobytes()
+        assert tail_integral(p, bs.tolist()).tobytes() == expected.tobytes()
+
+    def test_grid_raises_what_the_float_route_raises(self):
+        with pytest.raises(InvalidParams):
+            tail_integral(power(1.0, -2.0), np.array([-1.0, 2.0]))
+        with pytest.raises(TailInfoMissing):
+            tail_integral(add(power(1.0, -2.0), power(1.0, -3.0)), np.array([1.0, 2.0]))
+        assert tail_integral(power(1.0, -2.0), np.array([])).shape == (0,)
 
 
 # profile -> (leading antiderivative term, tail_divergence), exact values;

@@ -38,16 +38,17 @@ def old_comparison_value(fam, t, tol=profiles.DEFAULT_TOL):
     return b * (c + growth) / (c - growth)
 
 
-def recorded_integrals(monkeypatch):
-    """Route ``profiles.integrate_err`` through a recorder of each interval."""
+def recorded_knots(monkeypatch):
+    """Route the running integrals of ``riccati`` through a recorder of the
+    knots of each: one integral per segment between consecutive knots."""
     calls = []
-    real = profiles.integrate_err
+    real = riccati.cumulative
 
-    def record(p, a, b, **kwargs):
-        calls.append((a, b))
-        return real(p, a, b, **kwargs)
+    def record(p, ts, **kwargs):
+        calls.append(list(ts))
+        return real(p, ts, **kwargs)
 
-    monkeypatch.setattr(profiles, "integrate_err", record)
+    monkeypatch.setattr(riccati, "cumulative", record)
     return calls
 
 
@@ -181,12 +182,9 @@ class TestComparisonValue:
         # v = t^2, s = 1/2: I(t) = 1 - 1/t reaches s at t = 2
         pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=1.0)
         fam = ComparisonFamily(1.0, 0.5, "radial", pair)
-        calls = recorded_integrals(monkeypatch)
-        blow_up_time(fam)
-        bracket = len(calls)
+        calls = recorded_knots(monkeypatch)
         family_riccati(fam, ts)
-        knots = sorted(set(ts) | {1.0})
-        assert calls[2 * bracket:] == list(zip(knots[:-1], knots[1:]))
+        assert calls == [sorted(set(ts) | {1.0})]
 
 
 class TestAnchoredFamily:
@@ -477,11 +475,10 @@ class TestVerifyComparison:
         fam = anchored_family("radial", 1.0, 1.5, 0.3, pair=pair)
         ts = np.linspace(1.5, 1.9, 31)
         q1, q2 = family_riccati(fam, ts), family_riccati(fam, ts)
-        calls = recorded_integrals(monkeypatch)
+        calls = recorded_knots(monkeypatch)
         report = verify_comparison(q1, q2, 1.5, "forward")
         assert report.ok and report.n_checked == 30
-        knots = [1.0] + ts[1:].tolist()
-        assert calls == [(1.0, 1.5)] * 2 + list(zip(knots[:-1], knots[1:]))
+        assert calls == [[1.0, 1.5]] * 2 + [[1.0] + ts[1:].tolist()]
 
     def test_backward_is_forward_mirrored(self):
         # t -> -t and y -> -y turn a forward check into a backward one,
