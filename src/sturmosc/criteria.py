@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import HypothesisViolated, InvalidParams, TailInfoMissing
+from .errors import (HypothesisViolated, InvalidParams, NonFiniteSample,
+                     TailInfoMissing, ToleranceNotMet)
 from .profiles import (DEFAULT_TOL, LOG_ORDER, antiderivative_term,
                        certified_nonpositive, coth_band, cumulative,
                        elementwise_power, integrate, multiply, power,
@@ -478,7 +479,8 @@ def check_bmr(pair, T, horizon=1e4, tol=DEFAULT_TOL):
     the tail integral in closed form.  SATISFIED needs the cumulative of
     sqrt(W) - sqrt(chi) certified divergent by comparing asymptotic
     classes; its running integral along a 48-point geometric grid from T
-    to the horizon is only a witness.
+    to the horizon is only a witness, NaN where the integrand is not finite
+    (v or the tail of 1/v leaving the float range) or will not converge.
     """
     if T <= 0:
         raise InvalidParams("need T > 0")
@@ -490,7 +492,10 @@ def check_bmr(pair, T, horizon=1e4, tol=DEFAULT_TOL):
         chi_root = 1.0 / (2.0 * pair.v(t) * tail_integral(pair.v_inv, t, tol=tol))
         return np.sqrt(np.maximum(pair.w(t), 0.0)) - chi_root
 
-    running = cumulative(sqrt_w_minus_sqrt_chi, np.geomspace(T, horizon, 48), tol=tol)
+    try:
+        running = cumulative(sqrt_w_minus_sqrt_chi, np.geomspace(T, horizon, 48), tol=tol)
+    except (NonFiniteSample, ToleranceNotMet):
+        running = [math.nan]
     witness = {"T": float(T), "cumulative_max": float(np.max(running)),
                "cumulative_last": float(running[-1])}
 

@@ -476,9 +476,11 @@ def cumulative(p, ts, tol=DEFAULT_TOL):
     bit, and the pieces are summed left to right, so ``ts`` must be
     nondecreasing.  The first G7-K15 panel of every nonempty segment is
     sampled in one evaluator call; only the segments whose first panel
-    misses ``tol`` go on to the adaptive bisection.  Errors are raised
-    as the per-segment loop would raise them: a non-finite sample or a
-    bad endpoint only once every segment before it is done.
+    misses ``tol`` go on to the adaptive bisection.  A non-finite sample
+    or a bad endpoint raises as the per-segment loop would: only once
+    every segment before it is done, whose refinement may raise first.
+    An exception the evaluator raises itself comes from the batched call,
+    before any segment is refined.
     """
     ends = [float(t) for t in ts]
     segments = list(zip(ends[:-1], ends[1:]))
@@ -577,6 +579,35 @@ def tail_integral_converges(p):
     return d == "finite"
 
 
+def _power_remainders(t, Ts):
+    """Integrals over (T, +inf) of the exact power tail ``t`` with finite class
+    and c != 0, for each T in ``Ts`` (all at least ``t.valid_from``)."""
+    c = t.coefficient
+    e = float(_antiderivative_order(t)[1])  # the exact order q + 1 < 0
+    return [c * T ** e / -e for T in Ts]
+
+
+def _tail_integrals(p, bs, tol):
+    """:func:`tail_integral` at the nondecreasing points ``bs``."""
+    if not bs:
+        return np.zeros(0)
+    if bs[0] < 0:
+        raise InvalidParams("tail_integral needs b >= 0")
+    t = p.tail
+    if isinstance(t, ClosedFormTailIntegral):
+        return np.array([tail_integral(p, b, tol=tol) for b in bs])
+    last = tail_integral(p, bs[-1], tol=tol)  # raises, or classifies, for every point
+    if not math.isfinite(last):
+        return np.full(len(bs), last)
+    if t.rate == 0.0 and t.coefficient != 0.0 and t.valid_from <= bs[0]:
+        # no head to integrate: the float route's 0.0 plus the remainder at T = b
+        return 0.0 + np.array(_power_remainders(t, bs))
+    # the last point's value plus the segments back from it, smallest first
+    f = _as_callable(p)
+    back = cumulative(lambda s: f(-s), [-b for b in reversed(bs)], tol=tol)
+    return last + back[::-1]
+
+
 def tail_integral(p, b, tol=DEFAULT_TOL):
     """Integral of ``p`` over (b, +inf): exact value, or +/-inf on divergence.
 
@@ -585,26 +616,15 @@ def tail_integral(p, b, tol=DEFAULT_TOL):
     adaptively and the remainder finished analytically (power tails) or by
     extending the truncation until an exponential envelope is negligible.
 
-    An array ``b`` gives the array of values at its points, each the one a
-    float ``b`` gives.  An exact power tail valid from every point is read
-    once and finished per point on floats; any other tail takes the float
-    route point by point.
+    A nondecreasing array ``b`` gives the array of values at its points.
+    A closed-form tail, or an exact power tail valid from every point, gives
+    each point the value a float ``b`` gives.  Any other tail takes the
+    float value at the last point plus one running integral back from it,
+    summed from the last point down, so the points agree with the float
+    route within ``tol``.
     """
     if np.ndim(b):
-        bs = np.asarray(b, dtype=float).tolist()
-        t = p.tail
-        if not (bs and isinstance(t, AsymptoticTail) and t.exact and t.rate == 0.0
-                and max(t.valid_from, 0.0) <= min(bs)):
-            return np.array([tail_integral(p, x, tol=tol) for x in bs])
-        div = tail_divergence(p)
-        if div != "finite":
-            return np.full(len(bs), math.inf if div == "+inf" else -math.inf)
-        c = t.coefficient
-        if c == 0.0:
-            return np.zeros(len(bs))
-        e = float(_antiderivative_order(t)[1])
-        # no head to integrate: the float route's 0.0 plus the remainder at T = b
-        return np.array([0.0 + c * x ** e / -e for x in bs])
+        return _tail_integrals(p, np.asarray(b, dtype=float).tolist(), tol)
     b = float(b)
     if b < 0:
         raise InvalidParams("tail_integral needs b >= 0")
@@ -629,9 +649,7 @@ def tail_integral(p, b, tol=DEFAULT_TOL):
     T = max(b, t.valid_from)
     head = integrate(p, b, T, tol=tol) if T > b else 0.0
     if rate == 0.0:
-        # exact power remainder, of the exact order q + 1 < 0
-        e = float(_antiderivative_order(t)[1])
-        return head + c * T ** e / -e
+        return head + _power_remainders(t, [T])[0]
     # decaying exponential factor: extend until the envelope is negligible
     T2 = max(T, 1.0)
     if pw > 0:

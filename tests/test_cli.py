@@ -235,6 +235,19 @@ class TestCheck:
         assert verdict["status"] == "inconclusive"
         assert verdict["witness"]["rhs"] == 1e30
 
+    def test_bmr_witness_past_the_float_range(self, tmp_path):
+        # v = e^{t/4} overflows on the way to the default horizon 1e4: the
+        # witness is nan, the status still comes from the tails
+        cfg = tmp_path / "bmr.ini"
+        cfg.write_text("[profile:v]\nkind = exponential\nc = 1.0\nrate = 0.25\n"
+                       "[profile:w]\nkind = constant\nc = 1.0\n"
+                       "[pair:p]\nv = v\nw = w\nt_start = 0.1\n"
+                       "[check]\ncriteria = bmr\npair = p\n")
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        verdict = json.loads((tmp_path / "verdicts.json").read_text())["verdicts"][0]
+        assert verdict["status"] == "satisfied"
+        assert verdict["witness"]["cumulative_last"] == "nan"
+
     def test_yamabe_reads_no_pair(self, tmp_path):
         cfg = tmp_path / "yamabe.ini"
         cfg.write_text("[profile:s]\nkind = constant\nc = -1.0\n"

@@ -14,7 +14,7 @@ from sturmosc import (CoefficientPair, CurvatureProfile, HypothesisViolated,
                       check_nehari, check_oscillation, constant,
                       exponential, first_zero_threshold, multiply, power,
                       search_main_B2)
-from sturmosc import cli, criteria
+from sturmosc import cli, criteria, profiles
 from sturmosc.criteria import (_CONCLUSIONS, LAMBDA_GRID, Conclusion, Verdict,
                                _main_b2_rhs, _main_b2_verdict, _strict_margin)
 from sturmosc.profiles import DEFAULT_TOL, cumulative
@@ -527,6 +527,29 @@ class TestBmr:
         exact = (math.sqrt(0.5) - 0.5) * math.log(1e4)
         assert witness["cumulative_last"] == pytest.approx(exact, rel=1e-8)
         assert witness["cumulative_max"] == pytest.approx(exact, rel=1e-8)
+
+    def test_witness_past_the_float_range_is_nan(self):
+        # v = e^{t/4} overflows past t ~ 2840; the status comes from the tails
+        pair = CoefficientPair(exponential(1.0, 0.25), constant(1.0), t_start=0.1)
+        verdict = check_bmr(pair, 1.0)
+        assert verdict.status is SAT
+        assert verdict.witness["sqrt_chi_coefficient"] == 0.125
+        assert math.isnan(verdict.witness["cumulative_max"])
+        assert math.isnan(verdict.witness["cumulative_last"])
+
+    def test_exponential_tail_witness_takes_one_integrate_err(self, monkeypatch):
+        # every first panel accepts: one integrand call, whose grid tail of
+        # 1/v = e^{-2t} is one float-route tail and one running integral
+        pair = CoefficientPair(exponential(1.0, 2.0), constant(2.0), t_start=1.0,
+                               validate=False)
+        calls = []
+        real = profiles.integrate_err
+        monkeypatch.setattr(profiles, "integrate_err",
+                            lambda *a, **k: calls.append(a[1:3]) or real(*a, **k))
+        witness = check_bmr(pair, 1.0, horizon=10.0).witness
+        assert len(calls) == 1
+        exact = (math.sqrt(2.0) - 1.0) * 9.0
+        assert witness["cumulative_last"] == pytest.approx(exact, rel=1e-8)
 
     def test_zero_potential_inconclusive(self):
         pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=0.0)

@@ -169,16 +169,32 @@ class TestTailIntegral:
 
     @pytest.mark.parametrize("p", [
         reciprocal(power(1.0, 2.0)), power(-3.0, -3.5), power(0.0, -2.0),
-        power(1.0, -1.0), power(-1.0, 0.5), exponential(2.0, -0.5),
-        Profile(lambda t: 2.0 * t ** -3.0, tail=AsymptoticTail(2.0, -3.0, valid_from=2.0)),
+        power(1.0, -1.0), power(-1.0, 0.5),
         Profile(lambda t: np.exp(-t), tail=ClosedFormTailIntegral(lambda b: math.exp(-b))),
-    ], ids=["1/t^2", "-3t^-3.5", "zero", "harmonic", "-sqrt", "exp", "valid_from_2",
-            "closed_form"])
+    ], ids=["1/t^2", "-3t^-3.5", "zero", "harmonic", "-sqrt", "closed_form"])
     def test_grid_is_the_float_route_per_point(self, p):
         bs = np.geomspace(1.0, 1e4, 9)
         expected = np.array([tail_integral(p, b) for b in bs])
         assert tail_integral(p, bs).tobytes() == expected.tobytes()
         assert tail_integral(p, bs.tolist()).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("p,exact", [
+        (exponential(2.0, -0.5), lambda b: 4.0 * math.exp(-0.5 * b)),
+        (Profile(lambda t: 2.0 * t ** -3.0, tail=AsymptoticTail(2.0, -3.0, valid_from=2.0)),
+         lambda b: b ** -2.0),
+    ], ids=["exp", "valid_from_2"])
+    def test_grid_runs_back_from_the_last_point(self, p, exact, monkeypatch):
+        # one float-route tail at the last point, one running integral back
+        bs = np.geomspace(1.0, 1e4, 9)
+        last = tail_integral(p, bs[-1])
+        calls = []
+        monkeypatch.setattr(profiles, "cumulative",
+                            lambda *a, **k: calls.append(a[1]) or cumulative(*a, **k))
+        grid = tail_integral(p, bs)
+        assert len(calls) == 1 and len(calls[0]) == len(bs)
+        assert grid[-1] == last
+        for b, value in zip(bs, grid):
+            assert value == pytest.approx(exact(b), rel=1e-9, abs=1e-15)
 
     def test_grid_raises_what_the_float_route_raises(self):
         with pytest.raises(InvalidParams):
