@@ -6,7 +6,7 @@ from .errors import (AtPole, CatalogDerivativeMissing, ConfigError,
                      NonFiniteSample, NoZeroAtT2, OutOfValidity,
                      SingularStartFailure, SturmoscError, TailInfoMissing,
                      ToleranceNotMet)
-from .profiles import (AsymptoticTail, ClosedFormTailIntegral, CoefficientPair,
+from .profiles import (AsymptoticTail, CoefficientPair,
                        CurvatureProfile, Profile, add, certified_nonnegative,
                        certified_nonpositive, constant, coth_band,
                        elementwise_power, exponential, integrate, integrate_err,

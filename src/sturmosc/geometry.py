@@ -59,6 +59,7 @@ class Warping:
     r_max: float = math.inf
     curvature_const: Optional[float] = None
     curvature_lower: Optional[float] = None  # certified inf of -f''/f
+    curvature_upper: Optional[float] = None  # certified sup of -f''/f
     volume_tail: Optional[Callable] = None   # m -> tail of f^{m-1}, or None
 
     def curvature(self, r):
@@ -121,8 +122,8 @@ def linear_warping():
 def cubic_warping(alpha):
     """f = r + alpha r^3: a polynomially perturbed cone, K = -6 alpha/(1 + alpha r^2).
 
-    For alpha > 0 the curvature is pinched in (-6 alpha, 0), giving the
-    certified lower bound; alpha < 0 truncates the domain where f > 0.
+    For alpha >= 0 the curvature is pinched in [-6 alpha, 0], giving the
+    certified bounds; alpha < 0 truncates the domain where f > 0.
     """
     a = float(alpha)
     r_max = math.inf if a >= 0 else 1.0 / math.sqrt(-a)
@@ -140,6 +141,7 @@ def cubic_warping(alpha):
         r_max=r_max,
         curvature_const=None,
         curvature_lower=-6.0 * a if a > 0 else (0.0 if a == 0 else None),
+        curvature_upper=0.0 if a >= 0 else None,
         volume_tail=volume_tail)
 
 
@@ -194,7 +196,8 @@ def warped_model(m, kind, **params):
 def model_profiles(model):
     """Derive (curvature profile, volume profile) from a model manifold.
 
-    K(r) = -f''(r)/f(r) with the certified lower bound from the catalog;
+    K(r) = -f''(r)/f(r) with the certified bounds from the catalog, which
+    also give its sign (a lower bound >= 0 first, then an upper bound <= 0);
     v(r) = omega_{m-1} f(r)^{m-1}.  The sphere-area constant cancels in
     every criterion except the annulus integrals, so it is kept.
     """
@@ -212,10 +215,8 @@ def model_profiles(model):
         sign = None
         if w.curvature_lower is not None and w.curvature_lower >= 0:
             sign = "nonnegative"
-        elif w.curvature_lower is not None:
-            grid = np.geomspace(1e-3, min(1e3, 0.99 * w.r_max), 33)
-            if np.all(w.curvature(grid) <= 1e-12):
-                sign = "nonpositive"
+        elif w.curvature_upper is not None and w.curvature_upper <= 0:
+            sign = "nonpositive"
         k_profile = Profile(w.curvature, sign=sign, label=f"K[{w.name}]")
     if w.curvature_lower is None:
         raise InvalidParams(

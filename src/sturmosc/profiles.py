@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -24,7 +25,6 @@ from .errors import InvalidParams, NonFiniteSample, TailInfoMissing, ToleranceNo
 
 __all__ = [
     "AsymptoticTail",
-    "ClosedFormTailIntegral",
     "Profile",
     "CoefficientPair",
     "CurvatureProfile",
@@ -85,31 +85,20 @@ class AsymptoticTail:
 
     ``exponent`` and ``rate`` are finite orders, exact by :func:`_exact`.
 
-    ``exact=True`` asserts the profile *coincides* with this form for every
-    ``t >= valid_from``, so truncated tail integrals may finish analytically.
-    Inexact tails (products of sums, dominant terms) still decide
+    ``exact=True`` asserts the profile *coincides* with this form on the
+    whole domain, so tail integrals finish from the form alone.  Inexact
+    tails (sums of different orders, dominant terms) still decide
     divergence, but never produce certified values.
     """
 
     coefficient: float
     exponent: Union[float, Fraction]
     rate: Union[float, Fraction] = 0.0
-    valid_from: float = 0.0
     exact: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.exponent) and math.isfinite(self.rate)):
             raise InvalidParams("tail exponent and rate must be finite")
-
-
-@dataclass(frozen=True)
-class ClosedFormTailIntegral:
-    """Exact map ``b -> integral of the profile over (b, +inf)``."""
-
-    integral_from: Callable[[float], float]
-
-
-Tail = Union[AsymptoticTail, ClosedFormTailIntegral, None]
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +122,7 @@ class Profile:
     """
 
     evaluator: Callable
-    tail: Tail = None
+    tail: Optional[AsymptoticTail] = None
     sign: Optional[str] = None  # "nonnegative" | "nonpositive" | "zero" | None
     label: str = ""
     scalar: Callable = field(init=False, repr=False, compare=False)
@@ -222,32 +211,30 @@ def _mul_sign(a, b):
 
 
 def _mul_tail(a, b):
-    if not (isinstance(a, AsymptoticTail) and isinstance(b, AsymptoticTail)):
+    if a is None or b is None:
         return None
     try:
         return AsymptoticTail(a.coefficient * b.coefficient,
                               _exact_sum(a.exponent, b.exponent),
                               _exact_sum(a.rate, b.rate),
-                              max(a.valid_from, b.valid_from),
                               a.exact and b.exact)
     except OverflowError:
         return None  # an order leaves the float range or grid: declare no tail
 
 
 def _add_tail(a, b):
-    if not (isinstance(a, AsymptoticTail) and isinstance(b, AsymptoticTail)):
+    if a is None or b is None:
         return None
-    valid_from, exact = max(a.valid_from, b.valid_from), a.exact and b.exact
+    exact = a.exact and b.exact
     if a.coefficient == 0.0 or b.coefficient == 0.0:
-        return replace(b if a.coefficient == 0.0 else a, valid_from=valid_from, exact=exact)
+        return replace(b if a.coefficient == 0.0 else a, exact=exact)
     if (a.rate, a.exponent) == (b.rate, b.exponent):
         c = a.coefficient + b.coefficient
         if c == 0.0:
             return None  # cancellation: leading order unknown
-        return replace(a, coefficient=c, valid_from=valid_from, exact=exact)
+        return replace(a, coefficient=c, exact=exact)
     # the sub-leading term spoils exactness but not the divergence class
-    return replace(max(a, b, key=lambda t: (t.rate, t.exponent)), exact=False,
-                   valid_from=valid_from)
+    return replace(max(a, b, key=lambda t: (t.rate, t.exponent)), exact=False)
 
 
 def multiply(p, q, label=""):
@@ -286,13 +273,7 @@ def scaled(p, factor, label=""):
     def ev(t):
         return k * p.evaluator(t)
 
-    if isinstance(p.tail, AsymptoticTail):
-        tail = replace(p.tail, coefficient=k * p.tail.coefficient)
-    elif isinstance(p.tail, ClosedFormTailIntegral):
-        inner = p.tail.integral_from
-        tail = ClosedFormTailIntegral(lambda b: k * inner(b))
-    else:
-        tail = None
+    tail = None if p.tail is None else replace(p.tail, coefficient=k * p.tail.coefficient)
     sign = _mul_sign(p.sign, _sign_of_value(k))
     ps = p.scalar
     return _closed_form(Profile(ev, tail=tail, sign=sign,
@@ -309,9 +290,9 @@ def reciprocal(p, label=""):
         return 1.0 / p.evaluator(t)
 
     tail = None
-    if isinstance(p.tail, AsymptoticTail) and p.tail.coefficient != 0.0:
+    if p.tail is not None and p.tail.coefficient != 0.0:
         tail = AsymptoticTail(1.0 / p.tail.coefficient, -p.tail.exponent,
-                              -p.tail.rate, p.tail.valid_from, p.tail.exact)
+                              -p.tail.rate, p.tail.exact)
     ps = p.scalar
     return _closed_form(Profile(ev, tail=tail, sign=p.sign,
                                 label=label or f"1/({p.label})"),
@@ -329,14 +310,14 @@ def elementwise_power(p, exponent, label=""):
         return np.power(p.evaluator(t), e)
 
     tail = None
-    if isinstance(p.tail, AsymptoticTail) and p.tail.coefficient > 0.0:
+    if p.tail is not None and p.tail.coefficient > 0.0:
         q, r, f = Fraction(p.tail.exponent), Fraction(p.tail.rate), Fraction(e)
         try:
             tail = AsymptoticTail(p.tail.coefficient ** e, _exact(q * f), _exact(r * f),
-                                  p.tail.valid_from, p.tail.exact)
+                                  p.tail.exact)
         except OverflowError:
             pass  # the coefficient or an order leaves the float range or grid: no tail
-    elif isinstance(p.tail, AsymptoticTail) and p.tail.coefficient == 0.0 and p.tail.exact:
+    elif p.tail is not None and p.tail.coefficient == 0.0 and p.tail.exact:
         tail = p.tail
     sign = "zero" if p.sign == "zero" else (
         "nonnegative" if certified_nonnegative(p) else None)
@@ -415,7 +396,7 @@ def _check_interval(a, b):
         raise InvalidParams(f"empty interval [{a:g}, {b:g}]")
 
 
-def integrate_err(p, a, b, tol=DEFAULT_TOL, max_panels=PANEL_BUDGET):
+def integrate_err(p, a, b, tol=DEFAULT_TOL):
     """Adaptive integral of ``p`` over [a, b]; returns (value, error estimate).
 
     The target is |Q - integral| <= tol * (1 + |Q|).  Accepts a
@@ -429,13 +410,14 @@ def integrate_err(p, a, b, tol=DEFAULT_TOL, max_panels=PANEL_BUDGET):
     if tol <= 0:
         raise InvalidParams("tol must be positive")
     f = _as_callable(p)
-    return _bisect(f, a, b, *_gk_panel(f, a, b), tol, max_panels)
+    return _bisect(f, a, b, *_gk_panel(f, a, b), tol)
 
 
-def _bisect(f, a, b, val, err, tol, max_panels):
+def _bisect(f, a, b, val, err, tol):
     """Global adaptive bisection of [a, b] from its first panel (val, err):
     split the panel of largest error until the total error is within
-    tol * (1 + |total|); returns (total, error)."""
+    tol * (1 + |total|), within :data:`PANEL_BUDGET` panels; returns
+    (total, error)."""
     counter = itertools.count()
     heap = [(-err, next(counter), a, b, val, err)]
     total_val, total_err = val, err
@@ -443,9 +425,9 @@ def _bisect(f, a, b, val, err, tol, max_panels):
     while total_err > tol * (1.0 + abs(total_val)):
         if not heap:
             break
-        if panels >= max_panels:
+        if panels >= PANEL_BUDGET:
             raise ToleranceNotMet(
-                f"quadrature budget of {max_panels} panels exhausted on "
+                f"quadrature budget of {PANEL_BUDGET} panels exhausted on "
                 f"[{a:g}, {b:g}] (error {total_err:.3g})",
                 estimate=total_val, error=total_err)
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
@@ -464,9 +446,9 @@ def _bisect(f, a, b, val, err, tol, max_panels):
     return total_val, total_err
 
 
-def integrate(p, a, b, tol=DEFAULT_TOL, max_panels=PANEL_BUDGET):
+def integrate(p, a, b, tol=DEFAULT_TOL):
     """Adaptive integral of ``p`` over [a, b] (value only)."""
-    return integrate_err(p, a, b, tol=tol, max_panels=max_panels)[0]
+    return integrate_err(p, a, b, tol=tol)[0]
 
 
 def cumulative(p, ts, tol=DEFAULT_TOL):
@@ -503,7 +485,7 @@ def cumulative(p, ts, tol=DEFAULT_TOL):
                 raise _non_finite(x[i], y[i])
             k, err = _gk_sums(hj, y[i])
             if err > tol * (1.0 + abs(k)):
-                k = _bisect(f, *segments[j], k, err, tol, PANEL_BUDGET)[0]
+                k = _bisect(f, *segments[j], k, err, tol)[0]
             pieces[j] = k
     if stop < len(segments):
         _check_interval(*segments[stop])
@@ -543,7 +525,7 @@ def antiderivative_term(p):
     and ``c/r`` or ``c/(q+1)`` underflows to 0 (its sign would be lost).
     """
     t = p.tail
-    if not isinstance(t, AsymptoticTail):
+    if t is None:
         return None
     c = t.coefficient
     r, e = order = _antiderivative_order(t)
@@ -561,9 +543,7 @@ def tail_divergence(p):
     'finite' otherwise, and None when no tail is declared.
     """
     t = p.tail
-    if isinstance(t, ClosedFormTailIntegral):
-        return "finite"
-    if not isinstance(t, AsymptoticTail):
+    if t is None:
         return None
     c = t.coefficient
     if c == 0.0 or _antiderivative_order(t) < LOG_ORDER:
@@ -581,89 +561,81 @@ def tail_integral_converges(p):
 
 def _power_remainders(t, Ts):
     """Integrals over (T, +inf) of the exact power tail ``t`` with finite class
-    and c != 0, for each T in ``Ts`` (all at least ``t.valid_from``)."""
+    and c != 0, for each T in ``Ts``."""
     c = t.coefficient
     e = float(_antiderivative_order(t)[1])  # the exact order q + 1 < 0
     return [c * T ** e / -e for T in Ts]
 
 
-def _tail_integrals(p, bs, tol):
-    """:func:`tail_integral` at the nondecreasing points ``bs``."""
-    if not bs:
-        return np.zeros(0)
-    if bs[0] < 0:
-        raise InvalidParams("tail_integral needs b >= 0")
+def _exponential_remainder(p, b, tol):
+    """Integral of ``p`` over (b, +inf) for its exact decaying exponential
+    tail with c != 0: adaptive quadrature out to where the envelope is
+    negligible against the integral.
+
+    The integrand is divided by a lower bound of the integral, capped at 1,
+    so the quadrature's target tol * (1 + |Q|) stays relative as the value
+    falls toward the end of the float range.
+    """
     t = p.tail
-    if isinstance(t, ClosedFormTailIntegral):
-        return np.array([tail_integral(p, b, tol=tol) for b in bs])
-    last = tail_integral(p, bs[-1], tol=tol)  # raises, or classifies, for every point
-    if not math.isfinite(last):
-        return np.full(len(bs), last)
-    if t.rate == 0.0 and t.coefficient != 0.0 and t.valid_from <= bs[0]:
-        # no head to integrate: the float route's 0.0 plus the remainder at T = b
-        return 0.0 + np.array(_power_remainders(t, bs))
-    # the last point's value plus the segments back from it, smallest first
+    c, pw, rate = t.coefficient, float(t.exponent), float(t.rate)
+
+    def envelope(x):
+        return (2.0 if pw > 0 else 1.0) * abs(c) * x ** pw * math.exp(rate * x) / (-rate)
+
+    # over one e-fold u past b (past b + u when pw > 0) the integrand keeps
+    # |c| (b + u)^pw e^{rate (b + u) - 1}, so |integral| >= envelope(b + u) / 6
+    scale = min(1.0, max(envelope(b + 1.0 / -rate) / 6.0, sys.float_info.min))
+    T2 = max(b, 1.0)
+    if pw > 0:
+        T2 = max(T2, 2.0 * pw / (-rate))
+    for _ in range(400):
+        if envelope(T2) <= 1e-18 * scale:
+            break
+        T2 += max(1.0, 3.0 / (-rate))
     f = _as_callable(p)
-    back = cumulative(lambda s: f(-s), [-b for b in reversed(bs)], tol=tol)
-    return last + back[::-1]
+    return 0.0 + scale * integrate(lambda x: f(x) / scale, b, T2, tol=tol)
 
 
 def tail_integral(p, b, tol=DEFAULT_TOL):
     """Integral of ``p`` over (b, +inf): exact value, or +/-inf on divergence.
 
-    Requires declared tail info.  Convergent asymptotic tails must be exact
-    beyond their ``valid_from`` point; the truncated head is integrated
-    adaptively and the remainder finished analytically (power tails) or by
-    extending the truncation until an exponential envelope is negligible.
+    Requires a declared tail, and an exact one when the integral converges:
+    the profile then equals its tail form on the whole domain.  A power
+    tail is finished analytically; an exponential tail is integrated out to
+    where its envelope is negligible, to ``tol`` relative to the value.
 
-    A nondecreasing array ``b`` gives the array of values at its points.
-    A closed-form tail, or an exact power tail valid from every point, gives
-    each point the value a float ``b`` gives.  Any other tail takes the
-    float value at the last point plus one running integral back from it,
-    summed from the last point down, so the points agree with the float
-    route within ``tol``.
+    A nondecreasing array ``b`` gives the array of values at its points, and
+    a float ``b`` is the one-point case.  A power tail gives each point its
+    analytic remainder.  An exponential tail takes the value at the last
+    point plus one running integral back from it, summed from the last point
+    down, so the other points agree with their one-point values within
+    ``tol`` (absolute where the values are below 1).
     """
-    if np.ndim(b):
-        return _tail_integrals(p, np.asarray(b, dtype=float).tolist(), tol)
-    b = float(b)
-    if b < 0:
+    ts = np.asarray(b, dtype=float).ravel().tolist()
+    if not ts:
+        return np.zeros(0)
+    if ts[0] < 0:
         raise InvalidParams("tail_integral needs b >= 0")
     t = p.tail
-    if isinstance(t, ClosedFormTailIntegral):
-        return float(t.integral_from(b))
     div = tail_divergence(p)
     if div is None:
         raise TailInfoMissing(
             f"profile {p.label or '<anonymous>'} declares no tail behavior")
     if div != "finite":
-        return math.inf if div == "+inf" else -math.inf
-
-    c, pw, rate = t.coefficient, float(t.exponent), float(t.rate)
-
-    if not t.exact:
+        values = np.full(len(ts), math.inf if div == "+inf" else -math.inf)
+    elif not t.exact:
         raise TailInfoMissing(
             "asymptotic-only tail cannot produce a certified tail integral")
-    if c == 0.0:
-        return integrate(p, b, t.valid_from, tol=tol) if b < t.valid_from else 0.0
-
-    T = max(b, t.valid_from)
-    head = integrate(p, b, T, tol=tol) if T > b else 0.0
-    if rate == 0.0:
-        return head + _power_remainders(t, [T])[0]
-    # decaying exponential factor: extend until the envelope is negligible
-    T2 = max(T, 1.0)
-    if pw > 0:
-        T2 = max(T2, 2.0 * pw / (-rate))
-    floor = 1e-18 * (1.0 + abs(head))
-
-    def envelope(x):
-        return (2.0 if pw > 0 else 1.0) * abs(c) * x ** pw * math.exp(rate * x) / (-rate)
-
-    for _ in range(400):
-        if envelope(T2) <= floor:
-            break
-        T2 += max(1.0, 3.0 / (-rate))
-    return head + integrate(p, T, T2, tol=tol)
+    elif t.coefficient == 0.0:
+        values = np.zeros(len(ts))
+    elif t.rate == 0.0:
+        values = 0.0 + np.array(_power_remainders(t, ts))
+    else:
+        last = _exponential_remainder(p, ts[-1], tol)
+        f = _as_callable(p)
+        back = cumulative(lambda s: f(-s), [-x for x in reversed(ts)], tol=tol)
+        values = last + back[::-1]
+    return values if np.ndim(b) else float(values[0])
 
 
 # ---------------------------------------------------------------------------

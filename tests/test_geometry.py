@@ -46,6 +46,17 @@ class TestModelProfiles:
         assert v(r) == pytest.approx(4 * math.pi * (r + 0.1 * r ** 3) ** 2,
                                      rel=1e-12)
 
+    @pytest.mark.parametrize("alpha,sign", [(0.0, "nonnegative"), (0.5, "nonpositive")])
+    def test_cubic_sign_from_the_catalog(self, alpha, sign):
+        # K = -6 alpha / (1 + alpha r^2) lies in [-6 alpha, 0]: the declared
+        # bounds give the sign, the lower one first, so K = 0 stays nonnegative
+        w = cubic_warping(alpha)
+        assert (w.curvature_lower, w.curvature_upper) == (-6.0 * alpha, 0.0)
+        k, _ = model_profiles(ModelManifold(2, w))
+        assert k.k.sign == sign
+        if alpha > 0:
+            assert conjugate_radius(ModelManifold(2, w)) == math.inf
+
 
 class TestSpaceForm:
     @pytest.mark.parametrize("kappa", [1.0, 0.0, -4.0])

@@ -208,10 +208,14 @@ class TestAnchoredFamily:
 
     @given(st.sampled_from(["jacobi", "radial"]), st.floats(0.3, 3.0),
            st.floats(0.01, 10.0), st.booleans())
+    @example("radial", 1.0, 0.998046875, True)
     @settings(max_examples=40, deadline=None)
     def test_tiny_b_anchor_is_the_b_zero_member(self, flavor, t_bar, q, negative):
         # B x = 1e-12 / |q| is below coth_band's cut, so B = 1e-12 anchors and
-        # evaluates as B = 0: 1/(s - I), with I(t) = 1 - 1/t on v = t^2
+        # evaluates as B = 0: 1/(s - I), with I(t) = 1 - 1/t on v = t^2.  The
+        # pole distance s - 1/value is checked, not the value: near the pole
+        # (the example: s - I(0.5) = 0.00196) 1/(s - I) magnifies the few
+        # 1e-15 of quadrature error in I past any tight relative bound
         q = -q if negative else q
         ts = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
         values = []
@@ -221,7 +225,7 @@ class TestAnchoredFamily:
             big_i = ts if flavor == "jacobi" else 1.0 - 1.0 / ts
             assume(np.all(np.abs(fam.s - big_i) > 1e-3))
             values.append(comparison_value(fam, ts))
-            assert np.allclose(values[-1], 1.0 / (fam.s - big_i), rtol=1e-12, atol=0.0)
+            assert np.allclose(fam.s - 1.0 / values[-1], big_i, rtol=0.0, atol=1e-13)
         assert values[0].tolist() == values[1].tolist()
 
     @given(st.floats(-3.0, 1.0), st.floats(0.2, 6.0), st.floats(0.1, 10.0),
