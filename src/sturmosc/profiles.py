@@ -210,14 +210,23 @@ def _mul_sign(a, b):
     return "nonnegative" if a == b else "nonpositive"
 
 
+def _out_of_range(c, *operands):
+    """True when the coefficient ``c``, computed from ``operands``, overflowed
+    to inf or underflowed to 0.0 from nonzero operands.  Such a coefficient
+    would misstate the tail, so the profile declares none.
+    """
+    return math.isinf(c) or (c == 0.0 and all(operands))
+
+
 def _mul_tail(a, b):
     if a is None or b is None:
         return None
+    c = a.coefficient * b.coefficient
+    if _out_of_range(c, a.coefficient, b.coefficient):
+        return None
     try:
-        return AsymptoticTail(a.coefficient * b.coefficient,
-                              _exact_sum(a.exponent, b.exponent),
-                              _exact_sum(a.rate, b.rate),
-                              a.exact and b.exact)
+        return AsymptoticTail(c, _exact_sum(a.exponent, b.exponent),
+                              _exact_sum(a.rate, b.rate), a.exact and b.exact)
     except OverflowError:
         return None  # an order leaves the float range or grid: declare no tail
 
@@ -273,7 +282,10 @@ def scaled(p, factor, label=""):
     def ev(t):
         return k * p.evaluator(t)
 
-    tail = None if p.tail is None else replace(p.tail, coefficient=k * p.tail.coefficient)
+    tail = None
+    if p.tail is not None and not _out_of_range(k * p.tail.coefficient, k,
+                                                p.tail.coefficient):
+        tail = replace(p.tail, coefficient=k * p.tail.coefficient)
     sign = _mul_sign(p.sign, _sign_of_value(k))
     ps = p.scalar
     return _closed_form(Profile(ev, tail=tail, sign=sign,
@@ -290,7 +302,8 @@ def reciprocal(p, label=""):
         return 1.0 / p.evaluator(t)
 
     tail = None
-    if p.tail is not None and p.tail.coefficient != 0.0:
+    if (p.tail is not None and p.tail.coefficient != 0.0
+            and not _out_of_range(1.0 / p.tail.coefficient, p.tail.coefficient)):
         tail = AsymptoticTail(1.0 / p.tail.coefficient, -p.tail.exponent,
                               -p.tail.rate, p.tail.exact)
     ps = p.scalar
@@ -313,8 +326,9 @@ def elementwise_power(p, exponent, label=""):
     if p.tail is not None and p.tail.coefficient > 0.0:
         q, r, f = Fraction(p.tail.exponent), Fraction(p.tail.rate), Fraction(e)
         try:
-            tail = AsymptoticTail(p.tail.coefficient ** e, _exact(q * f), _exact(r * f),
-                                  p.tail.exact)
+            c = p.tail.coefficient ** e
+            if not _out_of_range(c, p.tail.coefficient):
+                tail = AsymptoticTail(c, _exact(q * f), _exact(r * f), p.tail.exact)
         except OverflowError:
             pass  # the coefficient or an order leaves the float range or grid: no tail
     elif p.tail is not None and p.tail.coefficient == 0.0 and p.tail.exact:

@@ -19,7 +19,6 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (AtPole, InvalidParams, MismatchedAnchor, OutOfValidity,
                      TailInfoMissing)
@@ -228,6 +227,8 @@ def blow_up_time(fam, tol=DEFAULT_TOL):
         if sign * (reached - s) >= 0:
             break
         t, total = nxt, reached
+
+    from scipy.optimize import brentq
 
     def g(x):
         return total + _signed_integral(v_inv, t, x, tol) - s

@@ -8,15 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, OdeSolution
 
+import sturmosc._dop853
 import sturmosc.ode
 from sturmosc import (CoefficientPair, CurvatureProfile, InvalidParams,
                       OutOfValidity, Profile, SingularStartFailure, add,
                       constant, extend_until_zero, locate_zeros, model_profiles,
                       multiply, power, residual_max, solve_jacobi, solve_radial,
                       space_form, warped_model)
-from sturmosc.ode import (_MIN_STEP_ULPS, DEFAULT_ZERO_TOL, JACOBI_START,
-                          RADIAL_START, _drive, _find_suspects, _scan_chunk,
-                          _singular_start)
+from sturmosc.ode import (DEFAULT_ZERO_TOL, JACOBI_START, RADIAL_START,
+                          _drive, _find_suspects, _scan_chunk, _singular_start)
 from sturmosc.profiles import DEFAULT_TOL
 from conftest import euler_pair, euler_zeros, pole_pair
 
@@ -69,13 +69,18 @@ class TestSolveJacobi:
         # solve equals the float stepper without a floor bit for bit
         k = CurvatureProfile(constant(1.0), m=2)
         traj = solve_jacobi(k, 5.0, t_start=-1.0, u0=0.0, du0=1.0)
-        monkeypatch.setattr(sturmosc.ode, "_MIN_STEP_ULPS", 0)
+        monkeypatch.setattr(sturmosc._dop853, "MIN_STEP_ULPS", 0)
         plain = solve_jacobi(k, 5.0, t_start=-1.0, u0=0.0, du0=1.0)
         for name in ("ts", "values", "fluxes"):
             assert getattr(traj, name).tobytes() == getattr(plain, name).tobytes()
         assert (traj.zeros, traj.terminated_reason) == (plain.zeros, "horizon")
         assert [z.location for z in traj.zeros] == pytest.approx(
             [math.pi - 1.0], abs=1e-6)
+        # the patched floor reaches the solve: 2^60 ulp of t = -1 is 256,
+        # longer than any step, so the first step already stops it
+        monkeypatch.setattr(sturmosc._dop853, "MIN_STEP_ULPS", 2.0 ** 60)
+        stopped = solve_jacobi(k, 5.0, t_start=-1.0, u0=0.0, du0=1.0)
+        assert (stopped.terminated_reason, len(stopped.ts)) == ("step_underflow", 1)
 
     def test_pole_ahead_of_a_negative_start_stops_at_step_floor(self):
         # K = 1/(t + 1/3)^2 has a pole at t = -1/3; the floor is 1024 ulp of
@@ -426,14 +431,17 @@ def test_one_solver_call_through_the_traced_name(solve):
 
 
 class ScipyStepper(DOP853):
-    """scipy's own DOP853 step, with the step floor of :class:`_Stepper`."""
+    """scipy's own DOP853 step, with the step floor of the float stepper."""
+
+    steps = 0  # accepted steps over every instance, so a test sees it was used
 
     def _step_impl(self):
         t = self.t
         success, message = super()._step_impl()
         if (success and self.t != self.t_bound
-                and self.t - t < _MIN_STEP_ULPS * math.ulp(t)):
+                and self.t - t < sturmosc._dop853.MIN_STEP_ULPS * math.ulp(t)):
             return False, "step floor"
+        ScipyStepper.steps += success
         return success, message
 
 
@@ -455,8 +463,10 @@ def test_float_stepper_agrees_with_scipys_dop853(case, monkeypatch):
     # steps drift apart at rounding level; zeros agree far below zero_tol's
     # 1e-8 relative
     traj = ORACLE_SOLVES[case]()
-    monkeypatch.setattr(sturmosc.ode, "_Stepper", ScipyStepper)
+    monkeypatch.setattr(sturmosc._dop853, "Stepper", ScipyStepper)
+    before = ScipyStepper.steps
     ref = ORACLE_SOLVES[case]()
+    assert ScipyStepper.steps - before == len(ref.ts) - 1
     assert traj.terminated_reason == ref.terminated_reason
     assert len(traj.zeros) == len(ref.zeros)
     for ours, theirs in zip(traj.zeros, ref.zeros):
@@ -477,7 +487,7 @@ def test_one_step_matches_scipys_dop853(case):
     rhs, first_step = ONE_STEPS[case]
     ours, ref = (method(rhs, 0.0, np.array([0.3, 1.0]), 10.0, rtol=1e-9,
                         atol=1e-13, first_step=first_step)
-                 for method in (sturmosc.ode._Stepper, DOP853))
+                 for method in (sturmosc._dop853.Stepper, DOP853))
     ours.step()
     ref.step()
     assert ours.status == ref.status == "running"

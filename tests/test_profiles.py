@@ -412,6 +412,43 @@ class TestAlgebra:
         assert huge.tail.coefficient == pytest.approx(1e230)
         assert elementwise_power(huge, 1.5).tail is None
 
+    @pytest.mark.parametrize("make", [
+        lambda: multiply(power(1e-200, 1.0), power(1e-200, 1.0)),
+        lambda: scaled(power(1e-200, 2.0), 1e-200),
+        lambda: elementwise_power(power(1e-200, 1.0), 2.0),
+        lambda: multiply(power(1e200, -3.0), power(1e200, 0.0)),
+        lambda: scaled(power(1e200, -3.0), 1e200),
+        lambda: reciprocal(power(1e-310, 3.0)),
+    ], ids=["multiply_under", "scaled_under", "elementwise_power_under",
+            "multiply_over", "scaled_over", "reciprocal_over"])
+    def test_out_of_range_coefficient_declares_no_tail(self, make):
+        # a zero coefficient for 1e-400 t^2 called its divergent integral
+        # finite; an inf one for 1e400 t^-3 gave an infinite tail integral
+        p = make()
+        assert p.tail is None
+        assert tail_divergence(p) is None
+        with pytest.raises(TailInfoMissing):
+            tail_integral(p, 1.0)
+
+    @pytest.mark.parametrize("make, b", [
+        (lambda: multiply(power(1e-200, -3.0), power(1e-200, 0.0)), 1e-100),
+        (lambda: multiply(power(1e200, -3.0), power(1e200, 0.0)), 1e100),
+    ], ids=["underflow", "overflow"])
+    def test_tail_integral_of_an_out_of_range_product_is_missing(self, make, b):
+        # 1e-400 t^-3 is 1e-100 at t = 1e-100, and its tail integral from
+        # there is about 5e-201, not the 0.0 of a zero tail; 1e400 t^-3 from
+        # 1e100 is 5e199, not inf
+        p = make()
+        assert p(b) == pytest.approx(1e-100 if b < 1 else 1e100)
+        with pytest.raises(TailInfoMissing):
+            tail_integral(p, b)
+
+    def test_zero_factor_keeps_its_exact_zero_tail(self):
+        for p in (scaled(power(2.0, 1.0), 0.0), multiply(constant(0.0), power(1.0, 1.0)),
+                  elementwise_power(constant(0.0), 2.0)):
+            assert (p.tail.coefficient, p.tail.exact) == (0.0, True)
+            assert tail_divergence(p) == "finite"
+
     def test_scaled_flips_sign_certificate(self):
         assert scaled(power(1.0, 1.0), -2.0).sign == "nonpositive"
 
