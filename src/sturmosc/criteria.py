@@ -178,7 +178,7 @@ def check_ambrose_moore(k, lam, horizon=1e4, tol=DEFAULT_TOL):
         raise InvalidParams("need 0 <= lambda < 1")
     weighted = multiply(power(1.0, lam), k.k)
     div = tail_divergence(weighted)
-    partial = weighted_moment(k, lam, _WITNESS_T0, horizon, tol=tol)
+    partial = integrate(weighted, _WITNESS_T0, horizon, tol=tol)
     witness = {"lambda": float(lam), "partial_moment": partial,
                "horizon": float(horizon)}
     if div == "+inf":
@@ -203,12 +203,12 @@ def check_nehari(k, lam, t0, horizon=1e4, tol=DEFAULT_TOL):
         raise InvalidParams("need t0 > 0")
     _sample_nonnegative(k.k, t0, horizon, "K")
     threshold = (2.0 - lam) ** 2 / (4.0 * (1.0 - lam)) / t0 ** (1.0 - lam)
-    partial = weighted_moment(k, lam, t0, horizon, tol=tol)
+    weighted = multiply(power(1.0, lam), k.k)
+    partial = integrate(weighted, t0, horizon, tol=tol)
     witness = {"lambda": float(lam), "t0": float(t0), "lhs": partial,
                "rhs": threshold, "horizon": float(horizon)}
     try:
-        total = partial + tail_integral(multiply(power(1.0, lam), k.k),
-                                        horizon, tol=tol)
+        total = partial + tail_integral(weighted, horizon, tol=tol)
         witness["certified_total"] = total
     except TailInfoMissing:
         pass

@@ -15,7 +15,7 @@ import heapq
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -86,9 +86,10 @@ class AsymptoticTail:
     ``exponent`` and ``rate`` are finite orders, exact by :func:`_exact`.
 
     ``exact=True`` asserts the profile *coincides* with this form on the
-    whole domain, so tail integrals finish from the form alone.  Inexact
-    tails (sums of different orders, dominant terms) still decide
-    divergence, but never produce certified values.
+    whole domain.  A declared tail is a one-term normal form (see
+    :class:`Profile`), complete exactly when it is exact.  An inexact tail
+    is a dominant term only: it decides divergence, and a certified value
+    needs a complete normal form, such as a sum of constructors carries.
     """
 
     coefficient: float
@@ -119,6 +120,16 @@ class Profile:
     right-hand sides.  The constructors below build it in closed form,
     bit-identical to the evaluator; any other profile gets
     ``float(evaluator(np.float64(t)))``.
+
+    ``terms`` is the monomial normal form: exact monomials ``(c, q, r)`` of
+    ``c * t**q * exp(r*t)``, dominant first, with orders exact by
+    :func:`_exact`, or None.  The constructors below derive it, so sums and
+    products carry every monomial; any other profile gets its declared
+    tail as one term.  The form is complete when the profile is the sum of
+    its terms on the whole domain: always with several terms, and with one
+    term when ``tail`` is exact.  An incomplete form holds only its
+    dominant term, and the complete zero form one zero term.  ``tail`` is
+    the dominant term, exact when the form is complete and has one term.
     """
 
     evaluator: Callable
@@ -126,10 +137,12 @@ class Profile:
     sign: Optional[str] = None  # "nonnegative" | "nonpositive" | "zero" | None
     label: str = ""
     scalar: Callable = field(init=False, repr=False, compare=False)
+    terms: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ev = self.evaluator
+        ev, tail = self.evaluator, self.tail
         object.__setattr__(self, "scalar", lambda t: float(ev(np.float64(t))))
+        object.__setattr__(self, "terms", tail and ((tail.coefficient, tail.exponent, tail.rate),))
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -141,15 +154,94 @@ class Profile:
         return np.array(out, dtype=float)
 
 
-def _closed_form(profile, scalar):
-    """``profile`` with ``scalar`` as its scalar form.
+# --- monomial normal forms ---------------------------------------------------
+# A form is (terms, complete) as Profile.terms describes it, or None.
+
+def _form(p):
+    return None if p.terms is None else (p.terms, len(p.terms) > 1 or p.tail.exact)
+
+
+def _in_range(c, *operands):
+    """The coefficient ``c`` computed from ``operands``, or nan when it
+    overflowed to inf, or underflowed from nonzero operands below the normal
+    range (to 0.0, or to a subnormal that keeps only some of its bits): such
+    a coefficient would misstate its term."""
+    return math.nan if math.isinf(c) or (abs(c) < sys.float_info.min and all(operands)) else c
+
+
+def _collect(terms, complete, floor=None):
+    """The form of the sum of the monomials ``terms``, complete when
+    ``complete`` and every coefficient is in the float range (nan marks one
+    that is not).
+
+    Like orders are collected with math.fsum, so a collected coefficient is
+    zero only when it cancels exactly, and zero terms are dropped; a
+    complete sum of zeros is the zero form of its dominant order.  An
+    incomplete form keeps only its dominant nonzero term, and has none when
+    that term is off the float range or below ``floor``: the order of an
+    incomplete summand, whose unknown remainder lies below it.
+    """
+    if len(terms) > 1:
+        like = {}
+        for c, q, r in terms:
+            like.setdefault((r, q), []).append(c)
+        terms = [(_fsum(cs), q, r) for (r, q), cs in sorted(like.items(), reverse=True)]
+    nonzero = [term for term in terms if term[0] != 0.0]
+    if complete and not any(math.isnan(term[0]) for term in nonzero):
+        return tuple(nonzero) or (terms[0],), True
+    if (not nonzero or math.isnan(nonzero[0][0])
+            or (floor and (nonzero[0][2], nonzero[0][1]) < floor)):
+        return None
+    return (nonzero[0],), False
+
+
+def _fsum(cs):
+    """The coefficients ``cs`` of one order summed exactly and rounded once,
+    or nan past the float range (or for inf - inf)."""
+    try:
+        return math.fsum(cs) if len(cs) > 1 else cs[0]
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _product(a, b):
+    """The form of the product of the forms ``a`` and ``b``: every pair of
+    terms multiplied.  A product with the zero form is zero; an order off
+    the float range or grid gives no form."""
+    if a is None or b is None:
+        return None
+    products = []
+    for (ca, qa, ra), (cb, qb, rb) in itertools.product(a[0], b[0]):
+        try:
+            products.append((_in_range(ca * cb, ca, cb), _exact_sum(qa, qb), _exact_sum(ra, rb)))
+        except OverflowError:
+            return None
+    zero = (a[1] and a[0][0][0] == 0.0) or (b[1] and b[0][0][0] == 0.0)
+    return _collect(products, (a[1] and b[1]) or zero)
+
+
+def _sum(a, b):
+    """The form of the sum of the forms ``a`` and ``b``."""
+    if a is None or b is None:
+        return None
+    # the order (r, q) of an incomplete summand's dominant term
+    floor = max([(t[0][2], t[0][1]) for t, complete in (a, b) if not complete], default=None)
+    return _collect(a[0] + b[0], a[1] and b[1], floor)
+
+
+def _closed_form(evaluator, scalar, form, sign, label):
+    """A profile of ``evaluator`` with the normal form ``form`` and with
+    ``scalar`` as its scalar form.
 
     ``scalar`` repeats the evaluator's operations on floats: the same numpy
     ufunc where the evaluator calls one (so inf, nan and warnings stay
     numpy's), plain float arithmetic for products, sums and scalings (same
     values, but an overflow there gives inf without numpy's warning).
     """
+    tail = form and AsymptoticTail(*form[0][0], exact=form[1] and len(form[0]) == 1)
+    profile = Profile(evaluator, tail=tail, sign=sign, label=label)
     object.__setattr__(profile, "scalar", scalar)
+    object.__setattr__(profile, "terms", form and form[0])
     return profile
 
 
@@ -173,9 +265,8 @@ def constant(value, label=""):
     def ev(t):
         return np.full(np.shape(t), v)
 
-    return _closed_form(Profile(ev, tail=AsymptoticTail(v, 0.0), sign=_sign_of_value(v),
-                                label=label or f"const({v:g})"),
-                        lambda t: v)
+    return _closed_form(ev, lambda t: v, (((v, 0.0, 0.0),), True), _sign_of_value(v),
+                        label or f"const({v:g})")
 
 
 def power(coefficient, exponent, label=""):
@@ -184,9 +275,8 @@ def power(coefficient, exponent, label=""):
     def ev(t):
         return c * np.power(t, p)
 
-    return _closed_form(Profile(ev, tail=AsymptoticTail(c, p), sign=_sign_of_value(c),
-                                label=label or f"{c:g}*t^{p:g}"),
-                        lambda t: c * float(np.power(t, p)))
+    return _closed_form(ev, lambda t: c * float(np.power(t, p)), (((c, p, 0.0),), True),
+                        _sign_of_value(c), label or f"{c:g}*t^{p:g}")
 
 
 def exponential(coefficient, rate, label=""):
@@ -195,9 +285,8 @@ def exponential(coefficient, rate, label=""):
     def ev(t):
         return c * np.exp(r * t)
 
-    return _closed_form(Profile(ev, tail=AsymptoticTail(c, 0.0, r), sign=_sign_of_value(c),
-                                label=label or f"{c:g}*exp({r:g}t)"),
-                        lambda t: c * float(np.exp(r * t)))
+    return _closed_form(ev, lambda t: c * float(np.exp(r * t)), (((c, 0.0, r),), True),
+                        _sign_of_value(c), label or f"{c:g}*exp({r:g}t)")
 
 
 # --- profile algebra -------------------------------------------------------
@@ -210,51 +299,13 @@ def _mul_sign(a, b):
     return "nonnegative" if a == b else "nonpositive"
 
 
-def _out_of_range(c, *operands):
-    """True when the coefficient ``c``, computed from ``operands``, overflowed
-    to inf or underflowed to 0.0 from nonzero operands.  Such a coefficient
-    would misstate the tail, so the profile declares none.
-    """
-    return math.isinf(c) or (c == 0.0 and all(operands))
-
-
-def _mul_tail(a, b):
-    if a is None or b is None:
-        return None
-    c = a.coefficient * b.coefficient
-    if _out_of_range(c, a.coefficient, b.coefficient):
-        return None
-    try:
-        return AsymptoticTail(c, _exact_sum(a.exponent, b.exponent),
-                              _exact_sum(a.rate, b.rate), a.exact and b.exact)
-    except OverflowError:
-        return None  # an order leaves the float range or grid: declare no tail
-
-
-def _add_tail(a, b):
-    if a is None or b is None:
-        return None
-    exact = a.exact and b.exact
-    if a.coefficient == 0.0 or b.coefficient == 0.0:
-        return replace(b if a.coefficient == 0.0 else a, exact=exact)
-    if (a.rate, a.exponent) == (b.rate, b.exponent):
-        c = a.coefficient + b.coefficient
-        if c == 0.0:
-            return None  # cancellation: leading order unknown
-        return replace(a, coefficient=c, exact=exact)
-    # the sub-leading term spoils exactness but not the divergence class
-    return replace(max(a, b, key=lambda t: (t.rate, t.exponent)), exact=False)
-
-
 def multiply(p, q, label=""):
     def ev(t):
         return p.evaluator(t) * q.evaluator(t)
 
     ps, qs = p.scalar, q.scalar
-    return _closed_form(Profile(ev, tail=_mul_tail(p.tail, q.tail),
-                                sign=_mul_sign(p.sign, q.sign),
-                                label=label or f"({p.label})*({q.label})"),
-                        lambda t: ps(t) * qs(t))
+    return _closed_form(ev, lambda t: ps(t) * qs(t), _product(_form(p), _form(q)),
+                        _mul_sign(p.sign, q.sign), label or f"({p.label})*({q.label})")
 
 
 def _add_sign(a, b):
@@ -270,10 +321,8 @@ def add(p, q, label=""):
         return p.evaluator(t) + q.evaluator(t)
 
     ps, qs = p.scalar, q.scalar
-    return _closed_form(Profile(ev, tail=_add_tail(p.tail, q.tail),
-                                sign=_add_sign(p.sign, q.sign),
-                                label=label or f"({p.label})+({q.label})"),
-                        lambda t: ps(t) + qs(t))
+    return _closed_form(ev, lambda t: ps(t) + qs(t), _sum(_form(p), _form(q)),
+                        _add_sign(p.sign, q.sign), label or f"({p.label})+({q.label})")
 
 
 def scaled(p, factor, label=""):
@@ -282,15 +331,10 @@ def scaled(p, factor, label=""):
     def ev(t):
         return k * p.evaluator(t)
 
-    tail = None
-    if p.tail is not None and not _out_of_range(k * p.tail.coefficient, k,
-                                                p.tail.coefficient):
-        tail = replace(p.tail, coefficient=k * p.tail.coefficient)
-    sign = _mul_sign(p.sign, _sign_of_value(k))
     ps = p.scalar
-    return _closed_form(Profile(ev, tail=tail, sign=sign,
-                                label=label or f"{k:g}*({p.label})"),
-                        lambda t: k * ps(t))
+    # a product with the constant k, whose orders -0.0 keep the sign of a zero order
+    return _closed_form(ev, lambda t: k * ps(t), _product((((k, -0.0, -0.0),), True), _form(p)),
+                        _mul_sign(p.sign, _sign_of_value(k)), label or f"{k:g}*({p.label})")
 
 
 def subtract(p, q, label=""):
@@ -301,15 +345,13 @@ def reciprocal(p, label=""):
     def ev(t):
         return 1.0 / p.evaluator(t)
 
-    tail = None
-    if (p.tail is not None and p.tail.coefficient != 0.0
-            and not _out_of_range(1.0 / p.tail.coefficient, p.tail.coefficient)):
-        tail = AsymptoticTail(1.0 / p.tail.coefficient, -p.tail.exponent,
-                              -p.tail.rate, p.tail.exact)
+    tail, form = p.tail, None
+    if tail is not None and tail.coefficient != 0.0:  # the dominant term, complete when exact
+        c = tail.coefficient
+        form = _collect([(_in_range(1.0 / c, c), -tail.exponent, -tail.rate)], tail.exact)
     ps = p.scalar
-    return _closed_form(Profile(ev, tail=tail, sign=p.sign,
-                                label=label or f"1/({p.label})"),
-                        lambda t: float(np.divide(1.0, ps(t))))
+    return _closed_form(ev, lambda t: float(np.divide(1.0, ps(t))), form, p.sign,
+                        label or f"1/({p.label})")
 
 
 def elementwise_power(p, exponent, label=""):
@@ -322,23 +364,21 @@ def elementwise_power(p, exponent, label=""):
     def ev(t):
         return np.power(p.evaluator(t), e)
 
-    tail = None
-    if p.tail is not None and p.tail.coefficient > 0.0:
-        q, r, f = Fraction(p.tail.exponent), Fraction(p.tail.rate), Fraction(e)
+    tail, form = p.tail, None
+    if tail is not None and tail.coefficient > 0.0:  # the dominant term, complete when exact
+        c, f = tail.coefficient, Fraction(e)
         try:
-            c = p.tail.coefficient ** e
-            if not _out_of_range(c, p.tail.coefficient):
-                tail = AsymptoticTail(c, _exact(q * f), _exact(r * f), p.tail.exact)
+            form = _collect([(_in_range(c ** e, c), _exact(Fraction(tail.exponent) * f),
+                              _exact(Fraction(tail.rate) * f))], tail.exact)
         except OverflowError:
-            pass  # the coefficient or an order leaves the float range or grid: no tail
-    elif p.tail is not None and p.tail.coefficient == 0.0 and p.tail.exact:
-        tail = p.tail
+            pass  # the coefficient or an order leaves the float range or grid
+    elif tail is not None and tail.coefficient == 0.0 and tail.exact and e > 0.0:
+        form = _form(p)  # the zero form stays zero
     sign = "zero" if p.sign == "zero" else (
         "nonnegative" if certified_nonnegative(p) else None)
     ps = p.scalar
-    return _closed_form(Profile(ev, tail=tail, sign=sign,
-                                label=label or f"({p.label})^{e:g}"),
-                        lambda t: float(np.power(ps(t), e)))
+    return _closed_form(ev, lambda t: float(np.power(ps(t), e)), form, sign,
+                        label or f"({p.label})^{e:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -573,26 +613,22 @@ def tail_integral_converges(p):
     return d == "finite"
 
 
-def _power_remainders(t, Ts):
-    """Integrals over (T, +inf) of the exact power tail ``t`` with finite class
-    and c != 0, for each T in ``Ts``."""
-    c = t.coefficient
-    e = float(_antiderivative_order(t)[1])  # the exact order q + 1 < 0
+def _power_remainders(c, q, Ts):
+    """Integrals over (T, +inf) of the power term c t^q, q < -1 and c != 0,
+    for each T in ``Ts``."""
+    e = float(_exact_sum(q, 1.0))  # the exact order q + 1 < 0
     return [c * T ** e / -e for T in Ts]
 
 
-def _exponential_remainder(p, b, tol):
-    """Integral of ``p`` over (b, +inf) for its exact decaying exponential
-    tail with c != 0: adaptive quadrature out to where the envelope is
-    negligible against the integral.
+def _exponential_remainder(f, c, pw, rate, b, tol):
+    """Integral over (b, +inf) of the decaying exponential term
+    c t^pw e^{rate t}, c != 0, evaluated by ``f``: adaptive quadrature out
+    to where the envelope is negligible against the integral.
 
     The integrand is divided by a lower bound of the integral, capped at 1,
     so the quadrature's target tol * (1 + |Q|) stays relative as the value
     falls toward the end of the float range.
     """
-    t = p.tail
-    c, pw, rate = t.coefficient, float(t.exponent), float(t.rate)
-
     def envelope(x):
         return (2.0 if pw > 0 else 1.0) * abs(c) * x ** pw * math.exp(rate * x) / (-rate)
 
@@ -606,21 +642,23 @@ def _exponential_remainder(p, b, tol):
         if envelope(T2) <= 1e-18 * scale:
             break
         T2 += max(1.0, 3.0 / (-rate))
-    f = _as_callable(p)
     return 0.0 + scale * integrate(lambda x: f(x) / scale, b, T2, tol=tol)
 
 
 def tail_integral(p, b, tol=DEFAULT_TOL):
     """Integral of ``p`` over (b, +inf): exact value, or +/-inf on divergence.
 
-    Requires a declared tail, and an exact one when the integral converges:
-    the profile then equals its tail form on the whole domain.  A power
-    tail is finished analytically; an exponential tail is integrated out to
-    where its envelope is negligible, to ``tol`` relative to the value.
+    Requires a declared tail, and a complete normal form when the integral
+    converges: the profile then equals the sum of its terms on the whole
+    domain, so sums and products of the constructors get certified values.
+    The terms are integrated one by one and added.  A power term is
+    finished analytically; an exponential term is integrated out to where
+    its envelope is negligible, to ``tol`` relative to its value, through
+    the profile's own evaluator when it is the only term.
 
     A nondecreasing array ``b`` gives the array of values at its points, and
-    a float ``b`` is the one-point case.  A power tail gives each point its
-    analytic remainder.  An exponential tail takes the value at the last
+    a float ``b`` is the one-point case.  A power term gives each point its
+    analytic remainder.  An exponential term takes its value at the last
     point plus one running integral back from it, summed from the last point
     down, so the other points agree with their one-point values within
     ``tol`` (absolute where the values are below 1).
@@ -630,25 +668,26 @@ def tail_integral(p, b, tol=DEFAULT_TOL):
         return np.zeros(0)
     if ts[0] < 0:
         raise InvalidParams("tail_integral needs b >= 0")
-    t = p.tail
     div = tail_divergence(p)
     if div is None:
         raise TailInfoMissing(
             f"profile {p.label or '<anonymous>'} declares no tail behavior")
     if div != "finite":
         values = np.full(len(ts), math.inf if div == "+inf" else -math.inf)
-    elif not t.exact:
+    elif not _form(p)[1]:
         raise TailInfoMissing(
             "asymptotic-only tail cannot produce a certified tail integral")
-    elif t.coefficient == 0.0:
-        values = np.zeros(len(ts))
-    elif t.rate == 0.0:
-        values = 0.0 + np.array(_power_remainders(t, ts))
     else:
-        last = _exponential_remainder(p, ts[-1], tol)
-        f = _as_callable(p)
-        back = cumulative(lambda s: f(-s), [-x for x in reversed(ts)], tol=tol)
-        values = last + back[::-1]
+        values = np.zeros(len(ts))
+        for c, q, r in [term for term in p.terms if term[0] != 0.0]:  # none in the zero form
+            if r == 0.0:
+                values += _power_remainders(c, q, ts)
+            else:
+                f = p.evaluator if len(p.terms) == 1 else (
+                    lambda x, c=c, q=float(q), r=float(r): c * np.power(x, q) * np.exp(r * x))
+                last = _exponential_remainder(f, c, float(q), float(r), ts[-1], tol)
+                back = cumulative(lambda s: f(-s), [-x for x in reversed(ts)], tol=tol)
+                values += last + back[::-1]
     return values if np.ndim(b) else float(values[0])
 
 

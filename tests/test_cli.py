@@ -248,6 +248,20 @@ class TestCheck:
         assert verdict["status"] == "satisfied"
         assert verdict["witness"]["cumulative_last"] == "nan"
 
+    def test_nehari_certifies_the_total_of_a_sum(self, tmp_path):
+        # K = t^-2 + t^-3 integrates term by term: the moment over (1, inf)
+        # is 1.5, and the partial moment to 1e4 already beats the threshold 1
+        cfg = tmp_path / "nehari.ini"
+        cfg.write_text("[profile:p2]\nkind = power\nc = 1.0\np = -2.0\n"
+                       "[profile:p3]\nkind = power\nc = 1.0\np = -3.0\n"
+                       "[profile:K]\nkind = sum\nterms = p2 p3\n"
+                       "[curvature:k]\nk = K\n"
+                       "[check]\ncriteria = nehari\ncurvature = k\nt0 = 1.0\nlambda = 0\n")
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        verdict = json.loads((tmp_path / "verdicts.json").read_text())["verdicts"][0]
+        assert verdict["status"] == "satisfied"
+        assert verdict["witness"]["certified_total"] == pytest.approx(1.5, rel=1e-10)
+
     def test_yamabe_reads_no_pair(self, tmp_path):
         cfg = tmp_path / "yamabe.ini"
         cfg.write_text("[profile:s]\nkind = constant\nc = -1.0\n"

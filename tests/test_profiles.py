@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -150,11 +151,14 @@ class TestTailIntegral:
             tail_integral(bare, 1.0)
 
     def test_inexact_tail_refuses_value(self):
-        # sum of two powers carries only a dominant-term tail
+        # a sum of two powers has a dominant-term tail, but its complete
+        # normal form integrates term by term
         p = add(power(1.0, -2.0), power(1.0, -3.0))
         assert p.tail.exact is False
+        assert tail_integral(p, 1.0) == 1.5
+        # an incomplete form, 1/(t^2 + 1) ~ t^-2, has no certified value
         with pytest.raises(TailInfoMissing):
-            tail_integral(p, 1.0)
+            tail_integral(reciprocal(add(power(1.0, 2.0), constant(1.0))), 1.0)
         # but divergence decisions still work
         q = add(power(1.0, 1.0), power(1.0, 0.5))
         assert tail_divergence(q) == "+inf"
@@ -203,9 +207,28 @@ class TestTailIntegral:
     def test_grid_raises_what_the_float_route_raises(self):
         with pytest.raises(InvalidParams):
             tail_integral(power(1.0, -2.0), np.array([-1.0, 2.0]))
+        assert tail_integral(add(power(1.0, -2.0), power(1.0, -3.0)),
+                             np.array([1.0, 2.0])).tolist() == [1.5, 0.625]
         with pytest.raises(TailInfoMissing):
-            tail_integral(add(power(1.0, -2.0), power(1.0, -3.0)), np.array([1.0, 2.0]))
+            tail_integral(reciprocal(add(power(1.0, 2.0), constant(1.0))),
+                          np.array([1.0, 2.0]))
         assert tail_integral(power(1.0, -2.0), np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("make, exact", [
+        (lambda: add(power(1.0, -2.0), power(1.0, -3.0)),
+         lambda b: 1 / b + 1 / (2 * b ** 2)),
+        # the integral of t^-2 e^-t over (b, inf) is E_2(b) / b
+        (lambda: subtract(power(0.3, -2.0), multiply(power(0.2, -2.0), exponential(1.0, -1.0))),
+         lambda b: mpmath.mpf("0.3") / b - mpmath.mpf("0.2") * mpmath.expint(2, b) / b),
+    ], ids=["t^-2+t^-3", "0.3t^-2-0.2t^-2e^-t"])
+    def test_sum_integrates_term_by_term(self, make, exact):
+        # both raised TailInfoMissing when a sum kept only its dominant term
+        p, bs = make(), [1.0, 2.0, 4.0, 10.0]
+        assert not p.tail.exact
+        with mpmath.workdps(50):
+            want = [float(exact(mpmath.mpf(b))) for b in bs]
+        assert tail_integral(p, 1.0) == pytest.approx(want[0], rel=4e-16)
+        assert tail_integral(p, bs) == pytest.approx(want, rel=1e-15)
 
 
 # profile -> (leading antiderivative term, tail_divergence), exact values;
@@ -248,59 +271,123 @@ def _rounded(x):
         return math.inf if x > 0 else -math.inf
 
 
-def _build_with_exact_order(tree):
-    """``(profile, want)`` of ``tree``, ``want`` its expected tail or None.
+def _in_range(c, *operands):
+    """``c``, or None when it overflowed, or underflowed from nonzero
+    ``operands`` below the normal range."""
+    return None if math.isinf(c) or (abs(c) < 2.0 ** -1022 and all(operands)) else c
 
-    ``want`` is ``((rate, exponent), coefficient)`` with the orders as
-    Fractions, computed here in exact arithmetic.  Every node's declared
-    tail must carry it: each order a float when the float is exact, and
-    otherwise a Fraction that no float equals.
+
+def _on_the_float_grid(*orders):
+    """Whether every exact order is a finite multiple of 2**-1074."""
+    return all(x.denominator <= 2 ** 1074 and math.isfinite(_rounded(x)) for x in orders)
+
+
+def _expected_sum(terms, complete, floor=None):
+    """The normal form of the sum of ``terms``, ``(c, (rate, exponent))``
+    pairs with Fraction orders and c None off the float range.
+
+    Like orders are collected with math.fsum and zero sums dropped; a
+    complete sum of zeros is the zero of its dominant order.  A form with a
+    coefficient off the float range is incomplete, and an incomplete form
+    keeps its dominant nonzero term, which must be in range and not below
+    ``floor``.
+    """
+    like = {}
+    for c, order in terms:
+        like.setdefault(order, []).append(c)
+    collected = []
+    for order in sorted(like, reverse=True):
+        cs = like[order]
+        try:
+            c = None if None in cs else math.fsum(cs) if len(cs) > 1 else cs[0]
+        except OverflowError:
+            c = None
+        collected.append((c, order))
+    nonzero = [term for term in collected if term[0] != 0.0]
+    if complete and None not in [c for c, _ in nonzero]:
+        return nonzero or collected[:1], True
+    if not nonzero or nonzero[0][0] is None or (floor and nonzero[0][1] < floor):
+        return None
+    return nonzero[:1], False
+
+
+def _expected_form(kind, args, built):
+    """The normal form of a node from the forms ``built`` of its children,
+    its full expansion with every order worked out in Fraction arithmetic."""
+    if kind == "power":
+        return [(args[0], (Fraction(0), Fraction(args[1])))], True
+    if kind == "exponential":
+        return [(args[0], (Fraction(args[1]), Fraction(0)))], True
+    if None in built:
+        return None
+    if kind == "add":
+        floor = max([terms[0][1] for terms, complete in built if not complete],
+                    default=None)
+        return _expected_sum(built[0][0] + built[1][0], built[0][1] and built[1][1],
+                             floor)
+    if kind == "multiply":
+        (ta, ca), (tb, cb) = built
+        terms = [(_in_range(a * b, a, b), (oa[0] + ob[0], oa[1] + ob[1]))
+                 for a, oa in ta for b, ob in tb]
+        if not _on_the_float_grid(*(x for _, order in terms for x in order)):
+            return None
+        zero = any(complete and terms[0][0] == 0.0 for terms, complete in built)
+        return _expected_sum(terms, (ca and cb) or zero)
+    (terms, complete), = built
+    (c, (rate, exponent)), complete = terms[0], complete and len(terms) == 1
+    if kind == "reciprocal":
+        return c != 0.0 and _expected_sum([(_in_range(1.0 / c, c), (-rate, -exponent))],
+                                          complete) or None
+    e = args[1]  # elementwise_power: of the dominant term, or the zero form
+    if c == 0.0 and complete:
+        return (terms, complete) if e > 0 else None  # 0**e is 0, or inf, or 1 at e = 0
+    orders = (rate * Fraction(e), exponent * Fraction(e))
+    if c <= 0.0 or not _on_the_float_grid(*orders):
+        return None
+    try:
+        return _expected_sum([(_in_range(c ** e, c), orders)], complete)
+    except OverflowError:
+        return None
+
+
+def _build_with_exact_order(tree):
+    """``(profile, want)`` of ``tree``, ``want`` its expected normal form or None.
+
+    ``want`` is ``(terms, complete)``, each term ``(coefficient, (rate,
+    exponent))`` with the orders as Fractions, worked out here from the full
+    expansion.  Every node's form must carry it: each order a float when
+    the float is exact, and otherwise a Fraction that no float equals; its
+    tail is the dominant term, exact when the form is complete with one.
     """
     kind, *args = tree
-    if kind == "power":
-        p, want = power(args[0], args[1]), ((Fraction(0), Fraction(args[1])), args[0])
-    elif kind == "exponential":
-        p, want = exponential(*args), ((Fraction(args[1]), Fraction(0)), args[0])
-    elif kind == "elementwise_power":
+    if kind == "elementwise_power":
         a, inner = _build_with_exact_order(args[0])
-        e = args[1] if certified_nonnegative(a) else 3.0
-        p, want = elementwise_power(a, e), None
-        orders = inner and tuple(x * Fraction(e) for x in inner[0])
-        # an order off the grid of multiples of 2**-1074 declares no tail
-        if inner is not None and inner[1] > 0.0 and all(
-                x.denominator <= 2 ** 1074 for x in orders):
-            want = (orders, inner[1] ** e)
-        elif inner is not None and inner[1] == 0.0 and a.tail.exact:
-            want = inner  # zero stays zero
+        args = [None, args[1] if certified_nonnegative(a) else 3.0]
+        built, p = [inner], elementwise_power(a, args[1])
+    elif kind in ("power", "exponential"):
+        built, p = [], {"power": power, "exponential": exponential}[kind](*args)
     else:
-        built = [_build_with_exact_order(arg) for arg in args]
+        children = [_build_with_exact_order(arg) for arg in args]
         op = {"multiply": multiply, "add": add, "reciprocal": reciprocal}[kind]
-        p, want = op(*(b[0] for b in built)), None
-        if all(b[1] is not None for b in built):
-            (oa, ca), (ob, cb) = built[0][1], built[-1][1]
-            if kind == "multiply":
-                want = ((oa[0] + ob[0], oa[1] + ob[1]), ca * cb)
-            elif kind == "reciprocal":
-                want = ((-oa[0], -oa[1]), 1.0 / ca) if ca != 0.0 else None
-            elif ca == 0.0 or cb == 0.0:
-                want = (ob, cb) if ca == 0.0 else (oa, ca)
-            elif oa == ob:
-                want = (oa, ca + cb) if ca + cb != 0.0 else None
-            else:
-                want = max((oa, ca), (ob, cb))
+        built, p = [w for _, w in children], op(*(q for q, _ in children))
+    want = _expected_form(kind, args, built)
     if want is None:
-        assert p.tail is None
+        assert p.tail is None and p.terms is None
         return p, None
-    orders = (p.tail.rate, p.tail.exponent)
-    for x in orders:
-        assert type(x) is float or (type(x) is Fraction and float(x) != x)
-    assert tuple(map(Fraction, orders)) == want[0]
-    assert p.tail.coefficient == want[1]
-    (rate, exponent), c = want
-    if p.tail.exact and rate == 0 and exponent < -1 and c != 0.0:
-        # the power remainder from t = 1, in the exact order q + 1
+    terms, complete = want
+    assert len(p.terms) == len(terms)
+    for (c, q, r), (c_want, order) in zip(p.terms, terms):
+        for x in (r, q):
+            assert type(x) is float or (type(x) is Fraction and float(x) != x)
+        assert (Fraction(r), Fraction(q)) == order and c == c_want
+    assert (p.tail.coefficient, p.tail.exponent, p.tail.rate) == p.terms[0]
+    assert p.tail.exact == (complete and len(terms) == 1)
+    if complete and all(rate == 0 and (exponent < -1 or c == 0.0)
+                        for c, (rate, exponent) in terms):
+        # the power remainders from t = 1, each in its exact order q + 1
+        parts = [-Fraction(c) / (exponent + 1) for c, (_, exponent) in terms if c]
         assert tail_integral(p, 1.0) == pytest.approx(
-            _rounded(-Fraction(c) / (exponent + 1)), rel=1e-15)
+            _rounded(sum(parts)), rel=1e-15, abs=1e-15 * _rounded(sum(map(abs, parts))))
     return p, want
 
 
@@ -397,8 +484,10 @@ class TestAlgebra:
         assert not p.tail.exact
 
     def test_sum_cancellation_drops_tail(self):
+        # the t^2 terms cancel exactly: the zero form, not a lost tail
         p = subtract(power(1.0, 2.0), power(1.0, 2.0))
-        assert p.tail is None
+        assert (p.tail.coefficient, p.tail.exact) == (0.0, True)
+        assert tail_integral(p, 1.0) == 0.0
 
     def test_elementwise_power_needs_sign(self):
         with pytest.raises(InvalidParams):
@@ -448,6 +537,48 @@ class TestAlgebra:
                   elementwise_power(constant(0.0), 2.0)):
             assert (p.tail.coefficient, p.tail.exact) == (0.0, True)
             assert tail_divergence(p) == "finite"
+
+    def test_zero_term_is_not_the_dominant_of_an_incomplete_sum(self):
+        # 1/(1e200 e^{-0.1t} + e^{-0.2t}) is 1e-200 e^{0.1t} + (unknown lower
+        # terms), and the zero form 0 e^{0.5t} lies above it: the zero is
+        # dropped before the dominant is picked
+        zero = scaled(exponential(1.0, 0.5), 0.0)
+        rising = reciprocal(add(exponential(1e200, -0.1), exponential(1.0, -0.2)))
+        for p in (add(zero, rising), add(rising, zero)):
+            assert p.tail == AsymptoticTail(1e-200, 0.0, 0.1, exact=False)
+            assert tail_divergence(p) == "+inf"
+
+    def test_incomplete_summand_whose_order_cancels_has_no_tail(self):
+        # 1/(1/(t^2 + t)) = t^2 + (unknown lower terms): minus t^2 leaves
+        # nothing known, while minus t^2 - t^3 leaves the dominant -t^3
+        p = reciprocal(reciprocal(add(power(1.0, 2.0), power(1.0, 1.0))))
+        assert subtract(p, power(1.0, 2.0)).tail is None
+        q = subtract(p, add(power(1.0, 2.0), power(1.0, 3.0)))
+        assert q.tail == AsymptoticTail(-1.0, 3.0, 0.0, exact=False)
+
+    def test_product_with_the_zero_form_is_exactly_zero(self):
+        incomplete = reciprocal(add(power(1.0, 2.0), constant(1.0)))
+        p = multiply(constant(0.0), incomplete)
+        assert (p.tail.coefficient, p.tail.exact) == (0.0, True)
+        assert tail_integral(p, 1.0) == 0.0
+
+    def test_subnormal_coefficient_declares_no_tail(self):
+        # 3.19e-161 squared is 1.0177e-321, a subnormal with 7 significant
+        # bits; a product that underflows to 0.0 already declared none
+        p = scaled(constant(3.1901523304160198e-161), 3.1901523304160198e-161)
+        assert p.tail is None
+        # below the dominant term it leaves the form incomplete
+        q = multiply(add(power(1.0, 1.0), power(1e-160, -1.0)),
+                     add(constant(1.0), power(1e-160, -2.0)))
+        assert q.tail == AsymptoticTail(1.0, 1.0, 0.0, exact=False)
+        with pytest.raises(TailInfoMissing):
+            tail_integral(multiply(q, power(1.0, -3.0)), 1.0)
+
+    @pytest.mark.parametrize("e", [-1.0, 0.0])
+    def test_zero_to_a_non_positive_power_declares_no_tail(self, e):
+        # 0**-1 is inf and 0**0 is 1: neither is the zero form, which the
+        # zero tail claimed
+        assert elementwise_power(constant(0.0), e).tail is None
 
     def test_scaled_flips_sign_certificate(self):
         assert scaled(power(1.0, 1.0), -2.0).sign == "nonpositive"
@@ -560,6 +691,75 @@ class TestWeightedMoment:
         k = CurvatureProfile(power(1.0, -1.0), m=2)
         assert weighted_moment(k, 1.0, 1.0, math.e) == pytest.approx(
             math.e - 1.0, rel=1e-10)
+
+
+_FORM_COEFS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0, 3.0]),
+                        st.floats(-3.0, 3.0))
+_FORM_LEAVES = st.one_of(
+    st.tuples(st.just("constant"), _FORM_COEFS),
+    st.tuples(st.just("power"), _FORM_COEFS, st.floats(-3.0, 3.0)),
+    st.tuples(st.just("exponential"), _FORM_COEFS, st.floats(-2.0, 2.0)))
+_FORM_TREES = st.recursive(_FORM_LEAVES, lambda children: st.one_of(
+    st.tuples(st.sampled_from(["multiply", "add", "subtract"]), children, children),
+    st.tuples(st.just("scaled"), children, _FORM_COEFS),
+    st.tuples(st.just("reciprocal"), children),
+    st.tuples(st.just("elementwise_power"), children, st.sampled_from([0.5, 1.5, -1.0, 3.0])),
+), max_leaves=6)
+
+
+def _mp(x):
+    """The float or Fraction ``x`` as an mpmath number, exactly."""
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _with_exact_value(tree, t):
+    """``(profile, value)`` of ``tree``, its value at ``t`` in mpmath arithmetic."""
+    kind, *args = tree
+    if kind in ("constant", "power", "exponential"):
+        p = {"constant": constant, "power": power, "exponential": exponential}[kind](*args)
+        c = _mp(args[0])
+        return p, (c if kind == "constant" else c * t ** _mp(args[1]) if kind == "power"
+                   else c * mpmath.exp(_mp(args[1]) * t))
+    (a, x), rest = _with_exact_value(args[0], t), args[1:]
+    if kind == "scaled":
+        return scaled(a, rest[0]), _mp(rest[0]) * x
+    if kind == "reciprocal":
+        return reciprocal(a), 1 / x if x else mpmath.inf
+    if kind == "elementwise_power":
+        e = rest[0] if certified_nonnegative(a) else 3.0
+        return elementwise_power(a, e), (x ** _mp(e) if x or e > 0 else mpmath.inf)
+    b, y = _with_exact_value(rest[0], t)
+    op = {"multiply": (multiply, x * y), "add": (add, x + y), "subtract": (subtract, x - y)}
+    return op[kind][0](a, b), op[kind][1]
+
+
+class TestNormalForm:
+    @given(_FORM_TREES, st.floats(0.25, 4.0))
+    @settings(max_examples=200, deadline=None)
+    @example(("subtract", ("multiply", ("add", ("power", 1.0, 1.0), ("constant", 1.0)),
+                           ("add", ("power", 1.0, 1.0), ("constant", -1.0))),
+              ("power", 1.0, 2.0)), 1.5)
+    @example(("subtract", ("constant", 1.0),
+              ("add", ("constant", 1.0), ("power", 6.937365828492989e-190, 1.0))), 1.0)
+    @example(("scaled", ("constant", 3.1901523304160198e-161), 3.1901523304160198e-161), 1.0)
+    def test_complete_terms_sum_to_the_profile(self, tree, t):
+        # a complete form is the profile: its terms, summed exactly, give
+        # the exact value to the rounding of their coefficients; 1000 digits
+        # hold 1 - (1 + 5e-324 t) and every other cancellation of a tree
+        with mpmath.workdps(1000):
+            p, exact = _with_exact_value(tree, mpmath.mpf(t))
+            if p.terms is None or not (len(p.terms) > 1 or p.tail.exact):
+                return
+            parts = [_mp(c) * mpmath.mpf(t) ** _mp(q) * mpmath.exp(_mp(r) * t)
+                     for c, q, r in p.terms]
+            assert abs(sum(parts) - exact) <= 1e-12 * sum(abs(x) for x in parts)
+
+    def test_terms_are_collected_dominant_first(self):
+        p = multiply(add(power(1.0, 1.0), constant(1.0)), add(power(1.0, 1.0), constant(-1.0)))
+        assert p.terms == ((1.0, 2.0, 0.0), (-1.0, 0.0, 0.0))
+        assert tail_integral(multiply(p, power(1.0, -4.0)), 1.0) == pytest.approx(
+            1.0 - 1.0 / 3.0, rel=1e-15)
 
 
 class TestCatalogInvariants:
