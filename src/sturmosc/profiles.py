@@ -98,8 +98,15 @@ class AsymptoticTail:
     exact: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.exponent) and math.isfinite(self.rate)):
-            raise InvalidParams("tail exponent and rate must be finite")
+        _finite(self.exponent), _finite(self.rate)
+
+
+def _finite(order):
+    """The tail order ``order`` as a float; InvalidParams unless it is finite."""
+    x = float(order)
+    if not math.isfinite(x):
+        raise InvalidParams("tail exponent and rate must be finite")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +128,16 @@ class Profile:
     bit-identical to the evaluator; any other profile gets
     ``float(evaluator(np.float64(t)))``.
 
-    ``terms`` is the monomial normal form: exact monomials ``(c, q, r)`` of
+    ``terms`` is the monomial normal form: monomials ``(c, q, r, err)`` of
     ``c * t**q * exp(r*t)``, dominant first, with orders exact by
-    :func:`_exact`, or None.  The constructors below derive it, so sums and
-    products carry every monomial; any other profile gets its declared
-    tail as one term.  The form is complete when the profile is the sum of
-    its terms on the whole domain: always with several terms, and with one
-    term when ``tail`` is exact.  An incomplete form holds only its
-    dominant term, and the complete zero form one zero term.  ``tail`` is
-    the dominant term, exact when the form is complete and has one term.
+    :func:`_exact` and ``err`` a bound on the rounding error of ``c``, 0.0
+    when ``c`` is exact; or None.  The constructors below derive it, so
+    sums and products carry every monomial; any other profile gets its
+    declared tail as one exact term.  The form is complete when the profile
+    is the sum of its terms on the whole domain: always with several terms,
+    and with one term when ``tail`` is exact.  An incomplete form holds only
+    its dominant term, and the complete zero form one zero term.  ``tail``
+    is the dominant term, exact when the form is complete and has one term.
     """
 
     evaluator: Callable
@@ -140,9 +148,9 @@ class Profile:
     terms: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ev, tail = self.evaluator, self.tail
-        object.__setattr__(self, "scalar", lambda t: float(ev(np.float64(t))))
-        object.__setattr__(self, "terms", tail and ((tail.coefficient, tail.exponent, tail.rate),))
+        ev, t = self.evaluator, self.tail
+        object.__setattr__(self, "scalar", lambda x: float(ev(np.float64(x))))
+        object.__setattr__(self, "terms", t and ((t.coefficient, t.exponent, t.rate, 0.0),))
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -171,21 +179,24 @@ def _in_range(c, *operands):
 
 def _collect(terms, complete, floor=None):
     """The form of the sum of the monomials ``terms``, complete when
-    ``complete`` and every coefficient is in the float range (nan marks one
-    that is not).
+    ``complete`` and every coefficient is known.
 
-    Like orders are collected with math.fsum, so a collected coefficient is
-    zero only when it cancels exactly, and zero terms are dropped; a
-    complete sum of zeros is the zero form of its dominant order.  An
-    incomplete form keeps only its dominant nonzero term, and has none when
-    that term is off the float range or below ``floor``: the order of an
+    Like orders are collected with math.fsum, and zero terms are dropped; a
+    complete sum of zeros is the zero form of its dominant order.  A
+    coefficient is unknown (nan) off the float range (see :func:`_in_range`),
+    and within twice its error bound of 0, where it may be 0 or of either
+    sign: so a term kept has a certain sign, and is more than twice its
+    bound.  An incomplete form keeps only its dominant nonzero term, and has
+    none when that term is unknown or below ``floor``: the order of an
     incomplete summand, whose unknown remainder lies below it.
     """
     if len(terms) > 1:
         like = {}
-        for c, q, r in terms:
-            like.setdefault((r, q), []).append(c)
-        terms = [(_fsum(cs), q, r) for (r, q), cs in sorted(like.items(), reverse=True)]
+        for term in terms:
+            like.setdefault((term[2], term[1]), []).append(term)
+        terms = [_fsum(like[order]) for order in sorted(like, reverse=True)]
+    terms = [(math.nan, *term[1:]) if term[3] and not abs(term[0]) > 2.0 * term[3] else term
+             for term in terms]
     nonzero = [term for term in terms if term[0] != 0.0]
     if complete and not any(math.isnan(term[0]) for term in nonzero):
         return tuple(nonzero) or (terms[0],), True
@@ -195,26 +206,47 @@ def _collect(terms, complete, floor=None):
     return (nonzero[0],), False
 
 
-def _fsum(cs):
-    """The coefficients ``cs`` of one order summed exactly and rounded once,
-    or nan past the float range (or for inf - inf)."""
+def _fsum(terms):
+    """The like-order ``terms`` as one: their coefficients summed exactly
+    and rounded once (nan past the float range, or for inf - inf), with
+    their error bounds and the rounding of the sum as its bound."""
+    if len(terms) == 1:
+        return terms[0]
+    cs = [term[0] for term in terms]
     try:
-        return math.fsum(cs) if len(cs) > 1 else cs[0]
+        c = math.fsum(cs)
+        err = math.fsum(term[3] for term in terms) + abs(math.fsum(cs + [-c]))
     except (OverflowError, ValueError):
-        return math.nan
+        c = err = math.nan
+    return c, terms[0][1], terms[0][2], _bound(err, err)
+
+
+def _bound(err, rounded):
+    """The error bound ``err`` of a coefficient, worked out in floats, raised
+    by 8 ulps past the rounding of those few operations and past what
+    underflowed; 0.0 when nothing was ``rounded``."""
+    return err + 8.0 * math.ulp(err) if rounded else 0.0
 
 
 def _product(a, b):
     """The form of the product of the forms ``a`` and ``b``: every pair of
-    terms multiplied.  A product with the zero form is zero; an order off
-    the float range or grid gives no form."""
+    terms multiplied.  A product is exact when a factor is zero (a zero
+    term is exact), and otherwise when its factors are and the odd parts of
+    their numerators multiply to at most 53 bits.  A product with the
+    zero form is zero; an order off the float range or grid, or a declared
+    coefficient that is not finite, gives no form."""
     if a is None or b is None:
         return None
     products = []
-    for (ca, qa, ra), (cb, qb, rb) in itertools.product(a[0], b[0]):
+    for (ca, qa, ra, ea), (cb, qb, rb, eb) in itertools.product(a[0], b[0]):
         try:
-            products.append((_in_range(ca * cb, ca, cb), _exact_sum(qa, qb), _exact_sum(ra, rb)))
-        except OverflowError:
+            c = _in_range(ca * cb, ca, cb)
+            n = ca.as_integer_ratio()[0] * cb.as_integer_ratio()[0]
+            inexact = n.bit_length() - (n & -n).bit_length() > 52
+            err = abs(ca) * eb + abs(cb) * ea + ea * eb + inexact * math.ulp(c)
+            products.append((c, _exact_sum(qa, qb), _exact_sum(ra, rb),
+                             _bound(err, n and (ea or eb or inexact))))
+        except (OverflowError, ValueError):
             return None
     zero = (a[1] and a[0][0][0] == 0.0) or (b[1] and b[0][0][0] == 0.0)
     return _collect(products, (a[1] and b[1]) or zero)
@@ -237,11 +269,16 @@ def _closed_form(evaluator, scalar, form, sign, label):
     ufunc where the evaluator calls one (so inf, nan and warnings stay
     numpy's), plain float arithmetic for products, sums and scalings (same
     values, but an overflow there gives inf without numpy's warning).
+    The tail and the profile are built past their __post_init__: the
+    orders are exact and finite already, and the terms are ``form``'s.
     """
-    tail = form and AsymptoticTail(*form[0][0], exact=form[1] and len(form[0]) == 1)
-    profile = Profile(evaluator, tail=tail, sign=sign, label=label)
-    object.__setattr__(profile, "scalar", scalar)
-    object.__setattr__(profile, "terms", form and form[0])
+    profile, tail = object.__new__(Profile), None
+    if form:
+        tail = object.__new__(AsymptoticTail)
+        tail.__dict__.update(zip(("coefficient", "exponent", "rate"), form[0][0]),
+                             exact=form[1] and len(form[0]) == 1)
+    profile.__dict__.update(evaluator=evaluator, tail=tail, sign=sign, label=label,
+                            scalar=scalar, terms=form and form[0])
     return profile
 
 
@@ -265,27 +302,27 @@ def constant(value, label=""):
     def ev(t):
         return np.full(np.shape(t), v)
 
-    return _closed_form(ev, lambda t: v, (((v, 0.0, 0.0),), True), _sign_of_value(v),
+    return _closed_form(ev, lambda t: v, (((v, 0.0, 0.0, 0.0),), True), _sign_of_value(v),
                         label or f"const({v:g})")
 
 
 def power(coefficient, exponent, label=""):
-    c, p = float(coefficient), float(exponent)
+    c, p = float(coefficient), _finite(exponent)
 
     def ev(t):
         return c * np.power(t, p)
 
-    return _closed_form(ev, lambda t: c * float(np.power(t, p)), (((c, p, 0.0),), True),
+    return _closed_form(ev, lambda t: c * float(np.power(t, p)), (((c, p, 0.0, 0.0),), True),
                         _sign_of_value(c), label or f"{c:g}*t^{p:g}")
 
 
 def exponential(coefficient, rate, label=""):
-    c, r = float(coefficient), float(rate)
+    c, r = float(coefficient), _finite(rate)
 
     def ev(t):
         return c * np.exp(r * t)
 
-    return _closed_form(ev, lambda t: c * float(np.exp(r * t)), (((c, 0.0, r),), True),
+    return _closed_form(ev, lambda t: c * float(np.exp(r * t)), (((c, 0.0, r, 0.0),), True),
                         _sign_of_value(c), label or f"{c:g}*exp({r:g}t)")
 
 
@@ -333,8 +370,9 @@ def scaled(p, factor, label=""):
 
     ps = p.scalar
     # a product with the constant k, whose orders -0.0 keep the sign of a zero order
-    return _closed_form(ev, lambda t: k * ps(t), _product((((k, -0.0, -0.0),), True), _form(p)),
-                        _mul_sign(p.sign, _sign_of_value(k)), label or f"{k:g}*({p.label})")
+    form = _product((((k, -0.0, -0.0, 0.0),), True), _form(p))
+    return _closed_form(ev, lambda t: k * ps(t), form, _mul_sign(p.sign, _sign_of_value(k)),
+                        label or f"{k:g}*({p.label})")
 
 
 def subtract(p, q, label=""):
@@ -345,10 +383,13 @@ def reciprocal(p, label=""):
     def ev(t):
         return 1.0 / p.evaluator(t)
 
-    tail, form = p.tail, None
-    if tail is not None and tail.coefficient != 0.0:  # the dominant term, complete when exact
-        c = tail.coefficient
-        form = _collect([(_in_range(1.0 / c, c), -tail.exponent, -tail.rate)], tail.exact)
+    form = None
+    if p.tail is not None and p.tail.coefficient != 0.0:  # the dominant term, complete when exact
+        (c, q, r, err), = p.terms[:1]
+        inv, inexact = _in_range(1.0 / c, c), math.frexp(c)[0] not in (0.5, -0.5)
+        # |1/(c + d) - 1/c| <= |2d / c| / |c| for |d| < |c| / 2, as a kept term has
+        err = _bound(abs(inv) * (2.0 * err / abs(c)) + inexact * math.ulp(inv), err or inexact)
+        form = _collect([(inv, -q, -r, err)], p.tail.exact)
     ps = p.scalar
     return _closed_form(ev, lambda t: float(np.divide(1.0, ps(t))), form, p.sign,
                         label or f"1/({p.label})")
@@ -366,10 +407,14 @@ def elementwise_power(p, exponent, label=""):
 
     tail, form = p.tail, None
     if tail is not None and tail.coefficient > 0.0:  # the dominant term, complete when exact
-        c, f = tail.coefficient, Fraction(e)
+        (c, q, r, err), = p.terms[:1]
         try:
-            form = _collect([(_in_range(c ** e, c), _exact(Fraction(tail.exponent) * f),
-                              _exact(Fraction(tail.rate) * f))], tail.exact)
+            ce, rho, inexact = _in_range(c ** e, c), abs(e) * err / c, 1.0 not in (c, e)
+            # |(1 + d)**e - 1| <= 2 |e d| while |e d| <= 2**-10; c**e is
+            # taken as rounded, to within 2 ulps, unless c or e is 1
+            err = _bound(ce * 2.0 * rho + 2 * inexact * math.ulp(ce), err or inexact)
+            orders = _exact(Fraction(q) * Fraction(e)), _exact(Fraction(r) * Fraction(e))
+            form = _collect([(ce, *orders, err if rho <= 2.0 ** -10 else math.nan)], tail.exact)
         except OverflowError:
             pass  # the coefficient or an order leaves the float range or grid
     elif tail is not None and tail.coefficient == 0.0 and tail.exact and e > 0.0:
@@ -620,29 +665,33 @@ def _power_remainders(c, q, Ts):
     return [c * T ** e / -e for T in Ts]
 
 
-def _exponential_remainder(f, c, pw, rate, b, tol):
-    """Integral over (b, +inf) of the decaying exponential term
-    c t^pw e^{rate t}, c != 0, evaluated by ``f``: adaptive quadrature out
-    to where the envelope is negligible against the integral.
+def _exponential_remainders(c, pw, rate, Ts, tol):
+    """Integrals over (T, +inf) of the decaying exponential term
+    c t^pw e^{rate t}, c != 0, for each T in the nondecreasing ``Ts``.
 
-    The integrand is divided by a lower bound of the integral, capped at 1,
-    so the quadrature's target tol * (1 + |Q|) stays relative as the value
-    falls toward the end of the float range.
+    The last one is adaptive quadrature out to where the envelope is
+    negligible against the integral, with the integrand divided by a lower
+    bound of the integral, capped at 1, so the quadrature's target
+    tol * (1 + |Q|) stays relative as the value falls toward the end of the
+    float range.  The others add one running integral back from it.
     """
+    def f(x):
+        return c * np.power(x, pw) * np.exp(rate * x)
+
     def envelope(x):
         return (2.0 if pw > 0 else 1.0) * abs(c) * x ** pw * math.exp(rate * x) / (-rate)
 
     # over one e-fold u past b (past b + u when pw > 0) the integrand keeps
     # |c| (b + u)^pw e^{rate (b + u) - 1}, so |integral| >= envelope(b + u) / 6
+    b = Ts[-1]
     scale = min(1.0, max(envelope(b + 1.0 / -rate) / 6.0, sys.float_info.min))
-    T2 = max(b, 1.0)
-    if pw > 0:
-        T2 = max(T2, 2.0 * pw / (-rate))
+    T2 = max(b, 1.0, 2.0 * pw / (-rate))  # and past the peak at pw / -rate
     for _ in range(400):
         if envelope(T2) <= 1e-18 * scale:
             break
         T2 += max(1.0, 3.0 / (-rate))
-    return 0.0 + scale * integrate(lambda x: f(x) / scale, b, T2, tol=tol)
+    last = 0.0 + scale * integrate(lambda x: f(x) / scale, b, T2, tol=tol)
+    return last + cumulative(lambda s: f(-s), [-x for x in reversed(Ts)], tol=tol)[::-1]
 
 
 def tail_integral(p, b, tol=DEFAULT_TOL):
@@ -653,8 +702,8 @@ def tail_integral(p, b, tol=DEFAULT_TOL):
     domain, so sums and products of the constructors get certified values.
     The terms are integrated one by one and added.  A power term is
     finished analytically; an exponential term is integrated out to where
-    its envelope is negligible, to ``tol`` relative to its value, through
-    the profile's own evaluator when it is the only term.
+    its envelope is negligible, to ``tol`` relative to its value.  From
+    b = 0 every term must be integrable at 0 (q > -1).
 
     A nondecreasing array ``b`` gives the array of values at its points, and
     a float ``b`` is the one-point case.  A power term gives each point its
@@ -678,16 +727,13 @@ def tail_integral(p, b, tol=DEFAULT_TOL):
         raise TailInfoMissing(
             "asymptotic-only tail cannot produce a certified tail integral")
     else:
+        terms = [term for term in p.terms if term[0] != 0.0]  # none in the zero form
+        if ts[0] == 0.0 and any(q <= -1 for _, q, _, _ in terms):
+            raise InvalidParams("tail_integral from b = 0 needs every term t^q to have q > -1")
         values = np.zeros(len(ts))
-        for c, q, r in [term for term in p.terms if term[0] != 0.0]:  # none in the zero form
-            if r == 0.0:
-                values += _power_remainders(c, q, ts)
-            else:
-                f = p.evaluator if len(p.terms) == 1 else (
-                    lambda x, c=c, q=float(q), r=float(r): c * np.power(x, q) * np.exp(r * x))
-                last = _exponential_remainder(f, c, float(q), float(r), ts[-1], tol)
-                back = cumulative(lambda s: f(-s), [-x for x in reversed(ts)], tol=tol)
-                values += last + back[::-1]
+        for c, q, r, _ in terms:
+            values += (_power_remainders(c, q, ts) if r == 0.0 else
+                       _exponential_remainders(c, float(q), float(r), ts, tol))
     return values if np.ndim(b) else float(values[0])
 
 

@@ -230,6 +230,32 @@ class TestTailIntegral:
         assert tail_integral(p, 1.0) == pytest.approx(want[0], rel=4e-16)
         assert tail_integral(p, bs) == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.parametrize("p", [
+        power(1.0, -2.0), add(power(1.0, -2.0), power(1.0, -3.0)),
+        multiply(power(1.0, -1.0), exponential(1.0, -1.0)),
+    ], ids=["t^-2", "t^-2+t^-3", "t^-1e^-t"])
+    def test_term_not_integrable_at_zero_is_refused_from_zero(self, p):
+        # a term t^q with q <= -1 diverges at 0, and a sum may diverge to
+        # either side there
+        for b in (0.0, [0.0, 1.0]):
+            with pytest.raises(InvalidParams):
+                tail_integral(p, b)
+        assert tail_integral(p, [1.0, 2.0])[0] == pytest.approx(tail_integral(p, 1.0), rel=1e-12)
+
+    def test_term_integrable_at_zero_from_zero(self):
+        # the integral of t^-1/2 e^-t over (0, inf) is sqrt(pi)
+        p = multiply(power(1.0, -0.5), exponential(1.0, -1.0))
+        assert tail_integral(p, 0.0) == pytest.approx(math.sqrt(math.pi), rel=1e-9)
+
+    def test_exponential_term_integrates_its_own_closed_form(self):
+        # 0 * e^{1000t} - 2.4 e^{-t} is exactly 2.4 e^{-t}, though its
+        # evaluator is 0 * inf = nan past t = 0.71
+        p = subtract(scaled(exponential(1.0, 1000.0), 0.0), exponential(-2.4, -1.0))
+        assert p.tail == AsymptoticTail(2.4, 0.0, -1.0, exact=True)
+        want = [2.4 * math.exp(-b) for b in (1.0, 2.0)]
+        assert tail_integral(p, 1.0) == pytest.approx(want[0], rel=1e-12)
+        assert tail_integral(p, [1.0, 2.0]) == pytest.approx(want, rel=1e-12)
+
 
 # profile -> (leading antiderivative term, tail_divergence), exact values;
 # repr keeps the sign of a zero, which reciprocal's rate -0.0 carries (the
@@ -283,43 +309,49 @@ def _on_the_float_grid(*orders):
 
 
 def _expected_sum(terms, complete, floor=None):
-    """The normal form of the sum of ``terms``, ``(c, (rate, exponent))``
-    pairs with Fraction orders and c None off the float range.
+    """The ideal normal form of the sum of ``terms``, ``(c, (rate,
+    exponent), x)`` with Fraction orders, c the float coefficient (None off
+    the float range) and x its exact value (None where it is irrational).
 
-    Like orders are collected with math.fsum and zero sums dropped; a
+    Like orders are collected, c with math.fsum and x exactly, and a term
+    is dropped when its x is 0: the ideal form cancels exactly, where a
+    profile's form may leave a coefficient with rounded parts unknown.  A
     complete sum of zeros is the zero of its dominant order.  A form with a
     coefficient off the float range is incomplete, and an incomplete form
     keeps its dominant nonzero term, which must be in range and not below
-    ``floor``.
+    ``floor``.  Returns ``(form or None, exact)``, ``exact`` when every
+    collected c is its x.
     """
     like = {}
-    for c, order in terms:
-        like.setdefault(order, []).append(c)
+    for c, order, x in terms:
+        like.setdefault(order, []).append((c, x))
     collected = []
     for order in sorted(like, reverse=True):
-        cs = like[order]
+        cs, xs = zip(*like[order])
         try:
-            c = None if None in cs else math.fsum(cs) if len(cs) > 1 else cs[0]
+            c = None if None in cs else math.fsum(cs)
         except OverflowError:
             c = None
-        collected.append((c, order))
-    nonzero = [term for term in collected if term[0] != 0.0]
-    if complete and None not in [c for c, _ in nonzero]:
-        return nonzero or collected[:1], True
+        collected.append((c, order, None if None in xs else sum(xs)))
+    exact = all(x is not None and c == x for c, _, x in collected)
+    nonzero = [(c, order, x) for c, order, x in collected if (c if x is None else x) != 0]
+    if complete and None not in [c for c, _, _ in nonzero]:
+        return (nonzero or [(0.0, collected[0][1], 0)], True), exact
     if not nonzero or nonzero[0][0] is None or (floor and nonzero[0][1] < floor):
-        return None
-    return nonzero[:1], False
+        return None, exact
+    return (nonzero[:1], False), exact
 
 
 def _expected_form(kind, args, built):
-    """The normal form of a node from the forms ``built`` of its children,
-    its full expansion with every order worked out in Fraction arithmetic."""
+    """The ideal normal form of a node from the forms ``built`` of its
+    children, its full expansion worked out in Fraction arithmetic, and
+    whether it is exact (see :func:`_expected_sum`)."""
     if kind == "power":
-        return [(args[0], (Fraction(0), Fraction(args[1])))], True
+        return ([(args[0], (Fraction(0), Fraction(args[1])), Fraction(args[0]))], True), True
     if kind == "exponential":
-        return [(args[0], (Fraction(args[1]), Fraction(0)))], True
+        return ([(args[0], (Fraction(args[1]), Fraction(0)), Fraction(args[0]))], True), True
     if None in built:
-        return None
+        return None, False
     if kind == "add":
         floor = max([terms[0][1] for terms, complete in built if not complete],
                     default=None)
@@ -327,68 +359,91 @@ def _expected_form(kind, args, built):
                              floor)
     if kind == "multiply":
         (ta, ca), (tb, cb) = built
-        terms = [(_in_range(a * b, a, b), (oa[0] + ob[0], oa[1] + ob[1]))
-                 for a, oa in ta for b, ob in tb]
-        if not _on_the_float_grid(*(x for _, order in terms for x in order)):
-            return None
+        terms = [(_in_range(a * b, a, b), (oa[0] + ob[0], oa[1] + ob[1]),
+                  None if None in (xa, xb) else xa * xb)
+                 for a, oa, xa in ta for b, ob, xb in tb]
+        if not _on_the_float_grid(*(x for _, order, _ in terms for x in order)):
+            return None, False
         zero = any(complete and terms[0][0] == 0.0 for terms, complete in built)
         return _expected_sum(terms, (ca and cb) or zero)
     (terms, complete), = built
-    (c, (rate, exponent)), complete = terms[0], complete and len(terms) == 1
+    (c, (rate, exponent), x), complete = terms[0], complete and len(terms) == 1
     if kind == "reciprocal":
-        return c != 0.0 and _expected_sum([(_in_range(1.0 / c, c), (-rate, -exponent))],
-                                          complete) or None
+        if c == 0.0:
+            return None, False
+        return _expected_sum([(_in_range(1.0 / c, c), (-rate, -exponent),
+                               None if x is None else 1 / x)], complete)
     e = args[1]  # elementwise_power: of the dominant term, or the zero form
     if c == 0.0 and complete:
-        return (terms, complete) if e > 0 else None  # 0**e is 0, or inf, or 1 at e = 0
+        return ((terms, complete) if e > 0 else None), True  # 0**e is 0, or inf, or 1 at e = 0
     orders = (rate * Fraction(e), exponent * Fraction(e))
     if c <= 0.0 or not _on_the_float_grid(*orders):
-        return None
+        return None, False
     try:
-        return _expected_sum([(_in_range(c ** e, c), orders)], complete)
+        x = x ** int(e) if x is not None and e == int(e) else None
+        form, exact = _expected_sum([(_in_range(c ** e, c), orders, x)], complete)
     except OverflowError:
-        return None
+        return None, False
+    return form, exact and 1.0 in (c, e)  # c**e is taken as rounded unless c or e is 1
 
 
 def _build_with_exact_order(tree):
-    """``(profile, want)`` of ``tree``, ``want`` its expected normal form or None.
+    """``(profile, ideal, exact)`` of ``tree``: ``ideal`` its ideal normal
+    form or None, and ``exact`` when no coefficient of the tree rounds.
 
-    ``want`` is ``(terms, complete)``, each term ``(coefficient, (rate,
-    exponent))`` with the orders as Fractions, worked out here from the full
-    expansion.  Every node's form must carry it: each order a float when
-    the float is exact, and otherwise a Fraction that no float equals; its
-    tail is the dominant term, exact when the form is complete with one.
+    ``ideal`` is ``(terms, complete)``, each term ``(c, (rate, exponent),
+    x)`` with the orders as Fractions and x the exact coefficient, worked
+    out here from the full expansion (see :func:`_expected_sum`).  The
+    profile's form must be sound against it: each order a float when the
+    float is exact, and otherwise a Fraction that no float equals; each
+    coefficient within its error bound of x, and more than twice the bound
+    from 0; complete only where the ideal form is, with the same terms,
+    and otherwise the ideal dominant term alone.  A form left unknown needs
+    a rounded coefficient, and an exact tree has the ideal form itself,
+    with no error.  Its tail is the dominant term, exact when the form is
+    complete with one.
     """
     kind, *args = tree
     if kind == "elementwise_power":
-        a, inner = _build_with_exact_order(args[0])
+        a, inner, exact = _build_with_exact_order(args[0])
         args = [None, args[1] if certified_nonnegative(a) else 3.0]
         built, p = [inner], elementwise_power(a, args[1])
     elif kind in ("power", "exponential"):
-        built, p = [], {"power": power, "exponential": exponential}[kind](*args)
+        built, p, exact = [], {"power": power, "exponential": exponential}[kind](*args), True
     else:
         children = [_build_with_exact_order(arg) for arg in args]
         op = {"multiply": multiply, "add": add, "reciprocal": reciprocal}[kind]
-        built, p = [w for _, w in children], op(*(q for q, _ in children))
-    want = _expected_form(kind, args, built)
-    if want is None:
-        assert p.tail is None and p.terms is None
-        return p, None
+        built, p = [w for _, w, _ in children], op(*(q for q, _, _ in children))
+        exact = all(e for _, _, e in children)
+    want, exact_here = _expected_form(kind, args, built)
+    exact = exact and exact_here
+    if p.terms is None:
+        assert p.tail is None and not (exact and want)
+        return p, want, exact
     terms, complete = want
-    assert len(p.terms) == len(terms)
-    for (c, q, r), (c_want, order) in zip(p.terms, terms):
-        for x in (r, q):
-            assert type(x) is float or (type(x) is Fraction and float(x) != x)
-        assert (Fraction(r), Fraction(q)) == order and c == c_want
-    assert (p.tail.coefficient, p.tail.exponent, p.tail.rate) == p.terms[0]
-    assert p.tail.exact == (complete and len(terms) == 1)
-    if complete and all(rate == 0 and (exponent < -1 or c == 0.0)
-                        for c, (rate, exponent) in terms):
-        # the power remainders from t = 1, each in its exact order q + 1
-        parts = [-Fraction(c) / (exponent + 1) for c, (_, exponent) in terms if c]
-        assert tail_integral(p, 1.0) == pytest.approx(
-            _rounded(sum(parts)), rel=1e-15, abs=1e-15 * _rounded(sum(map(abs, parts))))
-    return p, want
+    for c, q, r, err in p.terms:
+        for y in (r, q):
+            assert type(y) is float or (type(y) is Fraction and float(y) != y)
+        x = dict(((o, x) for _, o, x in terms)).get((Fraction(r), Fraction(q)), 0)
+        assert x is None or abs(Fraction(c) - x) <= Fraction(err)
+        assert c == 0.0 or abs(c) > 2 * err
+        assert err == 0.0 or not exact
+    assert (p.tail.coefficient, p.tail.exponent, p.tail.rate) == p.terms[0][:3]
+    if len(p.terms) > 1 or p.tail.exact:
+        assert complete and len(p.terms) == len(terms)
+        assert [(c, (Fraction(r), Fraction(q))) for c, q, r, _ in p.terms] == [
+            (c, order) for c, order, _ in terms]
+    else:
+        assert (p.tail.coefficient, (Fraction(p.tail.rate), Fraction(p.tail.exponent))) == (
+            terms[0][0], terms[0][1])
+        assert not (exact and complete and len(terms) == 1)
+    if p.tail.exact or len(p.terms) > 1:
+        if all(rate == 0 and (exponent < -1 or c == 0.0) for c, (rate, exponent), _ in terms):
+            # the power remainders from t = 1, each in its exact order q + 1
+            parts = [-Fraction(c) / (exponent + 1) for c, (_, exponent), _ in terms if c]
+            assert tail_integral(p, 1.0) == pytest.approx(
+                _rounded(sum(parts)), rel=1e-15, abs=1e-15 * _rounded(sum(map(abs, parts))))
+    return p, want, exact
 
 
 class TestAntiderivativeTerm:
@@ -537,6 +592,36 @@ class TestAlgebra:
                   elementwise_power(constant(0.0), 2.0)):
             assert (p.tail.coefficient, p.tail.exact) == (0.0, True)
             assert tail_divergence(p) == "finite"
+
+    def test_rounded_coefficients_that_cancel_leave_their_order_unknown(self):
+        # (1 + 2^-52)^2 rounds to 1 + 2^-51, so the t terms below cancel to
+        # 0.0 in floats while the exact coefficient is 2^-104: divergent
+        a, c = 1 + 2.0 ** -52, 1 + 2.0 ** -51
+        p = subtract(scaled(power(a, 1.0), a), power(c, 1.0))
+        assert p.tail is None and p.terms is None
+        with pytest.raises(TailInfoMissing):
+            tail_integral(add(p, power(1.0, -3.0)), 1.0)
+        # an order above the unknown one is still the dominant term
+        q = add(scaled(power(a, 1.0), a), subtract(power(2.0, 2.0), power(c, 1.0)))
+        assert q.tail == AsymptoticTail(2.0, 2.0, 0.0, exact=False)
+        # a nonzero float left within its rounding of 0 is unknown too: the
+        # t^2 coefficient of (a t^2 - c t - 2^-104)(a + t + t^2) is
+        # a^2 - c - 2^-104 = 0, where the floats sum to -2^-104
+        p = multiply(add(add(power(a, 2.0), power(-c, 1.0)), constant(-2.0 ** -104)),
+                     add(add(constant(a), power(1.0, 1.0)), power(1.0, 2.0)))
+        assert p.terms == ((a, 4.0, 0.0, 0.0),) and not p.tail.exact
+        assert subtract(p, add(power(a, 4.0), power(-2.0 ** -52, 3.0))).tail is None
+        # while a cancellation far above the rounding keeps its value
+        p = subtract(multiply(power(1.3, 1.0), power(1.1, 1.0)), power(1.0, 2.0))
+        (c, q, r, err), = p.terms
+        assert (c, q, r) == (1.3 * 1.1 - 1.0, 2.0, 0.0) and 0.0 < err < 1e-15
+        assert p.tail.exact
+        # an exact product cancels exactly: 0.5 * 3 t - 1.5 t is the zero form
+        z = subtract(scaled(power(3.0, 1.0), 0.5), power(1.5, 1.0))
+        assert (z.tail.coefficient, z.tail.exact) == (0.0, True)
+        # and an exact zero factor makes a product exact: 0 * (1/3) - 0 is zero
+        z = subtract(multiply(constant(0.0), reciprocal(constant(3.0))), constant(0.0))
+        assert (z.tail.coefficient, z.tail.exact) == (0.0, True)
 
     def test_zero_term_is_not_the_dominant_of_an_incomplete_sum(self):
         # 1/(1e200 e^{-0.1t} + e^{-0.2t}) is 1e-200 e^{0.1t} + (unknown lower
@@ -743,6 +828,9 @@ class TestNormalForm:
     @example(("subtract", ("constant", 1.0),
               ("add", ("constant", 1.0), ("power", 6.937365828492989e-190, 1.0))), 1.0)
     @example(("scaled", ("constant", 3.1901523304160198e-161), 3.1901523304160198e-161), 1.0)
+    # (1 + 2^-52)^2 t - (1 + 2^-51) t is 2^-104 t, though the rounded square cancels
+    @example(("subtract", ("scaled", ("power", 1 + 2.0 ** -52, 1.0), 1 + 2.0 ** -52),
+              ("power", 1 + 2.0 ** -51, 1.0)), 1.0)
     def test_complete_terms_sum_to_the_profile(self, tree, t):
         # a complete form is the profile: its terms, summed exactly, give
         # the exact value to the rounding of their coefficients; 1000 digits
@@ -752,12 +840,12 @@ class TestNormalForm:
             if p.terms is None or not (len(p.terms) > 1 or p.tail.exact):
                 return
             parts = [_mp(c) * mpmath.mpf(t) ** _mp(q) * mpmath.exp(_mp(r) * t)
-                     for c, q, r in p.terms]
+                     for c, q, r, _ in p.terms]
             assert abs(sum(parts) - exact) <= 1e-12 * sum(abs(x) for x in parts)
 
     def test_terms_are_collected_dominant_first(self):
         p = multiply(add(power(1.0, 1.0), constant(1.0)), add(power(1.0, 1.0), constant(-1.0)))
-        assert p.terms == ((1.0, 2.0, 0.0), (-1.0, 0.0, 0.0))
+        assert p.terms == ((1.0, 2.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0))
         assert tail_integral(multiply(p, power(1.0, -4.0)), 1.0) == pytest.approx(
             1.0 - 1.0 / 3.0, rel=1e-15)
 
