@@ -14,8 +14,7 @@ import numpy as np
 from scipy.integrate import DOP853
 from scipy.integrate._ivp import dop853_coefficients as _DOP
 from scipy.integrate._ivp.rk import (MAX_FACTOR as _MAX_FACTOR,
-                                     MIN_FACTOR as _MIN_FACTOR,
-                                     SAFETY as _SAFETY, Dop853DenseOutput)
+                                     MIN_FACTOR as _MIN_FACTOR, SAFETY as _SAFETY)
 
 # an accepted step shorter than this many ulps of t no longer resolves the
 # solution in t (scipy itself only gives up below 10 ulp)
@@ -54,14 +53,17 @@ class Stepper(DOP853):
     """scipy's DOP853 with its step run on Python floats.
 
     The systems here have two components, (value, flux), for which numpy's
-    per-call overhead dominates the arithmetic.  ``_step_impl`` and
-    ``_dense_output_impl`` therefore repeat scipy's stages, error norm and
-    step control on floats, calling the raw right-hand side and counting
-    ``nfev`` themselves.  ``y`` stays an ndarray and the dense output is
-    scipy's ``Dop853DenseOutput``, so ``solve_ivp`` drives this class as it
-    drives DOP853.  The sums run in another order than numpy's dot
-    products, so a trajectory agrees with scipy's to rounding, not bit for
-    bit.
+    per-call overhead dominates the arithmetic.  ``_step_impl`` therefore
+    repeats scipy's stages, error norm and step control on floats, calling
+    the raw right-hand side and counting ``nfev`` itself.  scipy's base
+    class checks the arguments and picks the first step.  Each
+    accepted step also runs the three extra stages of the dense output and
+    leaves its seven dense rows in ``rows``, as floats in the order of
+    scipy's ``Dop853DenseOutput.F``: the interpolant on [t_old, t] is
+    y_old + F0 x + F1 x(1 - x) + F2 x^2(1 - x) + ..., with
+    x = (s - t_old) / (t - t_old).  ``y`` stays an ndarray.  The sums run
+    in another order than numpy's dot products, so a trajectory agrees
+    with scipy's to rounding, not bit for bit.
 
     Near a pole of the coefficients the accepted steps shrink towards the
     ulp of t; stopping at MIN_STEP_ULPS ends such a solve after a few
@@ -75,7 +77,6 @@ class Stepper(DOP853):
         self.f, self.h_abs = tuple(self.f.tolist()), float(self.h_abs)
         self.direction = float(self.direction)
         self.rtol, self.atol = float(self.rtol), float(self.atol)
-        self._last = None  # (h, y_old, y_new, stages) of the last step
 
     def _step_impl(self):
         t, f, (y0, y1) = self.t, self.f, self.y.tolist()
@@ -123,22 +124,15 @@ class Stepper(DOP853):
             rejected = True
         if t_new != self.t_bound and t_new - t < MIN_STEP_ULPS * math.ulp(t):
             return False, f"step shorter than {MIN_STEP_ULPS} ulp of t"
-        self.h_previous, self.h_abs = h, h_abs
-        self.y_old, self.t, self.y, self.f = self.y, t_new, np.array((n0, n1)), ks[-1]
-        self._last = (h, (y0, y1), (n0, n1), ks)
-        return True, None
-
-    def _dense_output_impl(self):
-        h, (y0, y1), (n0, n1), ks = self._last
-        t_old, rhs = self.t_old, self._rhs
-        ks = list(ks)
         for c, row in _EXTRA_STAGES:
             d0, d1 = _combine(ks, row)
-            ks.append(rhs(t_old + c * h, (y0 + d0 * h, y1 + d1 * h)))
+            ks.append(rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h)))
         self.nfev += len(_EXTRA_STAGES)
-        (p0, p1), (q0, q1) = ks[0], ks[_DOP.N_STAGES]
+        (p0, p1), (q0, q1) = f, ks[_DOP.N_STAGES]
         dy0, dy1 = n0 - y0, n1 - y1
-        rows = [(dy0, dy1), (h * p0 - dy0, h * p1 - dy1),
-                (2.0 * dy0 - h * (q0 + p0), 2.0 * dy1 - h * (q1 + p1))]
-        rows += [(h * a, h * b) for a, b in (_combine(ks, row) for row in _D)]
-        return Dop853DenseOutput(t_old, self.t, self.y_old, np.array(rows))
+        self.rows = [(dy0, dy1), (h * p0 - dy0, h * p1 - dy1),
+                     (2.0 * dy0 - h * (q0 + p0), 2.0 * dy1 - h * (q1 + p1))]
+        self.rows += [(h * a, h * b) for a, b in (_combine(ks, row) for row in _D)]
+        self.h_previous, self.h_abs = h, h_abs
+        self.t, self.y, self.f = t_new, np.array((n0, n1)), ks[_DOP.N_STAGES]
+        return True, None

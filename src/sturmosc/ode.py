@@ -5,6 +5,11 @@ the flux is u' for the unweighted equation and v z' for the weighted one.
 Working with the flux avoids differentiating v and keeps the singular
 origin benign: v z' -> 0 as t -> 0+ for admissible pairs.
 
+Each solve is one pass of :func:`solve_ivp`, a step loop over the float
+DOP853 stepper of :mod:`sturmosc._dop853` that keeps every node and every
+step's dense rows; the stepper, and scipy with it, is imported on the
+first solve.
+
 Every sign change of the dense output is bracketed by bisection into a
 :class:`ZeroCertificate`; near-zeros without a sign change are reported
 as suspects (they indicate numerical trouble, not geometry: a nontrivial
@@ -66,21 +71,20 @@ class ZeroCertificate:
 class _DenseTable:
     """The DOP853 dense output of one solve, stacked into arrays.
 
-    Step i covers [ts[i], ts[i+1]]; a node belongs to the step that ends
-    there, as in scipy's ``OdeSolution``.  Both paths below repeat the
-    operations of scipy's ``Dop853DenseOutput`` in the same order, so every
-    value is bit-identical to scipy's interpolants.  A call returns
-    [value, flux] rows for a 1-D array and a (value, flux) tuple of floats
-    for a scalar.
+    Step i covers [ts[i], ts[i+1]] and starts from the node ys[:, i]; its
+    dense rows are the stepper's ``rows`` for that step.  A node belongs to
+    the step that ends there, as in scipy's ``OdeSolution``.  Both paths
+    below repeat the operations of scipy's ``Dop853DenseOutput`` in the
+    same order, so every value is bit-identical to scipy's interpolant over
+    the same rows.  A call returns [value, flux] rows for a 1-D array and a
+    (value, flux) tuple of floats for a scalar.
     """
 
-    def __init__(self, ts, interpolants):
+    def __init__(self, ts, ys, rows):
         self.ts = ts
-        self._t_old = np.array([s.t_old for s in interpolants])
-        self._h = np.array([s.h for s in interpolants])
-        self._y_old = np.array([s.y_old for s in interpolants])
+        self._t_old, self._h, self._y_old = ts[:-1], np.diff(ts), ys[:, :-1].T
         # (step, power, component), highest power first
-        f = np.array([s.F[::-1] for s in interpolants])
+        f = np.array(rows)[:, ::-1]
         self._f = np.ascontiguousarray(f.transpose(1, 0, 2))
         # the scalar path works on Python floats
         self._nodes = ts.tolist()
@@ -212,9 +216,9 @@ def _scan_chunk(sol, zero_tol):
 
     Each step is sampled at _SUBSAMPLES equally spaced points.
     """
-    ts = np.asarray(getattr(sol, "ts", []))
-    if len(ts) < 2:
+    if sol is None:
         return []
+    ts = sol.ts
     frac = np.arange(_SUBSAMPLES) / _SUBSAMPLES
     grid = np.append(ts[:-1, None] + np.diff(ts)[:, None] * frac, ts[-1])
     vals = sol(grid)[0]
@@ -251,42 +255,60 @@ def _find_suspects(ts, vals):
     return ts[1:-1][hit].tolist()
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy's ``solve_ivp``, imported on the first solve."""
-    from scipy import integrate
-    return integrate.solve_ivp(*args, **kwargs)
+@dataclass(frozen=True)
+class _Pass:
+    """One DOP853 pass: nodes, states (2 x nodes) and each step's dense rows."""
+
+    t: np.ndarray
+    y: np.ndarray
+    rows: list
+    nfev: int
+    status: int  # 0 horizon, 1 zero cap, -1 failed step
+
+
+def solve_ivp(rhs, t0, y0, horizon, rtol, atol, zero_cap):
+    """Step DOP853 from t0 until the horizon, a failed step or the zero cap.
+
+    The cap counts the step ends where y[0] reaches or crosses 0 (g <= 0 <=
+    g_new or g >= 0 >= g_new), the rule of scipy's events.  A start on a
+    zero is counted there too, so it raises the cap by one, and a cap
+    reached on the last step wins over the horizon, as in scipy's
+    ``solve_ivp``.  Every solve runs through this one call, once.
+    """
+    from . import _dop853
+    solver = _dop853.Stepper(rhs, t0, np.array(y0, dtype=float), horizon,
+                             rtol=rtol, atol=atol)
+    ts, ys, rows = [solver.t], [solver.y], []
+    cap = math.inf if zero_cap is None else zero_cap + (y0[0] == 0.0)
+    crossings = 0
+    while solver.t != horizon and crossings < cap:
+        solver.step()
+        if solver.status == "failed":
+            break
+        g, g_new = ys[-1][0], solver.y[0]
+        crossings += g <= 0.0 <= g_new or g >= 0.0 >= g_new
+        ts.append(solver.t)
+        ys.append(solver.y)
+        rows.append(solver.rows)
+    status = -1 if solver.status == "failed" else int(crossings >= cap)
+    return _Pass(np.array(ts), np.array(ys).T, rows, solver.nfev, status)
 
 
 def _drive(rhs, t0, y0, horizon, rtol, atol, zero_tol, zero_cap, weight):
-    from . import _dop853
-    events = None
-    if zero_cap is not None:
-        def crossing(t, y):
-            return y[0]
-        # a start exactly on a zero fires the event but is no sign change
-        crossing.terminal = zero_cap + (y0[0] == 0.0)
-        events = crossing
-    sol = solve_ivp(rhs, (float(t0), float(horizon)),
-                    np.asarray(y0, dtype=float), method=_dop853.Stepper,
-                    dense_output=True, events=events, rtol=rtol, atol=atol)
-    ts, ys, dense = sol.t, sol.y, None
-    if len(ts) > 1:
-        interpolants = sol.sol.interpolants
-        if sol.status == 1:
-            # The event stopped the solve at its root, inside the last step.
-            # Keep that whole step so the scan sees a strict sign change.
-            last = interpolants[-1]
-            ts = np.append(ts[:-1], last.t)
-            ys = np.column_stack([ys[:, :-1], last(last.t)])
-        dense = _DenseTable(ts, interpolants)
+    # DOP853 cannot hold an rtol below 100 eps: scipy's solvers clamp it
+    # there with a warning, so a smaller tol is refused before any step
+    if not rtol >= 100.0 * math.ulp(1.0):
+        raise InvalidParams(f"solver tol must be at least {100.0 * math.ulp(1.0):.3g}")
+    sol = solve_ivp(rhs, float(t0), y0, float(horizon), rtol, atol, zero_cap)
+    dense = _DenseTable(sol.t, sol.y, sol.rows) if len(sol.t) > 1 else None
     zeros = _scan_chunk(dense, zero_tol)
     if zero_cap is not None:
         zeros = zeros[:zero_cap]
-    suspects = _find_suspects(ts, ys[0])
-    return Trajectory(ts=ts, values=ys[0], fluxes=ys[1], zeros=tuple(zeros),
+    suspects = _find_suspects(sol.t, sol.y[0])
+    return Trajectory(ts=sol.t, values=sol.y[0], fluxes=sol.y[1], zeros=tuple(zeros),
                       suspects=tuple(suspects),
                       terminated_reason=_REASONS[sol.status],
-                      t_start=float(t0), t_end=float(ts[-1]),
+                      t_start=float(t0), t_end=float(sol.t[-1]),
                       dense=dense, weight=weight, rhs=rhs)
 
 

@@ -133,9 +133,11 @@ def spectral_report(pair, a, b, radii=(1.0, 10.0, 100.0), horizon=1e4,
     certified zeros."""
     if not radii:
         raise InvalidParams("need at least one radius")
+    # the solve goes first: it refuses a tol below its floor before the
+    # quadratures grind on it
+    traj = solve_radial(pair, 1.0, horizon=horizon, tol=tol)
     verdict = lambda1_negative(pair, a, b, tol=tol)
     osc = instability_at_infinity(pair, min(radii), horizon=horizon, tol=tol)
-    traj = solve_radial(pair, 1.0, horizon=horizon, tol=tol)
     zeros = [z.location for z in traj.zeros]
 
     unstable = ()

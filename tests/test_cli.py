@@ -452,6 +452,14 @@ class TestExitCodes:
         assert main(argv + ["--config", str(config), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["solve", "spectral"])
+    def test_tol_below_the_solver_floor(self, config, tmp_path, capsys, command):
+        # scipy's solvers would clamp rtol to 100 eps with a UserWarning
+        assert main([command, "--config", str(config), "--out", str(tmp_path),
+                     "--tol", "1e-20"]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: solver tol must be at least 2.22e-14\n")
+
     def test_flag_leaves_its_key_unparsed(self, tmp_path):
         # --horizon and --tol win over malformed keys, which count as read
         cfg = tmp_path / "flag.ini"

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate as scipy_integrate
 from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 import sturmosc._dop853
 import sturmosc.ode
@@ -47,6 +49,14 @@ class TestSolveJacobi:
     def test_rejects_bad_horizon(self, unit_curvature):
         with pytest.raises(InvalidParams):
             solve_jacobi(unit_curvature, horizon=0.0)
+
+    def test_horizon_at_the_start_takes_no_step(self, unit_curvature):
+        # the default start is JACOBI_START itself
+        traj = solve_jacobi(unit_curvature, horizon=JACOBI_START)
+        assert (traj.terminated_reason, traj.ts.tolist(), traj.zeros) == (
+            "horizon", [JACOBI_START], ())
+        with pytest.raises(InvalidParams, match="no dense output"):
+            traj.value(JACOBI_START)
 
     def test_zero_cap_from_start_on_a_zero(self, unit_curvature):
         # u = sin(t - 1): the start is a zero but no sign change
@@ -326,6 +336,31 @@ class TestSolutionQuality:
             assert len(np.unique(np.sign(sel))) == 1
 
 
+TOL_FLOOR_SOLVES = {
+    "jacobi": lambda tol: solve_jacobi(CurvatureProfile(constant(1.0), m=2), 4.0, tol=tol),
+    "radial, shifted": lambda tol: solve_radial(euler_pair(0.3), 1.0, 10.0, tol=tol),
+    "radial, singular start": lambda tol: solve_radial(
+        CoefficientPair(power(1.0, 2.0), constant(1.0), b_const=0.0), 1.0, 4.0, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-20, 2.2e-14, 0.0, -1.0, math.nan])
+@pytest.mark.parametrize("case", TOL_FLOOR_SOLVES)
+def test_tol_below_the_rtol_floor_is_refused_before_any_step(case, tol):
+    # DOP853 cannot hold an rtol below 100 eps, and scipy's solvers clamp it
+    # there with a UserWarning on stderr
+    with recorded_solves() as sols, pytest.raises(
+            InvalidParams, match="solver tol must be at least 2.22e-14"):
+        TOL_FLOOR_SOLVES[case](tol)
+    assert sols == []
+
+
+@pytest.mark.parametrize("case", TOL_FLOOR_SOLVES)
+def test_tol_at_the_rtol_floor_solves(case):
+    # with warnings as errors, a clamp warning would fail this
+    assert TOL_FLOOR_SOLVES[case](100.0 * np.finfo(float).eps).terminated_reason == "horizon"
+
+
 @contextlib.contextmanager
 def recorded_solves():
     """Route ``sturmosc.ode.solve_ivp`` through a wrapper that keeps each result.
@@ -369,11 +404,17 @@ SCAN_CASES = ["jacobi(K=1) to 1e3", "euler(mu=0.3) to 1e40", "pole pair"]
 
 @functools.cache
 def solved(case):
-    """A trajectory and scipy's OdeSolution over the same solver steps."""
+    """A trajectory and scipy's OdeSolution over the same steps and dense rows.
+
+    Each reference interpolant is scipy's ``Dop853DenseOutput`` of one step,
+    from the node that starts it and the rows the stepper left for it.
+    """
     with recorded_solves() as sols:
         traj = SOLVES[case]()
     (sol,) = sols
-    return traj, OdeSolution(traj.ts, sol.sol.interpolants)
+    steps = zip(sol.t[:-1], sol.t[1:], sol.y.T[:-1], sol.rows)
+    return traj, OdeSolution(traj.ts, [Dop853DenseOutput(t_old, t, y_old, np.array(rows))
+                                       for t_old, t, y_old, rows in steps])
 
 
 class TestDenseTable:
@@ -431,9 +472,19 @@ def test_one_solver_call_through_the_traced_name(solve):
 
 
 class ScipyStepper(DOP853):
-    """scipy's own DOP853 step, with the step floor of the float stepper."""
+    """scipy's own DOP853 step, with the step floor of the float stepper.
+
+    After each accepted step it leaves scipy's dense rows in ``rows``, as
+    the float stepper does.
+    """
 
     steps = 0  # accepted steps over every instance, so a test sees it was used
+
+    def step(self):
+        message = super().step()
+        if self.status != "failed":
+            self.rows = self.dense_output().F
+        return message
 
     def _step_impl(self):
         t = self.t
@@ -473,6 +524,55 @@ def test_float_stepper_agrees_with_scipys_dop853(case, monkeypatch):
         assert abs(ours.location - theirs.location) <= 1e-8 * (1.0 + abs(theirs.location))
 
 
+K_ONE = CurvatureProfile(constant(1.0), m=2)
+K_QUARTER_PI = CurvatureProfile(constant((math.pi / 4.0) ** 2), m=2)
+CAPPED_SOLVES = {
+    **{f"sin zero_cap={cap}": functools.partial(solve_jacobi, K_ONE, 30.0, zero_cap=cap)
+       for cap in (1, 2, 3, 4)},
+    **{f"euler(mu=0.3) to 1e40 zero_cap={cap}": functools.partial(
+        solve_radial, euler_pair(0.3), 1.0, 1e40, zero_cap=cap) for cap in (1, 2, 3, 4)},
+    **{f"sin(t - 1) from its zero, zero_cap={cap}": functools.partial(
+        solve_jacobi, K_ONE, 10.0, t_start=1.0, u0=0.0, du0=1.0, zero_cap=cap)
+       for cap in (1, 2)},
+    # the zeros of test_zeros_at_step_ends_certified_once
+    **{f"sin(pi t / 4) to 17 zero_cap={cap}": functools.partial(
+        solve_jacobi, K_QUARTER_PI, 17.0, zero_cap=cap) for cap in (1, 2, 3, 4)},
+    # the last step, clipped onto the horizon, crosses the first zero
+    "sin to pi + 0.01 zero_cap=1": functools.partial(
+        solve_jacobi, K_ONE, math.pi + 0.01, zero_cap=1),
+}
+
+
+@pytest.mark.parametrize("case", CAPPED_SOLVES)
+def test_zero_cap_stops_where_scipys_terminal_event_does(case, monkeypatch):
+    # both loops drive scipy's own step, so they step alike bit for bit and
+    # differ only in how they stop; scipy's solve_ivp counts the crossings
+    # with a terminal event and root-solves it inside the last step
+    monkeypatch.setattr(sturmosc._dop853, "Stepper", ScipyStepper)
+    real, calls = sturmosc.ode.solve_ivp, []
+
+    def record(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sturmosc.ode, "solve_ivp", record)
+    CAPPED_SOLVES[case]()
+    ((rhs, t0, y0, horizon, rtol, atol, zero_cap), ours), = calls
+
+    def crossing(t, y):
+        return y[0]
+
+    crossing.terminal = zero_cap + (y0[0] == 0.0)
+    ref = scipy_integrate.solve_ivp(rhs, (t0, horizon), np.asarray(y0, dtype=float),
+                                    method=ScipyStepper, dense_output=True,
+                                    events=crossing, rtol=rtol, atol=atol)
+    last = ref.sol.interpolants[-1]
+    assert ours.status == ref.status == 1
+    assert len(ours.t) - 1 == len(ref.sol.interpolants)
+    assert ours.t[-1] == last.t
+    assert (last.t == horizon) == case.startswith("sin to pi")
+
+
 ONE_STEPS = {
     # a smooth step, accepted at once
     "airy": (lambda t, y: (y[1], -(1.0 + t) * y[0]), 0.3),
@@ -495,8 +595,8 @@ def test_one_step_matches_scipys_dop853(case):
     assert ours.h_abs == pytest.approx(ref.h_abs, rel=1e-6)
     np.testing.assert_allclose(ours.y, ref.y, rtol=1e-14)
     ts = np.linspace(0.0, ref.t, 7)
-    np.testing.assert_allclose(ours.dense_output()(ts), ref.dense_output()(ts),
-                               rtol=1e-13, atol=1e-15)
+    dense = Dop853DenseOutput(0.0, ours.t, np.array([0.3, 1.0]), np.array(ours.rows))
+    np.testing.assert_allclose(dense(ts), ref.dense_output()(ts), rtol=1e-13, atol=1e-15)
     assert ours.nfev == ref.nfev
 
 
