@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate as scipy_integrate
-from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate import DOP853, OdeSolution, solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 import sturmosc._dop853
@@ -563,9 +562,9 @@ def test_zero_cap_stops_where_scipys_terminal_event_does(case, monkeypatch):
         return y[0]
 
     crossing.terminal = zero_cap + (y0[0] == 0.0)
-    ref = scipy_integrate.solve_ivp(rhs, (t0, horizon), np.asarray(y0, dtype=float),
-                                    method=ScipyStepper, dense_output=True,
-                                    events=crossing, rtol=rtol, atol=atol)
+    ref = scipy_solve_ivp(rhs, (t0, horizon), np.asarray(y0, dtype=float),
+                          method=ScipyStepper, dense_output=True, events=crossing,
+                          rtol=rtol, atol=atol)
     last = ref.sol.interpolants[-1]
     assert ours.status == ref.status == 1
     assert len(ours.t) - 1 == len(ref.sol.interpolants)
