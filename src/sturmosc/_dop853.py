@@ -1,9 +1,9 @@
 """DOP853 on Python floats, for the two-component systems of :mod:`sturmosc.ode`.
 
-This module imports scipy's DOP853 solver class, its tableau and its step
-control constants, so :mod:`sturmosc.ode` imports it on the first solve
+This module imports scipy's DOP853 tableau, its step control constants and
+its initial-step rule, so :mod:`sturmosc.ode` imports it on the first solve
 rather than at import.  The step floor and the stepper class are read from
-here on every solve.
+here on every solve.  Steps run forward only.
 """
 
 from __future__ import annotations
@@ -11,14 +11,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import DOP853
 from scipy.integrate._ivp import dop853_coefficients as _DOP
+from scipy.integrate._ivp.common import select_initial_step
 from scipy.integrate._ivp.rk import (MAX_FACTOR as _MAX_FACTOR,
                                      MIN_FACTOR as _MIN_FACTOR, SAFETY as _SAFETY)
 
 # an accepted step shorter than this many ulps of t no longer resolves the
 # solution in t (scipy itself only gives up below 10 ulp)
 MIN_STEP_ULPS = 1024
+# the order of DOP853's error estimator, and the exponent of the step
+# factor that follows from it
+_ERROR_ORDER = 7
+_ERROR_EXPONENT = -1.0 / (_ERROR_ORDER + 1)
 
 
 def _nonzero(row):
@@ -49,53 +53,58 @@ def _combine(ks, row):
     return a, b
 
 
-class Stepper(DOP853):
-    """scipy's DOP853 with its step run on Python floats.
+class Stepper:
+    """DOP853 steps on Python floats, forward from t0 to t_bound >= t0.
 
     The systems here have two components, (value, flux), for which numpy's
-    per-call overhead dominates the arithmetic.  ``_step_impl`` therefore
-    repeats scipy's stages, error norm and step control on floats, calling
-    the raw right-hand side and counting ``nfev`` itself.  scipy's base
-    class checks the arguments and picks the first step.  Each
-    accepted step also runs the three extra stages of the dense output and
-    leaves its seven dense rows in ``rows``, as floats in the order of
-    scipy's ``Dop853DenseOutput.F``: the interpolant on [t_old, t] is
+    per-call overhead dominates the arithmetic, so ``y`` is a pair of
+    floats.  The state is ``t``, ``y``, ``f`` = rhs(t, y), the next step
+    size ``h_abs``, the count of right-hand side calls ``nfev`` and the last
+    step's dense rows ``rows``.  The first step is scipy's ``select_initial_step`` for
+    DOP853; ``nfev`` counts f0 and its trial call, as scipy's solver does.
+    ``step`` repeats scipy's stages, error norm and step control, and returns
+    None, or the reason no step could be accepted, as scipy's
+    ``OdeSolver.step`` does.  Each accepted step also runs the three extra
+    stages of the dense output and leaves its seven dense rows in ``rows``,
+    as floats in the order of scipy's ``Dop853DenseOutput.F``: the
+    interpolant on [t_old, t] is
     y_old + F0 x + F1 x(1 - x) + F2 x^2(1 - x) + ..., with
-    x = (s - t_old) / (t - t_old).  ``y`` stays an ndarray.  The sums run
-    in another order than numpy's dot products, so a trajectory agrees
-    with scipy's to rounding, not bit for bit.
+    x = (s - t_old) / (t - t_old).  The sums run in another order than
+    numpy's dot products, so a trajectory agrees with scipy's to rounding,
+    not bit for bit.
 
     Near a pole of the coefficients the accepted steps shrink towards the
     ulp of t; stopping at MIN_STEP_ULPS ends such a solve after a few
     hundred steps instead of grinding down to scipy's own 10-ulp floor.
-    A final step clipped onto the horizon is exempt.
+    A final step clipped onto t_bound is exempt.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self._rhs = fun
-        self.f, self.h_abs = tuple(self.f.tolist()), float(self.h_abs)
-        self.direction = float(self.direction)
-        self.rtol, self.atol = float(self.rtol), float(self.atol)
+    def __init__(self, rhs, t0, y0, t_bound, *, rtol, atol):
+        self.rhs, self.t, self.t_bound, self.rtol, self.atol = rhs, t0, t_bound, rtol, atol
+        self.y = float(y0[0]), float(y0[1])
+        self.f, self.nfev, self.rows = rhs(t0, self.y), 1, None
 
-    def _step_impl(self):
-        t, f, (y0, y1) = self.t, self.f, self.y.tolist()
-        rhs, direction, rtol, atol = self._rhs, self.direction, self.rtol, self.atol
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = self.h_abs
-        if h_abs > self.max_step:
-            h_abs = self.max_step
-        elif h_abs < min_step:
-            h_abs = min_step
+        def counted(t, y):
+            self.nfev += 1
+            return rhs(t, y)
+
+        self.h_abs = float(select_initial_step(
+            counted, t0, np.array(self.y), t_bound, math.inf, np.array(self.f),
+            1, _ERROR_ORDER, rtol, atol))
+
+    def step(self):
+        """Take one accepted step: None, or the reason no step could be taken."""
+        t, f, (y0, y1), t_bound = self.t, self.f, self.y, self.t_bound
+        rhs, rtol, atol = self.rhs, self.rtol, self.atol
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
-            t_new = t + h_abs * direction
-            if direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
+            # NaN too: a right-hand side that is NaN at the start gives a NaN step
+            if not h_abs >= min_step:
+                return "no step of at least 10 ulp of t is accepted"
+            t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = abs(h)
             ks = [f]
             for c, row in _STAGES:
                 d0, d1 = _combine(ks, row)
@@ -112,18 +121,18 @@ class Stepper(DOP853):
             if err5 == 0.0 and err3 == 0.0:
                 error_norm = 0.0
             else:
-                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
+                error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
             if error_norm == 0.0:
                 factor = _MAX_FACTOR
             else:
-                factor = _SAFETY * error_norm ** self.error_exponent
+                factor = _SAFETY * error_norm ** _ERROR_EXPONENT
             if error_norm < 1.0:
-                h_abs *= min(1.0 if rejected else _MAX_FACTOR, factor)
+                h_abs = h * min(1.0 if rejected else _MAX_FACTOR, factor)
                 break
-            h_abs *= max(_MIN_FACTOR, factor)
+            h_abs = h * max(_MIN_FACTOR, factor)
             rejected = True
-        if t_new != self.t_bound and t_new - t < MIN_STEP_ULPS * math.ulp(t):
-            return False, f"step shorter than {MIN_STEP_ULPS} ulp of t"
+        if t_new != t_bound and h < MIN_STEP_ULPS * math.ulp(t):
+            return f"step shorter than {MIN_STEP_ULPS} ulp of t"
         for c, row in _EXTRA_STAGES:
             d0, d1 = _combine(ks, row)
             ks.append(rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h)))
@@ -133,6 +142,5 @@ class Stepper(DOP853):
         self.rows = [(dy0, dy1), (h * p0 - dy0, h * p1 - dy1),
                      (2.0 * dy0 - h * (q0 + p0), 2.0 * dy1 - h * (q1 + p1))]
         self.rows += [(h * a, h * b) for a, b in (_combine(ks, row) for row in _D)]
-        self.h_previous, self.h_abs = h, h_abs
-        self.t, self.y, self.f = t_new, np.array((n0, n1)), ks[_DOP.N_STAGES]
-        return True, None
+        self.t, self.y, self.f, self.h_abs = t_new, (n0, n1), ks[_DOP.N_STAGES], h_abs
+        return None

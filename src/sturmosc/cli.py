@@ -430,6 +430,8 @@ def cmd_sweep(resolver, sec, out_dir, tol, horizon):
         raise ConfigError("[sweep] needs a non-empty value grid")
     names = sec.strs("criteria", required=True)
     t, h = _tol_horizon(sec, tol, horizon)
+    # every row would write a refused tol as a numerical error
+    profiles._check_tol(t)
     count_zeros = sec.bool("count_zeros", default=False)
     count_horizon = _positive("[sweep] field 'count_horizon':",
                               sec.float("count_horizon", default=h))

@@ -131,9 +131,17 @@ def _strict_margin(lhs, rhs, tol):
 
 
 def _sample_nonnegative(p, lo, hi, what):
+    """Check p >= 0 at 64 geometric samples, to a slack relative to the finite ones.
+
+    A NaN sample raises NonFiniteSample; -inf fails the check, and +inf (an
+    overflow of a growing profile) passes it.
+    """
     grid = np.geomspace(max(lo, 1e-6), hi, 64)
     vals = p(grid)
-    if np.any(vals < -1e-12 * (1.0 + np.max(np.abs(vals)))):
+    if np.isnan(vals).any():
+        raise NonFiniteSample(f"{what} is NaN near t = {grid[np.isnan(vals)][0]:.6g}")
+    scale = np.max(np.abs(vals[np.isfinite(vals)]), initial=0.0)
+    if np.any(vals < -1e-12 * (1.0 + scale)):
         worst = float(np.min(vals))
         raise HypothesisViolated(f"{what} >= 0 fails on samples (min {worst:.6g})")
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import (InvalidParams, NonFiniteSample, OutOfValidity,
                      SingularStartFailure, ToleranceNotMet)
-from .profiles import CurvatureProfile, DEFAULT_TOL, Profile, cumulative, integrate
+from .profiles import (CurvatureProfile, DEFAULT_TOL, Profile, _check_tol, cumulative,
+                       integrate)
 
 __all__ = [
     "ZeroCertificate",
@@ -267,7 +268,7 @@ class _Pass:
 
 
 def solve_ivp(rhs, t0, y0, horizon, rtol, atol, zero_cap):
-    """Step DOP853 from t0 until the horizon, a failed step or the zero cap.
+    """Step DOP853 forward from t0 until the horizon, a failed step or the zero cap.
 
     The cap counts the step ends where y[0] reaches or crosses 0 (g <= 0 <=
     g_new or g >= 0 >= g_new), the rule of scipy's events.  A start on a
@@ -276,34 +277,37 @@ def solve_ivp(rhs, t0, y0, horizon, rtol, atol, zero_cap):
     ``solve_ivp``.  Every solve runs through this one call, once.
     """
     from . import _dop853
-    solver = _dop853.Stepper(rhs, t0, np.array(y0, dtype=float), horizon,
-                             rtol=rtol, atol=atol)
+    solver = _dop853.Stepper(rhs, t0, y0, horizon, rtol=rtol, atol=atol)
     ts, ys, rows = [solver.t], [solver.y], []
     cap = math.inf if zero_cap is None else zero_cap + (y0[0] == 0.0)
     crossings = 0
     while solver.t != horizon and crossings < cap:
-        solver.step()
-        if solver.status == "failed":
+        if solver.step() is not None:
+            status = -1
             break
         g, g_new = ys[-1][0], solver.y[0]
         crossings += g <= 0.0 <= g_new or g >= 0.0 >= g_new
         ts.append(solver.t)
         ys.append(solver.y)
         rows.append(solver.rows)
-    status = -1 if solver.status == "failed" else int(crossings >= cap)
+    else:
+        status = int(crossings >= cap)
     return _Pass(np.array(ts), np.array(ys).T, rows, solver.nfev, status)
 
 
-def _drive(rhs, t0, y0, horizon, rtol, atol, zero_tol, zero_cap, weight):
+def _drive(rhs, t0, y0, horizon, tol, zero_tol, zero_cap, weight):
     # DOP853 cannot hold an rtol below 100 eps: scipy's solvers clamp it
     # there with a warning, so a smaller tol is refused before any step
-    if not rtol >= 100.0 * math.ulp(1.0):
-        raise InvalidParams(f"solver tol must be at least {100.0 * math.ulp(1.0):.3g}")
-    sol = solve_ivp(rhs, float(t0), y0, float(horizon), rtol, atol, zero_cap)
+    _check_tol(tol, "solver")
+    if horizon < t0:
+        raise InvalidParams(f"horizon {horizon:g} lies before the start {t0:g}; "
+                            "solves run forward only")
+    if not (math.isfinite(y0[0]) and math.isfinite(y0[1])):
+        raise InvalidParams(f"initial state {tuple(y0)} is not finite")
+    sol = solve_ivp(rhs, float(t0), y0, float(horizon), tol, max(1e-14, tol * 1e-4),
+                    zero_cap)
     dense = _DenseTable(sol.t, sol.y, sol.rows) if len(sol.t) > 1 else None
-    zeros = _scan_chunk(dense, zero_tol)
-    if zero_cap is not None:
-        zeros = zeros[:zero_cap]
+    zeros = _scan_chunk(dense, zero_tol)[:zero_cap]
     suspects = _find_suspects(sol.t, sol.y[0])
     return Trajectory(ts=sol.t, values=sol.y[0], fluxes=sol.y[1], zeros=tuple(zeros),
                       suspects=tuple(suspects),
@@ -320,7 +324,9 @@ def solve_jacobi(k, horizon, tol=DEFAULT_TOL, zero_tol=DEFAULT_ZERO_TOL,
     tiny offset with the first-order series u = t (the criteria only see
     zero positions, which are invariant under positive rescaling).
     Explicit (t_start, u0, du0) override the normalization, e.g. for
-    Wronskian or Sturm-separation checks.
+    Wronskian or Sturm-separation checks.  Solves run forward only: a
+    horizon before the start (JACOBI_START or t_start) raises
+    InvalidParams, and a horizon at the start gives a one-node trajectory.
     """
     if horizon <= 0:
         raise InvalidParams("horizon must be positive")
@@ -336,9 +342,7 @@ def solve_jacobi(k, horizon, tol=DEFAULT_TOL, zero_tol=DEFAULT_ZERO_TOL,
     def rhs(t, y):
         return (y[1], -ks(t) * y[0])
 
-    return _drive(rhs, t0, y0, horizon, rtol=tol,
-                  atol=max(1e-14, tol * 1e-4), zero_tol=zero_tol,
-                  zero_cap=zero_cap, weight=None)
+    return _drive(rhs, t0, y0, horizon, tol, zero_tol, zero_cap, weight=None)
 
 
 def _singular_start(pair, z0):
@@ -401,9 +405,7 @@ def solve_radial(pair, z0, horizon, tol=DEFAULT_TOL, zero_tol=DEFAULT_ZERO_TOL,
         flux = y[1] / vt if vt else np.divide(y[1], vt)
         return (flux, -ws(t) * vt * y[0])
 
-    return _drive(rhs, t0, y0, horizon, rtol=tol,
-                  atol=max(1e-14, tol * 1e-4), zero_tol=zero_tol,
-                  zero_cap=zero_cap, weight=v)
+    return _drive(rhs, t0, y0, horizon, tol, zero_tol, zero_cap, weight=v)
 
 
 def locate_zeros(traj, zero_tol=DEFAULT_ZERO_TOL):

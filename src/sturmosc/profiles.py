@@ -50,9 +50,13 @@ __all__ = [
     "coth_band",
     "weighted_moment",
     "DEFAULT_TOL",
+    "TOL_FLOOR",
 ]
 
 DEFAULT_TOL = 1e-10
+# the smallest tol a quadrature or a solve accepts: 100 eps, where scipy's
+# solvers clamp rtol; below it no float sum can meet the target
+TOL_FLOOR = 100.0 * math.ulp(1.0)
 PANEL_BUDGET = 10**6
 
 
@@ -495,10 +499,16 @@ def _check_interval(a, b):
         raise InvalidParams(f"empty interval [{a:g}, {b:g}]")
 
 
+def _check_tol(tol, what="quadrature"):
+    if not tol >= TOL_FLOOR:
+        raise InvalidParams(f"{what} tol must be at least {TOL_FLOOR:.3g}")
+
+
 def integrate_err(p, a, b, tol=DEFAULT_TOL):
     """Adaptive integral of ``p`` over [a, b]; returns (value, error estimate).
 
-    The target is |Q - integral| <= tol * (1 + |Q|).  Accepts a
+    The target is |Q - integral| <= tol * (1 + |Q|), with tol at least
+    :data:`TOL_FLOOR`; a smaller or NaN tol raises InvalidParams.  Accepts a
     :class:`Profile` or any vectorized callable.  The Kronrod nodes are
     interior, so integrable endpoint singularities (and a = 0) are fine.
     """
@@ -506,8 +516,7 @@ def integrate_err(p, a, b, tol=DEFAULT_TOL):
     _check_interval(a, b)
     if a == b:
         return 0.0, 0.0
-    if tol <= 0:
-        raise InvalidParams("tol must be positive")
+    _check_tol(tol)
     f = _as_callable(p)
     return _bisect(f, a, b, *_gk_panel(f, a, b), tol)
 
@@ -571,8 +580,7 @@ def cumulative(p, ts, tol=DEFAULT_TOL):
                  if not (math.isfinite(a) and math.isfinite(b)) or a > b), len(segments))
     rows = [j for j in range(stop) if segments[j][0] < segments[j][1]]
     if rows:
-        if tol <= 0:
-            raise InvalidParams("tol must be positive")
+        _check_tol(tol)
         f = _as_callable(p)
         a, b = np.array([segments[j] for j in rows]).T
         c, h = 0.5 * (a + b), 0.5 * (b - a)

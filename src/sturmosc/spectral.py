@@ -15,7 +15,7 @@ import numpy as np
 
 from .criteria import (Verdict, _status, _strict_margin, check_first_zero,
                        check_oscillation, first_zero_threshold)
-from .errors import HypothesisViolated, InvalidParams, NoZeroAtT2
+from .errors import HypothesisViolated, InvalidParams, NonFiniteSample, NoZeroAtT2
 from .profiles import (DEFAULT_TOL, CoefficientPair, constant, integrate,
                        multiply, scaled)
 from .ode import solve_radial
@@ -193,6 +193,8 @@ def check_yamabe(s_mean, m, v, b_const, a, b, tol=DEFAULT_TOL):
     sv = s_mean(grid)
     vv = v(grid)
     bound = cm * b_const ** 2 / vv
+    if np.isnan(sv).any() or np.isnan(bound).any():
+        raise NonFiniteSample("S or c_m B^2 / v is NaN on the sampled annulus")
     if np.any(sv > bound + 1e-9 * (1.0 + np.abs(bound))):
         raise HypothesisViolated(
             "spherical mean of the scalar curvature exceeds c_m B^2 / v")

@@ -452,13 +452,16 @@ class TestExitCodes:
         assert main(argv + ["--config", str(config), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
-    @pytest.mark.parametrize("command", ["solve", "spectral"])
+    @pytest.mark.parametrize("command", ["solve", "spectral", "check", "sweep"])
     def test_tol_below_the_solver_floor(self, config, tmp_path, capsys, command):
-        # scipy's solvers would clamp rtol to 100 eps with a UserWarning
+        # scipy's solvers would clamp rtol to 100 eps with a UserWarning, and
+        # no float quadrature sum meets a smaller tol; a sweep refuses it
+        # before its first row, with or without count_zeros
+        what = "quadrature" if command in ("check", "sweep") else "solver"
         assert main([command, "--config", str(config), "--out", str(tmp_path),
                      "--tol", "1e-20"]) == 1
         assert capsys.readouterr().err == (
-            "configuration error: solver tol must be at least 2.22e-14\n")
+            f"configuration error: {what} tol must be at least 2.22e-14\n")
 
     def test_flag_leaves_its_key_unparsed(self, tmp_path):
         # --horizon and --tol win over malformed keys, which count as read

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sturmosc import (CoefficientPair, CurvatureProfile, HypothesisViolated,
-                      InvalidParams, Profile, Status, TailInfoMissing,
+from sturmosc import (AsymptoticTail, CoefficientPair, CurvatureProfile,
+                      HypothesisViolated, InvalidParams, NonFiniteSample, Profile, Status, TailInfoMissing,
                       check_ambrose_moore, check_bmr, check_calabi,
                       check_diameter_remark, check_first_zero, check_leighton,
                       check_main_B2, check_moore_liminf, check_myers_galloway,
@@ -16,7 +16,8 @@ from sturmosc import (CoefficientPair, CurvatureProfile, HypothesisViolated,
                       search_main_B2)
 from sturmosc import cli, criteria, profiles
 from sturmosc.criteria import (_CONCLUSIONS, LAMBDA_GRID, Conclusion, Verdict,
-                               _main_b2_rhs, _main_b2_verdict, _strict_margin)
+                               _main_b2_rhs, _main_b2_verdict, _sample_nonnegative,
+                               _strict_margin)
 from sturmosc.profiles import DEFAULT_TOL, cumulative
 from conftest import EMITTED_NAMES, big_v, moore_pair
 
@@ -61,6 +62,36 @@ def main_b2_instances(draw):
 
 def curvature(profile, b=0.0, m=2, validate=True):
     return CurvatureProfile(profile, b_const=b, m=m, validate=validate)
+
+
+class TestSampledSign:
+    @staticmethod
+    def past_100(far, near):
+        return Profile(lambda t: np.where(t > 100.0, far, near))
+
+    def test_nan_sample_raises(self):
+        with pytest.raises(NonFiniteSample, match="K is NaN near t = 1"):
+            _sample_nonnegative(self.past_100(np.nan, 1.0), 1.0, 1e4, "K")
+
+    def test_minus_inf_sample_fails(self):
+        with pytest.raises(HypothesisViolated, match="min -inf"):
+            _sample_nonnegative(self.past_100(-np.inf, 1.0), 1.0, 1e4, "K")
+
+    def test_plus_inf_sample_does_not_widen_the_slack(self):
+        # the slack scales with the finite samples only, so -0.5 still fails
+        with pytest.raises(HypothesisViolated, match="min -0.5"):
+            _sample_nonnegative(self.past_100(np.inf, -0.5), 1.0, 1e4, "K")
+
+    def test_overflow_of_a_growing_profile_passes(self):
+        _sample_nonnegative(Profile(lambda t: np.where(t > 100.0, np.inf, t)), 1.0, 1e4, "K")
+
+    def test_bmr_with_nan_samples_of_w_raises(self):
+        # W declares the tail 0.3/t, but its samples past t = 2e3 are NaN
+        w = Profile(lambda t: np.where(t > 2e3, np.nan, 0.3 / t),
+                    tail=AsymptoticTail(0.3, -1.0, exact=False))
+        pair = CoefficientPair(power(1.0, 2.0), w, b_const=0.0, validate=False)
+        with pytest.raises(NonFiniteSample, match="W is NaN"):
+            check_bmr(pair, 1.0)
 
 
 class TestMyersGalloway:

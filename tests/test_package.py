@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import pkgutil
@@ -97,3 +98,39 @@ def test_scipy_is_imported_by_the_first_solve_or_pole_search(tmp_path):
     assert "scipy.optimize" in steps["blow_up_time"]
     assert "scipy.integrate" not in steps["blow_up_time"]
     assert "scipy.integrate" in steps["solve_jacobi"]
+
+
+# every scipy import in src/sturmosc: (module, enclosing function, scipy
+# module, imported name); the DOP853 tableau, step control and first step,
+# and the pole search's root finder
+SCIPY_IMPORTS = {
+    ("_dop853", "", "scipy.integrate._ivp", "dop853_coefficients"),
+    ("_dop853", "", "scipy.integrate._ivp.common", "select_initial_step"),
+    ("_dop853", "", "scipy.integrate._ivp.rk", "MAX_FACTOR"),
+    ("_dop853", "", "scipy.integrate._ivp.rk", "MIN_FACTOR"),
+    ("_dop853", "", "scipy.integrate._ivp.rk", "SAFETY"),
+    ("riccati", "blow_up_time", "scipy.optimize", "brentq"),
+}
+
+
+def _scipy_imports(node, module, scope, found):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            found |= {(module, scope, alias.name, None) for alias in child.names
+                      if alias.name.split(".")[0] == "scipy"}
+        elif isinstance(child, ast.ImportFrom):
+            if (child.module or "").split(".")[0] == "scipy":
+                found |= {(module, scope, child.module, alias.name)
+                          for alias in child.names}
+        else:
+            inner = (f"{scope}.{child.name}".lstrip(".") if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope)
+            _scipy_imports(child, module, inner, found)
+    return found
+
+
+def test_scipy_is_imported_only_where_listed():
+    found = set()
+    for path in sorted(Path(sturmosc.__file__).parent.glob("*.py")):
+        _scipy_imports(ast.parse(path.read_text()), path.stem, "", found)
+    assert found == SCIPY_IMPORTS

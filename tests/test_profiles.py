@@ -44,7 +44,21 @@ class TestIntegrate:
     def test_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(profiles, "PANEL_BUDGET", 5)
         with pytest.raises(ToleranceNotMet):
-            integrate(lambda t: np.sin(1e4 * t), 0.0, 7.0, tol=1e-14)
+            integrate(lambda t: np.sin(1e4 * t), 0.0, 7.0, tol=1e-13)
+
+    @pytest.mark.parametrize("tol", [1e-20, 0.0, -1.0, math.nan])
+    def test_tol_below_the_floor_raises(self, tol):
+        # a NaN tol used to accept the first panel: 0.296 for sin(50 t) on
+        # [0, 7], where the integral is 0.0257; a tiny one ground through
+        # the whole panel budget
+        def f(t):
+            return np.sin(50.0 * t)
+
+        for quadrature in (lambda: integrate(f, 0.0, 7.0, tol=tol),
+                           lambda: cumulative(f, [0.0, 3.5, 7.0], tol=tol)):
+            with pytest.raises(InvalidParams,
+                               match="quadrature tol must be at least 2.22e-14"):
+                quadrature()
 
     def test_empty_interval(self):
         assert integrate(constant(3.0), 1.0, 1.0) == 0.0

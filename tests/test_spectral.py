@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sturmosc import (CoefficientPair, HypothesisViolated, InvalidParams,
-                      NoZeroAtT2, Profile, Status, TailInfoMissing,
+                      NonFiniteSample, NoZeroAtT2, Profile, Status, TailInfoMissing,
                       check_first_zero, check_yamabe, constant, index_lower_bound,
                       instability_at_infinity, lambda1_negative, power,
                       rayleigh_quotient, solve_radial, spectral_report,
@@ -161,6 +161,15 @@ class TestYamabe:
     def test_hypothesis_violated(self):
         with pytest.raises(HypothesisViolated):
             check_yamabe(constant(1.0), 3, power(1.0, 2.0), 0.0, 1.0, 3.0)
+
+    @pytest.mark.parametrize("s_mean,v", [
+        (Profile(lambda t: np.where(t > 5.0, np.nan, -1.0)), power(1.0, 2.0)),
+        (constant(-1.0), Profile(lambda t: np.where(t > 5.0, np.nan, t * t))),
+    ], ids=["S", "v"])
+    def test_nan_sample_raises(self, s_mean, v):
+        # the grid reaches 10 b = 30; a NaN would pass S <= c_m B^2 / v
+        with pytest.raises(NonFiniteSample, match="is NaN on the sampled annulus"):
+            check_yamabe(s_mean, 3, v, 0.0, 1.0, 3.0)
 
     def test_undecided_integrability_is_missing_tail_info(self):
         bare_v = Profile(lambda t: np.asarray(t) ** 2, sign="nonnegative")
