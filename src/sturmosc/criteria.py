@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (HypothesisViolated, InvalidParams, NonFiniteSample,
                      TailInfoMissing, ToleranceNotMet)
-from .profiles import (DEFAULT_TOL, LOG_ORDER, antiderivative_term,
+from .profiles import (DEFAULT_TOL, LOG_ORDER, _failing, _samples, antiderivative_term,
                        certified_nonpositive, coth_band, cumulative,
                        elementwise_power, integrate, multiply, power,
                        tail_divergence, tail_integral, weighted_moment)
@@ -131,19 +131,13 @@ def _strict_margin(lhs, rhs, tol):
 
 
 def _sample_nonnegative(p, lo, hi, what):
-    """Check p >= 0 at 64 geometric samples, to a slack relative to the finite ones.
-
-    A NaN sample raises NonFiniteSample; -inf fails the check, and +inf (an
-    overflow of a growing profile) passes it.
-    """
+    """Check p >= 0 at 64 geometric samples by :func:`~sturmosc.profiles._failing`
+    (rel 1e-12): a failing sample raises HypothesisViolated, a NaN one
+    NonFiniteSample."""
     grid = np.geomspace(max(lo, 1e-6), hi, 64)
-    vals = p(grid)
-    if np.isnan(vals).any():
-        raise NonFiniteSample(f"{what} is NaN near t = {grid[np.isnan(vals)][0]:.6g}")
-    scale = np.max(np.abs(vals[np.isfinite(vals)]), initial=0.0)
-    if np.any(vals < -1e-12 * (1.0 + scale)):
-        worst = float(np.min(vals))
-        raise HypothesisViolated(f"{what} >= 0 fails on samples (min {worst:.6g})")
+    vals = _samples(p, grid)
+    if _failing(grid, vals, 0.0, 1e-12, what).any():
+        raise HypothesisViolated(f"{what} >= 0 fails on samples (min {float(np.min(vals)):.6g})")
 
 
 # ---------------------------------------------------------------------------

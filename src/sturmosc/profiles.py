@@ -749,6 +749,24 @@ def tail_integral(p, b, tol=DEFAULT_TOL):
 # Coefficient pairs and curvature profiles
 # ---------------------------------------------------------------------------
 
+def _failing(t, f, floor, rel, what):
+    """The mask of the samples f, at the nodes t, that fail f >= floor.
+
+    The one rule for every sampled hypothesis: a sample fails when
+    f < floor - rel (1 + |f| + |floor|), the slack taken per sample over the
+    finite parts of f and floor.  +inf never fails and -inf always does; a
+    NaN in f or floor raises NonFiniteSample naming ``what``.
+    """
+    f, floor = np.asarray(f, dtype=float), np.asarray(floor, dtype=float)
+    nan = np.isnan(f) | np.isnan(floor)
+    if nan.any():
+        raise NonFiniteSample(f"{what} is NaN near t = {np.broadcast_to(t, nan.shape)[nan][0]:.6g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an infinite f decides its sample whatever the slack; an infinite floor must not
+        slack = rel * (1.0 + np.abs(f) + np.where(np.isinf(floor), 0.0, np.abs(floor)))
+        return (f == -np.inf) | (f < floor - slack)
+
+
 @dataclass(frozen=True)
 class CoefficientPair:
     """A (v, W) coefficient pair for (v z')' + W v z = 0.
@@ -788,19 +806,17 @@ class CoefficientPair:
             self._check_admissibility()
 
     def _check_admissibility(self):
+        """Sample the hypotheses on (t_start, +inf): v > 0 strictly and
+        W v^2 >= -B^2 by :func:`_failing` (rel 1e-9) at 41 points, and, from
+        the singular origin, v -> 0 as t -> 0+ at 11 points."""
         lo = self.t_start if self.t_start > 0 else 1e-3
         grid = np.geomspace(max(lo, 1e-8) * (1 + 1e-9), max(lo * 1e4, 1e3), 41)
-        vs = self.v(grid)
-        ws = self.w(grid)
-        if not (np.all(np.isfinite(vs)) and np.all(np.isfinite(ws))):
-            raise NonFiniteSample("v or W not finite on the validation grid")
-        if np.any(vs <= 0):
+        if np.any(_samples(self.v, grid) <= 0):
             raise InvalidParams("v must be positive on (t_start, +inf)")
-        slack = 1e-9 * (1.0 + self.b_const ** 2)
-        if np.any(ws * vs ** 2 < -self.b_const ** 2 - slack):
-            worst = float(np.min(ws * vs ** 2))
-            raise InvalidParams(
-                f"W*v^2 >= -B^2 fails on samples (min {worst:.6g} < {-self.b_const**2:.6g})")
+        wv2 = _samples(lambda t: self.w(t) * self.v(t) ** 2, grid)
+        if _failing(grid, wv2, -self.b_const ** 2, 1e-9, "W*v^2").any():
+            raise InvalidParams(f"W*v^2 >= -B^2 fails on samples "
+                                f"(min {float(np.min(wv2)):.6g} < {-self.b_const**2:.6g})")
         if self.t_start == 0:
             dec = np.geomspace(1e-2, 1e-7, 11)
             vdec = self.v(dec)
@@ -810,7 +826,11 @@ class CoefficientPair:
 
 @dataclass(frozen=True)
 class CurvatureProfile:
-    """A radial curvature function K with certified lower bound -b_const^2."""
+    """A radial curvature function K with certified lower bound -b_const^2.
+
+    ``validate`` samples K >= -B^2 at 41 points of [1e-3, 1e3] by
+    :func:`_failing` (rel 1e-9).
+    """
 
     k: Profile
     b_const: float = 0.0
@@ -824,11 +844,8 @@ class CurvatureProfile:
             raise InvalidParams("b_const must be >= 0")
         if self.validate:
             grid = np.geomspace(1e-3, 1e3, 41)
-            ks = self.k(grid)
-            if not np.all(np.isfinite(ks)):
-                raise NonFiniteSample("K not finite on the validation grid")
-            slack = 1e-9 * (1.0 + self.b_const ** 2)
-            if np.any(ks < -self.b_const ** 2 - slack):
+            ks = _samples(self.k, grid)
+            if _failing(grid, ks, -self.b_const ** 2, 1e-9, "K").any():
                 raise InvalidParams(
                     f"K >= -B^2 fails on samples (min {float(np.min(ks)):.6g})")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (AtPole, InvalidParams, MismatchedAnchor, OutOfValidity,
                      TailInfoMissing)
-from .profiles import (CoefficientPair, DEFAULT_TOL, coth_band, cumulative,
+from .profiles import (CoefficientPair, DEFAULT_TOL, _failing, coth_band, cumulative,
                        integrate, tail_integral, tail_integral_converges)
 
 __all__ = [
@@ -305,15 +305,17 @@ def verify_comparison(q1, q2, t_bar, direction="forward", tol=1e-6):
     With q1 a supersolution and q2 a subsolution of the same flow matched
     at t_bar, the ordering q1 >= q2 must hold forward of t_bar up to q1's
     first pole (and q1's pole must not come after q2's); backward of t_bar
-    the ordering reverses.  Violations are reported at the first offending
-    node.
+    the ordering reverses.  The anchor match (rel 1e-8) and the ordering
+    at the nodes (rel ``tol``) are decided by
+    :func:`~sturmosc.profiles._failing`, so a NaN value raises
+    NonFiniteSample.  Violations are reported at the first offending node.
     """
     if direction not in ("forward", "backward"):
         raise InvalidParams(f"direction must be 'forward' or 'backward', not {direction!r}")
     t_bar = float(t_bar)
     y1a, y2a = float(q1(t_bar)), float(q2(t_bar))
     gap = abs(y1a - y2a)
-    if gap > 1e-8 * (1.0 + abs(y1a)):
+    if _failing(t_bar, [y1a, y2a], [y2a, y1a], 1e-8, "q1 or q2").any():
         raise MismatchedAnchor(
             f"q1({t_bar:g}) = {y1a:.12g} vs q2({t_bar:g}) = {y2a:.12g}")
 
@@ -331,9 +333,8 @@ def verify_comparison(q1, q2, t_bar, direction="forward", tol=1e-6):
     ts = q1.ts[mask]
     v1 = q1.ys[mask]
     v2 = np.asarray(q2(ts), dtype=float)
-    slack = tol * (1.0 + np.abs(v1) + np.abs(v2))
-    defect = s * (v2 - v1)
-    bad = np.nonzero(defect > slack)[0]
+    upper, lower = (v1, v2) if s > 0 else (v2, v1)
+    bad = np.nonzero(_failing(ts, upper, lower, tol, "q1 or q2"))[0]
     first = None
     if len(bad):
         i = bad[0]

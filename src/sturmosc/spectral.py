@@ -15,9 +15,9 @@ import numpy as np
 
 from .criteria import (Verdict, _status, _strict_margin, check_first_zero,
                        check_oscillation, first_zero_threshold)
-from .errors import HypothesisViolated, InvalidParams, NonFiniteSample, NoZeroAtT2
-from .profiles import (DEFAULT_TOL, CoefficientPair, constant, integrate,
-                       multiply, scaled)
+from .errors import HypothesisViolated, InvalidParams, NoZeroAtT2
+from .profiles import (DEFAULT_TOL, CoefficientPair, _failing, _samples, constant,
+                       integrate, multiply, scaled)
 from .ode import solve_radial
 
 __all__ = [
@@ -180,9 +180,10 @@ def check_yamabe(s_mean, m, v, b_const, a, b, tol=DEFAULT_TOL):
     """Conformal-deformation criterion from the scalar-curvature annulus integral.
 
     Hypothesis: the spherical mean S(r) of the scalar curvature satisfies
-    S(r) <= c_m B^2 / v(r) (sampled); the caller separately asserts the
-    positivity of the bottom of the spectrum around the zero set of the
-    target curvature, which is recorded in the notes, not checked.
+    S(r) <= c_m B^2 / v(r), sampled at 41 points of [a/10, 10 b] by
+    :func:`~sturmosc.profiles._failing` (rel 1e-9); the caller separately
+    asserts the positivity of the bottom of the spectrum around the zero set
+    of the target curvature, which is recorded in the notes, not checked.
     """
     if not 0 < a < b:
         raise InvalidParams("need 0 < a < b")
@@ -190,12 +191,8 @@ def check_yamabe(s_mean, m, v, b_const, a, b, tol=DEFAULT_TOL):
         raise InvalidParams("need B >= 0")
     cm = yamabe_constant(m)
     grid = np.geomspace(max(a / 10.0, 1e-6), b * 10.0, 41)
-    sv = s_mean(grid)
-    vv = v(grid)
-    bound = cm * b_const ** 2 / vv
-    if np.isnan(sv).any() or np.isnan(bound).any():
-        raise NonFiniteSample("S or c_m B^2 / v is NaN on the sampled annulus")
-    if np.any(sv > bound + 1e-9 * (1.0 + np.abs(bound))):
+    bound = _samples(lambda t: cm * b_const ** 2 / v(t), grid)
+    if _failing(grid, bound, _samples(s_mean, grid), 1e-9, "S or c_m B^2 / v").any():
         raise HypothesisViolated(
             "spherical mean of the scalar curvature exceeds c_m B^2 / v")
 

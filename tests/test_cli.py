@@ -378,6 +378,21 @@ class TestExitCodes:
             "[check]\ncriteria = nehari\ncurvature = neg\nt0 = 1.0\nlambda = 0\n")
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
+    def test_negative_stretch_of_a_growing_curvature_exit_code(self, tmp_path, capsys):
+        # K = e^t - 2 >= -B^2 = -4 holds although e^1000 overflows, and
+        # K >= 0 fails at t0 = 1e-3
+        cfg = tmp_path / "hyp.ini"
+        cfg.write_text(
+            "[profile:e]\nkind = exponential\nc = 1.0\nrate = 1.0\n"
+            "[profile:m2]\nkind = constant\nc = -2.0\n"
+            "[profile:K]\nkind = sum\nterms = e m2\n"
+            "[curvature:k]\nk = K\nb_const = 2.0\nm = 2\n"
+            "[check]\ncriteria = nehari\ncurvature = k\nt0 = 0.001\nlambda = 0\n"
+            "horizon = 30\n")
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "hypothesis violated: K >= 0 fails on samples (min -0.998999)\n")
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # singular-origin pair with no bounded branch: Picard start blows up
         cfg = tmp_path / "num.ini"

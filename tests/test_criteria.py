@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sturmosc import (AsymptoticTail, CoefficientPair, CurvatureProfile,
                       HypothesisViolated, InvalidParams, NonFiniteSample, Profile, Status, TailInfoMissing,
-                      check_ambrose_moore, check_bmr, check_calabi,
+                      add, check_ambrose_moore, check_bmr, check_calabi,
                       check_diameter_remark, check_first_zero, check_leighton,
                       check_main_B2, check_moore_liminf, check_myers_galloway,
                       check_nehari, check_oscillation, constant,
@@ -84,6 +84,15 @@ class TestSampledSign:
 
     def test_overflow_of_a_growing_profile_passes(self):
         _sample_nonnegative(Profile(lambda t: np.where(t > 100.0, np.inf, t)), 1.0, 1e4, "K")
+
+    def test_negative_stretch_of_a_growing_profile_fails(self):
+        # K = e^t - 2 is -0.999 at t = 1e-3; a slack relative to the largest
+        # sample, 1e-12 (1 + e^30) = 10.7, would let it pass as K >= 0
+        k = curvature(add(exponential(1.0, 1.0), constant(-2.0)), b=2.0, validate=False)
+        with pytest.raises(HypothesisViolated, match=r"K >= 0 fails on samples \(min -0.998999\)"):
+            check_nehari(k, 0, 1e-3, horizon=30)
+        with pytest.raises(HypothesisViolated, match=r"min -0.998999\)"):
+            check_calabi(k, horizon=30)
 
     def test_bmr_with_nan_samples_of_w_raises(self):
         # W declares the tail 0.3/t, but its samples past t = 2e3 are NaN

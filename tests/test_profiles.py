@@ -711,6 +711,74 @@ class TestCoefficientPair:
         with pytest.raises(InvalidParams):
             CoefficientPair(power(1.0, 2.0), constant(1.0), b_const=-1.0)
 
+    @pytest.mark.parametrize("w,error", [(1.0, None), (0.0, NonFiniteSample),
+                                         (-1.0, InvalidParams)])
+    def test_overflowing_volume(self, w, error):
+        # the hyperbolic volume 4 pi sinh^2 t is +inf past t ~ 355, which
+        # never fails W v^2 >= -B^2 for W = 1 and always does for W = -1;
+        # W = 0 makes the sample 0 * inf, which is NaN
+        v = model_profiles(space_form(3, -1.0))[1]
+        if error is None:
+            CoefficientPair(v, constant(w))
+        else:
+            with pytest.raises(error):
+                CoefficientPair(v, constant(w))
+
+
+class TestCurvatureProfile:
+    def test_overflow_of_a_growing_curvature_constructs(self):
+        # e^t - 2 >= -4 holds; e^1000 is +inf, which never fails
+        k = CurvatureProfile(add(exponential(1.0, 1.0), constant(-2.0)), b_const=2.0)
+        assert k.b_const == 2.0
+
+    def test_lower_bound_violation(self):
+        with pytest.raises(InvalidParams, match="min -1.999"):
+            CurvatureProfile(add(exponential(1.0, 1.0), constant(-3.0)), b_const=1.0)
+
+    def test_nan_sample_raises(self):
+        k = Profile(lambda t: np.where(t > 10.0, np.nan, 1.0))
+        with pytest.raises(NonFiniteSample, match="K is NaN near t = 1[0-9.]+"):
+            CurvatureProfile(k)
+
+
+def failing_loop(ts, f, floor, rel):
+    """The one sampled rule, one sample at a time: the failing mask, or the
+    node of the first NaN."""
+    out = []
+    for t, x, lo in zip(ts, f, floor):
+        if math.isnan(x) or math.isnan(lo):
+            return t
+        size = sum(abs(y) for y in (x, lo) if math.isfinite(y))
+        out.append(x == -math.inf or x < lo - rel * (1.0 + size))
+    return out
+
+
+SAMPLES = (st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, -1.2e-12])
+           | st.floats())
+
+
+@given(st.lists(st.tuples(SAMPLES, SAMPLES), max_size=20), st.none() | SAMPLES,
+       st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 0.5]))
+@settings(max_examples=200, deadline=None)
+@example([(-0.5, 0.0), (math.inf, 0.0)], None, 1e-12)
+@example([(1.0, math.inf), (math.inf, math.inf), (-math.inf, -math.inf)], None, 1e-6)
+@example([(1e308, -1e308), (-1e308, 1e308)], None, 0.5)
+# the slack is rel (1 + |f| + |floor|): it fails -1.2e-12 >= 0 at rel 1e-12,
+# and passes 1 >= 1 + 2.5e-9 at rel 1e-9 only because |f| counts
+@example([(-1.2e-12, 0.0)], None, 1e-12)
+@example([(1.0, 1.0 + 2.5e-9)], None, 1e-9)
+def test_failing_matches_loop(pairs, scalar_floor, rel):
+    ts = 1.0 + 0.25 * np.arange(len(pairs))
+    f = np.array([x for x, _ in pairs], dtype=float)
+    floors = [lo for _, lo in pairs] if scalar_floor is None else [scalar_floor] * len(pairs)
+    floor = np.array(floors, dtype=float) if scalar_floor is None else scalar_floor
+    expected = failing_loop(ts.tolist(), f.tolist(), floors, rel)
+    if isinstance(expected, list):
+        assert profiles._failing(ts, f, floor, rel, "f").tolist() == expected
+    else:
+        with pytest.raises(NonFiniteSample, match=f"f is NaN near t = {expected:.6g}$"):
+            profiles._failing(ts, f, floor, rel, "f")
+
 
 class TestBigV:
     """The growth factor V of conftest, a second route beside the comparison

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from sturmosc import profiles, riccati
 from sturmosc import (AtPole, CoefficientPair, ComparisonFamily, CurvatureProfile,
-                      EnvelopeKind, InvalidParams, MismatchedAnchor, OutOfValidity,
-                      RiccatiTrajectory, TailInfoMissing, anchored_family,
+                      EnvelopeKind, InvalidParams, MismatchedAnchor, NonFiniteSample,
+                      OutOfValidity, RiccatiTrajectory, TailInfoMissing, anchored_family,
                       blow_up_time, comparison_value, constant, envelope,
                       family_riccati, power, riccati_from_solution, solve_jacobi,
                       solve_radial, verify_comparison)
@@ -449,6 +449,12 @@ class TestFamilyResiduals:
             assert abs(d - target) <= 1e-6 * (1.0 + abs(target))
 
 
+def table_trajectory(ts, ys, poles=()):
+    """A RiccatiTrajectory that looks its values up at its own nodes."""
+    table = dict(zip(ts.tolist(), ys.tolist()))
+    return RiccatiTrajectory(ts, ys, poles, np.vectorize(table.__getitem__, otypes=[float]))
+
+
 class TestVerifyComparison:
     def test_forward_ordering_unit_sphere(self, rng):
         k = CurvatureProfile(constant(1.0), b_const=1.0, m=2, validate=False)
@@ -498,21 +504,37 @@ class TestVerifyComparison:
         ts = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
         y1 = np.array([0.0, 0.3, 0.1, 0.4, -0.2, 0.9, 0.0])
         y2 = np.array([0.0, 0.3, 0.2, 0.1, 0.5, -0.9, 0.0])
-
-        def traj(ts, ys, poles):
-            table = dict(zip(ts.tolist(), ys.tolist()))
-            lookup = np.vectorize(table.__getitem__, otypes=[float])
-            return RiccatiTrajectory(ts, ys, poles, lookup)
-
-        forward = verify_comparison(traj(ts, y1, (3.2,)), traj(ts, y2, (2.7, 0.7)),
+        forward = verify_comparison(table_trajectory(ts, y1, (3.2,)),
+                                    table_trajectory(ts, y2, (2.7, 0.7)),
                                     1.0, "forward", tol=1e-3)
-        backward = verify_comparison(traj(-ts, -y1, (-3.2,)),
-                                     traj(-ts, -y2, (-2.7, -0.7)),
+        backward = verify_comparison(table_trajectory(-ts, -y1, (-3.2,)),
+                                     table_trajectory(-ts, -y2, (-2.7, -0.7)),
                                      -1.0, "backward", tol=1e-3)
         assert forward.n_checked == backward.n_checked == 3
         assert forward.first_violation == (1.5, 0.1, 0.2)
         assert backward.first_violation == (-1.5, -0.1, -0.2)
         assert forward.pole_order_ok is backward.pole_order_ok is False
+
+    @pytest.mark.parametrize("y1,y2", [
+        ([np.nan, 0.2, 0.3], [0.1, 0.1, 0.1]),  # the anchor value of q1
+        ([0.1, 0.2, 0.3], [0.1, np.nan, 0.1]),  # a checked node of q2
+        ([0.1, np.nan, 0.3], [0.1, 0.1, 0.1]),  # a checked node of q1
+    ], ids=["anchor", "q2_node", "q1_node"])
+    def test_nan_value_raises(self, y1, y2):
+        # a NaN compares false with everything, so it would pass as ordered
+        ts = np.array([1.0, 1.5, 2.0])
+        q1, q2 = table_trajectory(ts, np.array(y1)), table_trajectory(ts, np.array(y2))
+        with pytest.raises(NonFiniteSample, match="q1 or q2 is NaN near t = "):
+            verify_comparison(q1, q2, 1.0, "forward")
+
+    def test_infinite_subsolution_above_is_a_violation(self):
+        # a slack taken over the +inf q2 would be inf and hide the violation
+        ts = np.array([1.0, 1.5, 2.0])
+        q1 = table_trajectory(ts, np.array([0.1, 0.2, 0.3]))
+        q2 = table_trajectory(ts, np.array([0.1, np.inf, 0.1]))
+        report = verify_comparison(q1, q2, 1.0, "forward")
+        assert not report.ordered
+        assert report.first_violation == (1.5, 0.2, math.inf)
 
     def test_unknown_direction_raises(self, unit_curvature):
         q1 = riccati_from_solution(solve_jacobi(unit_curvature, horizon=3.0))
