@@ -4,6 +4,16 @@ This module imports scipy's DOP853 tableau, its step control constants and
 its initial-step rule, so :mod:`sturmosc.ode` imports it on the first solve
 rather than at import.  The step floor and the stepper class are read from
 here on every solve.  Steps run forward only.
+
+The stages run as straight-line code.  At import the module writes the
+source of two functions from the nonzero entries of whatever tableau it
+holds, each coefficient as its ``repr`` literal, and compiles it once:
+``_trial`` runs stages 1-11, the new state, stage 12 and the E5 and E3 error
+sums, and ``_extra`` the three dense-output stages and the four D rows.
+Every sum adds a * k left to right from 0.0 in tableau order, so each
+result is the one a loop ``acc += a * k`` over the row gives, bit for bit;
+``tests/test_ode.py`` holds that loop as the reference and checks both
+functions against it.
 """
 
 from __future__ import annotations
@@ -43,14 +53,44 @@ _B, _E5, _E3 = _nonzero(_DOP.B), _nonzero(_DOP.E5), _nonzero(_DOP.E3)
 _D = tuple(_nonzero(row) for row in _DOP.D)
 
 
-def _combine(ks, row):
-    """sum of a * k over the (stage, a) pairs of ``row``, per component."""
-    a = b = 0.0
-    for j, c in row:
-        k0, k1 = ks[j]
-        a += c * k0
-        b += c * k1
-    return a, b
+def _sum(row, component):
+    """Source of sum(a * k_j) over the (j, a) pairs of ``row`` for one component:
+    the tableau order, added left to right from 0.0."""
+    return " + ".join(["0.0"] + [f"{a!r} * k{j}_{component}" for j, a in row])
+
+
+def _stage(j, c, row):
+    """Source lines of stage j: f(t + c h, y + h sum(a * k)) and its components."""
+    return [f"k{j} = rhs(t + {c!r} * h, (y0 + ({_sum(row, 0)}) * h, "
+            f"y1 + ({_sum(row, 1)}) * h))", f"k{j}_0, k{j}_1 = k{j}"]
+
+
+def _kernel_source():
+    """Source of ``_trial`` and ``_extra``, straight-line code over the tableau above."""
+    last = len(_STAGES) + 1
+    stages = ", ".join(f"k{j}" for j in range(last + 1))
+    trial = ["def _trial(rhs, t, h, y0, y1, k0):", "k0_0, k0_1 = k0"]
+    for j, (c, row) in enumerate(_STAGES, 1):
+        trial += _stage(j, c, row)
+    trial += [f"n0 = y0 + h * ({_sum(_B, 0)})", f"n1 = y1 + h * ({_sum(_B, 1)})",
+              f"k{last} = rhs(t + h, (n0, n1))", f"k{last}_0, k{last}_1 = k{last}",
+              f"return (n0, n1, {_sum(_E5, 0)}, {_sum(_E5, 1)},",
+              f"        {_sum(_E3, 0)}, {_sum(_E3, 1)}, ({stages}))"]
+    extra = ["def _extra(rhs, t, h, y0, y1, ks):",
+             f"({', '.join(f'(k{j}_0, k{j}_1)' for j in range(last + 1))}) = ks"]
+    for j, (c, row) in enumerate(_EXTRA_STAGES, last + 1):
+        extra += _stage(j, c, row)
+    extra += ["return [", *(f"    (h * ({_sum(row, 0)}), h * ({_sum(row, 1)}))," for row in _D),
+              "]"]
+    return "\n".join("\n    ".join(lines) for lines in (trial, extra)) + "\n"
+
+
+# _trial(rhs, t, h, y0, y1, f) returns (n0, n1, E5.k, E3.k, stages 0-12),
+# with n = y + h B.k; _extra(rhs, t, h, y0, y1, stages) returns the four
+# dense rows h D.k, over stages 0-12 and the extra stages 13-15 it runs
+_KERNEL = {}
+exec(compile(_kernel_source(), "<sturmosc._dop853 kernel>", "exec"), _KERNEL)
+_trial, _extra = _KERNEL["_trial"], _KERNEL["_extra"]
 
 
 class Stepper:
@@ -69,9 +109,10 @@ class Stepper:
     as floats in the order of scipy's ``Dop853DenseOutput.F``: the
     interpolant on [t_old, t] is
     y_old + F0 x + F1 x(1 - x) + F2 x^2(1 - x) + ..., with
-    x = (s - t_old) / (t - t_old).  The sums run in another order than
-    numpy's dot products, so a trajectory agrees with scipy's to rounding,
-    not bit for bit.
+    x = (s - t_old) / (t - t_old).  The stages, sums and rows come from the
+    generated ``_trial`` and ``_extra`` (see the module docstring), whose
+    sums run in another order than numpy's dot products, so a trajectory
+    agrees with scipy's to rounding, not bit for bit.
 
     Near a pole of the coefficients the accepted steps shrink towards the
     ulp of t; stopping at MIN_STEP_ULPS ends such a solve after a few
@@ -105,17 +146,10 @@ class Stepper:
                 return "no step of at least 10 ulp of t is accepted"
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            ks = [f]
-            for c, row in _STAGES:
-                d0, d1 = _combine(ks, row)
-                ks.append(rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h)))
-            b0, b1 = _combine(ks, _B)
-            n0, n1 = y0 + h * b0, y1 + h * b1
-            ks.append(rhs(t + h, (n0, n1)))
+            n0, n1, e0, e1, g0, g1, ks = _trial(rhs, t, h, y0, y1, f)
             self.nfev += len(ks) - 1
             s0 = atol + max(abs(y0), abs(n0)) * rtol
             s1 = atol + max(abs(y1), abs(n1)) * rtol
-            (e0, e1), (g0, g1) = _combine(ks, _E5), _combine(ks, _E3)
             e0, e1, g0, g1 = e0 / s0, e1 / s1, g0 / s0, g1 / s1
             err5, err3 = e0 * e0 + e1 * e1, g0 * g0 + g1 * g1
             if err5 == 0.0 and err3 == 0.0:
@@ -133,14 +167,11 @@ class Stepper:
             rejected = True
         if t_new != t_bound and h < MIN_STEP_ULPS * math.ulp(t):
             return f"step shorter than {MIN_STEP_ULPS} ulp of t"
-        for c, row in _EXTRA_STAGES:
-            d0, d1 = _combine(ks, row)
-            ks.append(rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h)))
+        extra = _extra(rhs, t, h, y0, y1, ks)
         self.nfev += len(_EXTRA_STAGES)
         (p0, p1), (q0, q1) = f, ks[_DOP.N_STAGES]
         dy0, dy1 = n0 - y0, n1 - y1
         self.rows = [(dy0, dy1), (h * p0 - dy0, h * p1 - dy1),
-                     (2.0 * dy0 - h * (q0 + p0), 2.0 * dy1 - h * (q1 + p1))]
-        self.rows += [(h * a, h * b) for a, b in (_combine(ks, row) for row in _D)]
+                     (2.0 * dy0 - h * (q0 + p0), 2.0 * dy1 - h * (q1 + p1)), *extra]
         self.t, self.y, self.f, self.h_abs = t_new, (n0, n1), ks[_DOP.N_STAGES], h_abs
         return None

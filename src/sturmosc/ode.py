@@ -94,7 +94,8 @@ class _DenseTable:
                                f[:, :, 1].tolist()))
 
     def __call__(self, t):
-        if np.ndim(t) == 0:
+        # a float first: each bisection step of _refine_bracket passes one
+        if isinstance(t, float) or np.ndim(t) == 0:
             return self._at(float(t))
         t = np.asarray(t, dtype=float)
         step = np.searchsorted(self.ts, t, side="left") - 1
@@ -144,8 +145,8 @@ class Trajectory:
     def state(self, t):
         """Dense state [(value, flux)] at scalar or array t in [t_start, t_end].
 
-        Raises :class:`~sturmosc.errors.OutOfValidity` outside that interval
-        rather than extrapolating the dense output.
+        Raises :class:`~sturmosc.errors.OutOfValidity` outside that interval,
+        and at NaN, rather than extrapolating the dense output.
         """
         scalar = np.ndim(t) == 0
         s = self._state(t, scalar)
@@ -158,10 +159,10 @@ class Trajectory:
                                 f"(terminated: {self.terminated_reason})")
         if scalar:
             t = float(t)
-            outside = t < self.t_start or t > self.t_end
+            outside = not self.t_start <= t <= self.t_end
         else:
             t = np.asarray(t, dtype=float)
-            outside = np.any((t < self.t_start) | (t > self.t_end))
+            outside = not np.all((self.t_start <= t) & (t <= self.t_end))
         if outside:
             raise OutOfValidity(
                 f"trajectory is valid on [{self.t_start:g}, {self.t_end:g}]")
@@ -174,11 +175,12 @@ class Trajectory:
         return self._state(t, np.ndim(t) == 0)[1]
 
     def derivative(self, t):
-        d = self.flux(t)
-        return d if self.weight is None else d / self.weight(t)
+        return self(t)[1]
 
     def __call__(self, t):
-        return self.value(t), self.derivative(t)
+        """(value, derivative) at t, from one evaluation of the dense output."""
+        value, flux = self._state(t, np.ndim(t) == 0)
+        return value, flux if self.weight is None else flux / self.weight(t)
 
     @property
     def derivatives(self):

@@ -767,6 +767,18 @@ def _failing(t, f, floor, rel, what):
         return (f == -np.inf) | (f < floor - slack)
 
 
+def _admissibility_grid(lo):
+    """The 41 admissibility samples of a pair posed on (lo, +inf)."""
+    return np.geomspace(max(lo, 1e-8) * (1 + 1e-9), max(lo * 1e4, 1e3), 41)
+
+
+# the fixed validation grids, built once: each evaluator samples a copy, so
+# one that writes into its argument cannot corrupt a later check
+_ORIGIN_GRID = _admissibility_grid(1e-3)  # a pair from the singular origin
+_ORIGIN_LIMIT_GRID = np.geomspace(1e-2, 1e-7, 11)  # v -> 0 as t -> 0+
+_CURVATURE_GRID = np.geomspace(1e-3, 1e3, 41)
+
+
 @dataclass(frozen=True)
 class CoefficientPair:
     """A (v, W) coefficient pair for (v z')' + W v z = 0.
@@ -809,17 +821,16 @@ class CoefficientPair:
         """Sample the hypotheses on (t_start, +inf): v > 0 strictly and
         W v^2 >= -B^2 by :func:`_failing` (rel 1e-9) at 41 points, and, from
         the singular origin, v -> 0 as t -> 0+ at 11 points."""
-        lo = self.t_start if self.t_start > 0 else 1e-3
-        grid = np.geomspace(max(lo, 1e-8) * (1 + 1e-9), max(lo * 1e4, 1e3), 41)
-        if np.any(_samples(self.v, grid) <= 0):
+        grid = _admissibility_grid(self.t_start) if self.t_start > 0 else _ORIGIN_GRID
+        v = _samples(self.v, grid.copy())
+        if np.any(v <= 0):
             raise InvalidParams("v must be positive on (t_start, +inf)")
-        wv2 = _samples(lambda t: self.w(t) * self.v(t) ** 2, grid)
+        wv2 = _samples(lambda t: self.w(t) * v ** 2, grid.copy())
         if _failing(grid, wv2, -self.b_const ** 2, 1e-9, "W*v^2").any():
             raise InvalidParams(f"W*v^2 >= -B^2 fails on samples "
                                 f"(min {float(np.min(wv2)):.6g} < {-self.b_const**2:.6g})")
         if self.t_start == 0:
-            dec = np.geomspace(1e-2, 1e-7, 11)
-            vdec = self.v(dec)
+            vdec = self.v(_ORIGIN_LIMIT_GRID.copy())
             if not (np.all(np.isfinite(vdec)) and vdec[-1] < 0.05 * (1.0 + vdec[0])):
                 raise InvalidParams("v(t) -> 0 as t -> 0+ fails on samples")
 
@@ -843,9 +854,8 @@ class CurvatureProfile:
         if self.b_const < 0:
             raise InvalidParams("b_const must be >= 0")
         if self.validate:
-            grid = np.geomspace(1e-3, 1e3, 41)
-            ks = _samples(self.k, grid)
-            if _failing(grid, ks, -self.b_const ** 2, 1e-9, "K").any():
+            ks = _samples(self.k, _CURVATURE_GRID.copy())
+            if _failing(_CURVATURE_GRID, ks, -self.b_const ** 2, 1e-9, "K").any():
                 raise InvalidParams(
                     f"K >= -B^2 fails on samples (min {float(np.min(ks)):.6g})")
 

@@ -39,6 +39,11 @@ def rayleigh_quotient(pair, traj, t2, tol=1e-9):
     so integrating by parts against the equation the quotient is zero up
     to discretization error -- this is the identity that turns a zero of
     the radial problem into a negative-spectrum certificate.
+
+    The three integrals (gradient, potential, mass) refine the same
+    panels, so their integrands share one sample per panel: v, W and the
+    trajectory's value and derivative at its nodes, each evaluated once and
+    kept by the nodes' bytes for the duration of this call.
     """
     cert = None
     for z in traj.zeros:
@@ -50,15 +55,25 @@ def rayleigh_quotient(pair, traj, t2, tol=1e-9):
     v = pair.v
     w = pair.w
     lo = traj.t_start
+    panels = {}
+
+    def sample(t):
+        key = t.tobytes()
+        if key not in panels:
+            panels[key] = v(t), w(t), *traj(t)
+        return panels[key]
 
     def grad_term(t):
-        return v(t) * traj.derivative(t) ** 2
+        vt, _, _, derivative = sample(t)
+        return vt * derivative ** 2
 
     def pot_term(t):
-        return w(t) * v(t) * traj.value(t) ** 2
+        vt, wt, value, _ = sample(t)
+        return wt * vt * value ** 2
 
     def mass_term(t):
-        return v(t) * traj.value(t) ** 2
+        vt, _, value, _ = sample(t)
+        return vt * value ** 2
 
     cut = cert.location
     numerator = (integrate(grad_term, lo, cut, tol=tol)

@@ -211,6 +211,16 @@ class TestSolveRadial:
                 with pytest.raises(OutOfValidity):
                     traj.state(arg)
 
+    def test_nan_abscissa_is_out_of_validity(self, sinc_pair):
+        # NaN compares false both ways, so only a positive test of
+        # inside-ness refuses it, for a scalar and for an array entry
+        for traj in (solve_radial(sinc_pair, 1.0, horizon=10.0),
+                     solve_jacobi(CurvatureProfile(constant(1.0), m=2), 10.0)):
+            for arg in (math.nan, np.float64(math.nan), np.array([1.0, math.nan])):
+                for name in ("state", "value", "flux", "derivative"):
+                    with pytest.raises(OutOfValidity):
+                        getattr(traj, name)(arg)
+
     def test_scalar_calls_return_floats(self, sinc_pair):
         # float, int and np.float64 give Python floats equal to the array
         # path's entries; arrays give arrays
@@ -622,6 +632,68 @@ def test_one_step_matches_scipys_dop853(case):
     dense = Dop853DenseOutput(0.0, ours.t, np.array([0.3, 1.0]), np.array(ours.rows))
     np.testing.assert_allclose(dense(ts), ref.dense_output()(ts), rtol=1e-13, atol=1e-15)
     assert ours.nfev == ref.nfev
+
+
+def combine(ks, row):
+    """sum of a * k over the (stage, a) pairs of ``row``, per component: the
+    loop that the generated DOP853 kernel unrolls."""
+    a = b = 0.0
+    for j, c in row:
+        k0, k1 = ks[j]
+        a += c * k0
+        b += c * k1
+    return a, b
+
+
+def stages_by_loop(rhs, t, h, y0, y1, f):
+    """What ``_trial`` and ``_extra`` return, by loops over the tableau."""
+    dop = sturmosc._dop853
+    ks = [f]
+    for c, row in dop._STAGES:
+        d0, d1 = combine(ks, row)
+        ks.append(rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h)))
+    b0, b1 = combine(ks, dop._B)
+    n0, n1 = y0 + h * b0, y1 + h * b1
+    ks.append(rhs(t + h, (n0, n1)))
+    trial = (n0, n1, *combine(ks, dop._E5), *combine(ks, dop._E3), tuple(ks))
+    for c, row in dop._EXTRA_STAGES:
+        d0, d1 = combine(ks, row)
+        ks.append(rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h)))
+    return trial, [(h * a, h * b) for a, b in (combine(ks, row) for row in dop._D)]
+
+
+def float_bits(x):
+    """The bytes of every float in a nest of tuples and lists, signs of zero included."""
+    return np.array(x, dtype=float).tobytes()
+
+
+SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-10.0, 10.0)
+
+
+@given(st.tuples(SIGNED, SIGNED, SIGNED, SIGNED), st.floats(-1e3, 1e3),
+       st.floats(1e-9, 10.0), SIGNED, SIGNED)
+@settings(max_examples=200, deadline=None)
+@example((-0.0, -0.0, -0.0, -0.0), 0.0, 1.0, -0.0, -0.0)
+@example((0.0, -1.0, 1.0, -0.0), -0.0, 0.5, -0.0, 0.0)
+def test_generated_kernel_matches_the_loop_bit_for_bit(m, t, h, y0, y1):
+    # a sum that started from its first term instead of 0.0 would keep a
+    # -0.0 there: the signed zeros pin the start
+    abscissae = []
+
+    def rhs(t, y):
+        abscissae.append(t)
+        return (m[0] * y[0] + m[1] * y[1], m[2] * y[0] + m[3] * y[1])
+
+    f = rhs(t, (y0, y1))
+    (*trial_ref, ks_ref), rows_ref = stages_by_loop(rhs, t, h, y0, y1, f)
+    ref_abscissae = abscissae[1:]
+    del abscissae[1:]
+    *trial, ks = sturmosc._dop853._trial(rhs, t, h, y0, y1, f)
+    assert float_bits(trial) == float_bits(trial_ref)
+    assert float_bits(ks) == float_bits(ks_ref)
+    rows = sturmosc._dop853._extra(rhs, t, h, y0, y1, ks)
+    assert float_bits(rows) == float_bits(rows_ref)
+    assert float_bits(abscissae[1:]) == float_bits(ref_abscissae)
 
 
 @pytest.mark.parametrize("case", SOLVES)

@@ -741,6 +741,76 @@ class TestCurvatureProfile:
             CurvatureProfile(k)
 
 
+def nan_past_ten(t):
+    return np.where(t > 10.0, np.nan, 1.0)
+
+
+# each validated construction with its verdict: None, or the error and its message
+VALIDATIONS = {
+    "v=t^2, W=1": (lambda: CoefficientPair(power(1.0, 2.0), constant(1.0)), None),
+    "v=1 from the origin": (
+        lambda: CoefficientPair(constant(1.0), constant(1.0), b_const=1.0),
+        (InvalidParams, "v(t) -> 0 as t -> 0+ fails on samples")),
+    "W*v^2 below -B^2": (
+        lambda: CoefficientPair(power(1.0, 2.0), constant(-1.0), b_const=0.5),
+        (InvalidParams, "W*v^2 >= -B^2 fails on samples (min -1e+12 < -0.25)")),
+    "W=-1/t^3 on t_start=2": (
+        lambda: CoefficientPair(power(1.0, 2.0), power(-1.0, -3.0), b_const=0.9, t_start=2.0),
+        (InvalidParams, "W*v^2 >= -B^2 fails on samples (min -20000 < -0.81)")),
+    "W=-1/t^3 on t_start=0.5": (
+        lambda: CoefficientPair(power(1.0, 2.0), power(-1.0, -3.0), b_const=0.9, t_start=0.5),
+        (InvalidParams, "W*v^2 >= -B^2 fails on samples (min -5000 < -0.81)")),
+    "v=t-1 from the origin": (
+        lambda: CoefficientPair(add(power(1.0, 1.0), constant(-1.0)), constant(1.0)),
+        (InvalidParams, "v must be positive on (t_start, +inf)")),
+    "W NaN past 10": (
+        lambda: CoefficientPair(power(1.0, 2.0), Profile(nan_past_ten)),
+        (NonFiniteSample, "W*v^2 is NaN near t = 11.2202")),
+    "K=1": (lambda: CurvatureProfile(constant(1.0)), None),
+    "K=e^t-3, B=1": (
+        lambda: CurvatureProfile(add(exponential(1.0, 1.0), constant(-3.0)), b_const=1.0),
+        (InvalidParams, "K >= -B^2 fails on samples (min -1.999)")),
+    "K=-t, B=1": (
+        lambda: CurvatureProfile(power(-1.0, 1.0), b_const=1.0),
+        (InvalidParams, "K >= -B^2 fails on samples (min -1000)")),
+    "K NaN past 10": (
+        lambda: CurvatureProfile(Profile(nan_past_ten)),
+        (NonFiniteSample, "K is NaN near t = 11.2202")),
+}
+
+
+def verdict(make):
+    try:
+        make()
+    except (InvalidParams, NonFiniteSample) as e:
+        return type(e), str(e)
+    return None
+
+
+class TestValidationGrids:
+    """The validation grids are built once and sampled through copies."""
+
+    @pytest.mark.parametrize("case", VALIDATIONS)
+    def test_verdicts_and_messages(self, case):
+        make, expected = VALIDATIONS[case]
+        assert verdict(make) == expected
+        assert verdict(make) == expected
+
+    def test_a_mutating_evaluator_leaves_later_checks_alone(self):
+        def scribbling(f):
+            def evaluator(t):
+                out = f(t)
+                if isinstance(t, np.ndarray):
+                    t[...] = np.nan
+                return out
+            return Profile(evaluator)
+
+        CoefficientPair(scribbling(lambda t: t * t), scribbling(lambda t: 1.0 + 0.0 * t))
+        CurvatureProfile(scribbling(lambda t: 1.0 + 0.0 * t))
+        for make, expected in VALIDATIONS.values():
+            assert verdict(make) == expected
+
+
 def failing_loop(ts, f, floor, rel):
     """The one sampled rule, one sample at a time: the failing mask, or the
     node of the first NaN."""

@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sturmosc import (CoefficientPair, HypothesisViolated, InvalidParams,
+from sturmosc import (CoefficientPair, CurvatureProfile, HypothesisViolated, InvalidParams,
                       NonFiniteSample, NoZeroAtT2, Profile, Status, TailInfoMissing,
                       check_first_zero, check_yamabe, constant, index_lower_bound,
-                      instability_at_infinity, lambda1_negative, power,
-                      rayleigh_quotient, solve_radial, spectral_report,
+                      instability_at_infinity, integrate, lambda1_negative, power,
+                      rayleigh_quotient, solve_jacobi, solve_radial, spectral_report,
                       yamabe_constant)
 from sturmosc.criteria import Conclusion
 from conftest import euler_pair, moore_pair, pole_pair
@@ -35,6 +36,65 @@ class TestRayleighQuotient:
         traj = solve_radial(pair, 1.0, horizon=100.0)
         t2 = traj.zeros[0].location
         assert abs(rayleigh_quotient(pair, traj, t2)) <= 1e-6
+
+
+class CountingDense:
+    """A trajectory's dense output that keeps the bytes of every abscissa array."""
+
+    def __init__(self, dense):
+        self.dense, self.calls = dense, []
+
+    def __call__(self, t):
+        self.calls.append(t.tobytes())
+        return self.dense(t)
+
+
+def counted(traj):
+    return dataclasses.replace(traj, dense=CountingDense(traj.dense))
+
+
+def independent_quotient(pair, traj, cut, tol=1e-9):
+    """The Rayleigh quotient with each integrand sampling the trajectory itself."""
+    v, w = pair.v, pair.w
+
+    def grad_term(t):
+        return v(t) * traj.derivative(t) ** 2
+
+    def pot_term(t):
+        return w(t) * v(t) * traj.value(t) ** 2
+
+    def mass_term(t):
+        return v(t) * traj.value(t) ** 2
+
+    lo = traj.t_start
+    return ((integrate(grad_term, lo, cut, tol=tol) - integrate(pot_term, lo, cut, tol=tol))
+            / integrate(mass_term, lo, cut, tol=tol))
+
+
+SHARED_SAMPLE_CASES = {
+    "sinc": lambda: (CoefficientPair(power(1.0, 2.0), constant(1.0), b_const=0.0), None, 10.0),
+    "v=t^2, W=2.5": lambda: (CoefficientPair(power(1.0, 2.0), constant(2.5), b_const=0.0),
+                             None, 30.0),
+    # u'' + u = 0 is the pair v = 1, W = 1; a Jacobi trajectory has no weight
+    "jacobi K=1": lambda: (CoefficientPair(constant(1.0), constant(1.0), validate=False),
+                           CurvatureProfile(constant(1.0)), 10.0),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_SAMPLE_CASES)
+def test_shared_samples_give_the_independent_quotient(case):
+    pair, k, horizon = SHARED_SAMPLE_CASES[case]()
+    traj = (solve_radial(pair, 1.0, horizon=horizon) if k is None
+            else solve_jacobi(k, horizon))
+    assert (traj.weight is None) == (k is not None)
+    assert len(traj.zeros) >= 3
+    for z in traj.zeros[:4]:
+        ours, ref = counted(traj), counted(traj)
+        q = rayleigh_quotient(pair, ours, z.location)
+        assert q.hex() == independent_quotient(pair, ref, z.location).hex()
+        # one dense evaluation per distinct panel, where each integrand sampled its own
+        assert sorted(ours.dense.calls) == sorted(set(ref.dense.calls))
+        assert len(ref.dense.calls) > len(ours.dense.calls)
 
 
 class TestLambda1Negative:
