@@ -1,9 +1,11 @@
 """DOP853 on Python floats, for the two-component systems of :mod:`sturmosc.ode`.
 
-This module imports scipy's DOP853 tableau, its step control constants and
-its initial-step rule, so :mod:`sturmosc.ode` imports it on the first solve
-rather than at import.  The step floor and the stepper class are read from
-here on every solve.  Steps run forward only.
+The module holds DOP853's tableau and step control constants as float
+literals, the nonzero entries of the coefficients scipy ships, and ports
+Hairer, Norsett and Wanner's first step; it imports numpy only.
+``tests/test_ode.py`` checks the literals, the constants and the first
+step against scipy bit for bit.  The step floor and the stepper class are
+read from here on every solve.  Steps run forward only.
 
 The stages run as straight-line code.  At import the module writes the
 source of two functions from the nonzero entries of whatever tableau it
@@ -21,10 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _DOP
-from scipy.integrate._ivp.common import select_initial_step
-from scipy.integrate._ivp.rk import (MAX_FACTOR as _MAX_FACTOR,
-                                     MIN_FACTOR as _MIN_FACTOR, SAFETY as _SAFETY)
 
 # an accepted step shorter than this many ulps of t no longer resolves the
 # solution in t (scipy itself only gives up below 10 ulp)
@@ -33,24 +31,90 @@ MIN_STEP_ULPS = 1024
 # factor that follows from it
 _ERROR_ORDER = 7
 _ERROR_EXPONENT = -1.0 / (_ERROR_ORDER + 1)
+# step control: the safety factor on the optimal step, and the bounds on
+# the ratio of one step to the last
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+# the stages of one step: stage 0 is f(t, y), stage N_STAGES is f(t + h,
+# y_new), which the next step reuses as its stage 0
+N_STAGES = 12
 
-
-def _nonzero(row):
-    """The (stage, coefficient) pairs of one tableau row, zeros left out."""
-    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
-
-
-# DOP853's tableau (Hairer, Norsett and Wanner, Solving ODE I, II.10) as
-# scipy ships it: stages 1-11, the three extra stages of the dense output
+# DOP853's tableau (Hairer, Norsett and Wanner, Solving ODE I, II.10), each
+# row as its (stage, coefficient) pairs with the zeros left out: (c, row)
+# for stages 1-11 and for the three extra stages of the dense output
 # (13-15), the solution weights B, the embedded error weights E5 and E3,
-# and the four rows D of the dense-output polynomial.  Stage 12 is f(t + h,
-# y_new), which the next step reuses as its stage 0.
-_STAGES = tuple((float(c), _nonzero(a)) for c, a in
-                zip(_DOP.C[1:_DOP.N_STAGES], _DOP.A[1:_DOP.N_STAGES]))
-_EXTRA_STAGES = tuple((float(c), _nonzero(a)) for c, a in
-                      zip(_DOP.C[_DOP.N_STAGES + 1:], _DOP.A[_DOP.N_STAGES + 1:]))
-_B, _E5, _E3 = _nonzero(_DOP.B), _nonzero(_DOP.E5), _nonzero(_DOP.E3)
-_D = tuple(_nonzero(row) for row in _DOP.D)
+# and the four rows D of the dense-output polynomial.
+_STAGES = (
+    (0.05260015195876773, ((0, 0.05260015195876773),)),
+    (0.0789002279381516, ((0, 0.0197250569845379), (1, 0.0591751709536137))),
+    (0.1183503419072274, ((0, 0.02958758547680685), (2, 0.08876275643042054))),
+    (0.2816496580927726,
+     ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792))),
+    (0.3333333333333333,
+     ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242))),
+    (0.25,
+     ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
+      (5, -0.017578125))),
+    (0.3076923076923077,
+     ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+      (5, -0.015319437748624402), (6, 0.008273789163814023))),
+    (0.6512820512820513,
+     ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+      (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996))),
+    (0.6,
+     ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+      (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+      (8, -0.020331201708508627))),
+    (0.8571428571428571,
+     ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+      (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+      (8, 2.4936055526796523), (9, -3.0467644718982196))),
+    (1.0,
+     ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+      (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+      (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636))),
+)
+_EXTRA_STAGES = (
+    (0.1,
+     ((0, 0.056167502283047954), (6, 0.25350021021662483), (7, -0.2462390374708025),
+      (8, -0.12419142326381637), (9, 0.15329179827876568), (10, 0.00820105229563469),
+      (11, 0.007567897660545699), (12, -0.008298))),
+    (0.2,
+     ((0, 0.03183464816350214), (5, 0.028300909672366776), (6, 0.053541988307438566),
+      (7, -0.05492374857139099), (10, -0.00010834732869724932),
+      (11, 0.0003825710908356584), (12, -0.00034046500868740456),
+      (13, 0.1413124436746325))),
+    (0.7777777777777778,
+     ((0, -0.42889630158379194), (5, -4.697621415361164), (6, 7.683421196062599),
+      (7, 4.06898981839711), (8, 0.3567271874552811), (12, -0.0013990241651590145),
+      (13, 2.9475147891527724), (14, -9.15095847217987))),
+)
+_B = ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+      (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+      (10, 0.20136540080403034), (11, 0.04471061572777259))
+_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+       (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+       (10, 0.08192320648511571), (11, -0.022355307863886294))
+_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+       (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+       (10, 0.20136540080403034), (11, 0.02265179219836082))
+_D = (
+    ((0, -8.428938276109013), (5, 0.5667149535193777), (6, -3.0689499459498917),
+     (7, 2.38466765651207), (8, 2.117034582445028), (9, -0.871391583777973),
+     (10, 2.2404374302607883), (11, 0.6315787787694688), (12, -0.08899033645133331),
+     (13, 18.148505520854727), (14, -9.194632392478356), (15, -4.436036387594894)),
+    ((0, 10.427508642579134), (5, 242.28349177525817), (6, 165.20045171727028),
+     (7, -374.5467547226902), (8, -22.113666853125306), (9, 7.733432668472264),
+     (10, -30.674084731089398), (11, -9.332130526430229), (12, 15.697238121770845),
+     (13, -31.139403219565178), (14, -9.35292435884448), (15, 35.81684148639408)),
+    ((0, 19.985053242002433), (5, -387.0373087493518), (6, -189.17813819516758),
+     (7, 527.8081592054236), (8, -11.57390253995963), (9, 6.8812326946963),
+     (10, -1.0006050966910838), (11, 0.7777137798053443), (12, -2.778205752353508),
+     (13, -60.19669523126412), (14, 84.32040550667716), (15, 11.99229113618279)),
+    ((0, -25.69393346270375), (5, -154.18974869023643), (6, -231.5293791760455),
+     (7, 357.6391179106141), (8, 93.40532418362432), (9, -37.45832313645163),
+     (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
+     (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564)),
+)
 
 
 def _sum(row, component):
@@ -67,7 +131,7 @@ def _stage(j, c, row):
 
 def _kernel_source():
     """Source of ``_trial`` and ``_extra``, straight-line code over the tableau above."""
-    last = len(_STAGES) + 1
+    last = N_STAGES
     stages = ", ".join(f"k{j}" for j in range(last + 1))
     trial = ["def _trial(rhs, t, h, y0, y1, k0):", "k0_0, k0_1 = k0"]
     for j, (c, row) in enumerate(_STAGES, 1):
@@ -93,6 +157,32 @@ exec(compile(_kernel_source(), "<sturmosc._dop853 kernel>", "exec"), _KERNEL)
 _trial, _extra = _KERNEL["_trial"], _KERNEL["_extra"]
 
 
+def _rms(x):
+    """The root mean square of the array ``x``, by scipy's ``norm``."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(rhs, t0, y0, f0, t_bound, rtol, atol):
+    """The first step of a forward solve (Hairer, Norsett and Wanner, Solving
+    ODE I, II.4), by the numpy operations of scipy's ``select_initial_step``
+    for DOP853 with no maximum step; it calls ``rhs`` once, on an array state."""
+    interval_length = t_bound - t0
+    if interval_length == 0.0:
+        return 0.0
+    y0, f0 = np.array(y0), np.array(f0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = rhs(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ORDER + 1))
+    return min(100 * h0, h1, interval_length)
+
+
 class Stepper:
     """DOP853 steps on Python floats, forward from t0 to t_bound >= t0.
 
@@ -100,8 +190,8 @@ class Stepper:
     per-call overhead dominates the arithmetic, so ``y`` is a pair of
     floats.  The state is ``t``, ``y``, ``f`` = rhs(t, y), the next step
     size ``h_abs``, the count of right-hand side calls ``nfev`` and the last
-    step's dense rows ``rows``.  The first step is scipy's ``select_initial_step`` for
-    DOP853; ``nfev`` counts f0 and its trial call, as scipy's solver does.
+    step's dense rows ``rows``.  The first step is :func:`_initial_step`;
+    ``nfev`` counts f0 and its trial call, as scipy's solver does.
     ``step`` repeats scipy's stages, error norm and step control, and returns
     None, or the reason no step could be accepted, as scipy's
     ``OdeSolver.step`` does.  Each accepted step also runs the three extra
@@ -123,15 +213,9 @@ class Stepper:
     def __init__(self, rhs, t0, y0, t_bound, *, rtol, atol):
         self.rhs, self.t, self.t_bound, self.rtol, self.atol = rhs, t0, t_bound, rtol, atol
         self.y = float(y0[0]), float(y0[1])
-        self.f, self.nfev, self.rows = rhs(t0, self.y), 1, None
-
-        def counted(t, y):
-            self.nfev += 1
-            return rhs(t, y)
-
-        self.h_abs = float(select_initial_step(
-            counted, t0, np.array(self.y), t_bound, math.inf, np.array(self.f),
-            1, _ERROR_ORDER, rtol, atol))
+        # nfev counts f0 and the first step's trial call
+        self.f, self.nfev, self.rows = rhs(t0, self.y), 2, None
+        self.h_abs = float(_initial_step(rhs, t0, self.y, self.f, t_bound, rtol, atol))
 
     def step(self):
         """Take one accepted step: None, or the reason no step could be taken."""
@@ -157,21 +241,21 @@ class Stepper:
             else:
                 error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
             if error_norm == 0.0:
-                factor = _MAX_FACTOR
+                factor = MAX_FACTOR
             else:
-                factor = _SAFETY * error_norm ** _ERROR_EXPONENT
+                factor = SAFETY * error_norm ** _ERROR_EXPONENT
             if error_norm < 1.0:
-                h_abs = h * min(1.0 if rejected else _MAX_FACTOR, factor)
+                h_abs = h * min(1.0 if rejected else MAX_FACTOR, factor)
                 break
-            h_abs = h * max(_MIN_FACTOR, factor)
+            h_abs = h * max(MIN_FACTOR, factor)
             rejected = True
         if t_new != t_bound and h < MIN_STEP_ULPS * math.ulp(t):
             return f"step shorter than {MIN_STEP_ULPS} ulp of t"
         extra = _extra(rhs, t, h, y0, y1, ks)
         self.nfev += len(_EXTRA_STAGES)
-        (p0, p1), (q0, q1) = f, ks[_DOP.N_STAGES]
+        (p0, p1), (q0, q1) = f, ks[N_STAGES]
         dy0, dy1 = n0 - y0, n1 - y1
         self.rows = [(dy0, dy1), (h * p0 - dy0, h * p1 - dy1),
                      (2.0 * dy0 - h * (q0 + p0), 2.0 * dy1 - h * (q1 + p1)), *extra]
-        self.t, self.y, self.f, self.h_abs = t_new, (n0, n1), ks[_DOP.N_STAGES], h_abs
+        self.t, self.y, self.f, self.h_abs = t_new, (n0, n1), ks[N_STAGES], h_abs
         return None

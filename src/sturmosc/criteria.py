@@ -384,14 +384,21 @@ def _product_limit(pair):
     return 0.0, True
 
 
+# The two witnesses below only illustrate a verdict that tail algebra
+# decides, so like check_bmr's they are NaN where the integral of W v leaves
+# the float range (v = e^t overflows past t ~ 709) or will not converge.
+
 def _product_witness(pair, R, horizon, tol):
     ts = np.geomspace(max(2.0 * R, R + 1.0), horizon, 16)
     try:
         tails = tail_integral(pair.v_inv, ts, tol=tol)
     except TailInfoMissing:
         return {}
+    try:
+        products = cumulative(pair.wv, np.append(R, ts), tol=tol)[1:] * tails
+    except (NonFiniteSample, ToleranceNotMet):
+        return {"max_product": math.nan, "argmax_t": math.nan}
     best_t, best = float(ts[0]), -math.inf
-    products = cumulative(pair.wv, np.append(R, ts), tol=tol)[1:] * tails
     for t, val in zip(ts, products):
         if val > best:
             best_t, best = float(t), float(val)
@@ -400,7 +407,10 @@ def _product_witness(pair, R, horizon, tol):
 
 def _window_sup_witness(pair, R, horizon, tol):
     ts = np.geomspace(max(R, 1e-3), horizon, 48)
-    acc = cumulative(pair.wv, ts, tol=tol)
+    try:
+        acc = cumulative(pair.wv, ts, tol=tol)
+    except (NonFiniteSample, ToleranceNotMet):
+        return {"window_sup": math.nan}
     running_min = np.minimum.accumulate(acc)
     sup = float(np.max(acc - running_min))
     return {"window_sup": sup}

@@ -7,13 +7,10 @@ origin benign: v z' -> 0 as t -> 0+ for admissible pairs.
 
 Each solve is one pass of :func:`solve_ivp`, a step loop over the float
 DOP853 stepper of :mod:`sturmosc._dop853` that keeps every node and every
-step's dense rows; the stepper, and scipy with it, is imported on the
-first solve.
+step's dense rows.
 
 Every sign change of the dense output is bracketed by bisection into a
-:class:`ZeroCertificate`; near-zeros without a sign change are reported
-as suspects (they indicate numerical trouble, not geometry: a nontrivial
-solution of a second-order linear ODE cannot have a double zero).
+:class:`ZeroCertificate`.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _dop853
 from .errors import (InvalidParams, NonFiniteSample, OutOfValidity,
                      SingularStartFailure, ToleranceNotMet)
 from .profiles import (CurvatureProfile, DEFAULT_TOL, Profile, _check_tol, cumulative,
@@ -134,7 +132,6 @@ class Trajectory:
     values: np.ndarray
     fluxes: np.ndarray
     zeros: tuple
-    suspects: tuple
     terminated_reason: str  # "horizon" | "zero_cap" | "step_underflow"
     t_start: float
     t_end: float
@@ -243,21 +240,6 @@ def _scan_chunk(sol, zero_tol):
     return certs
 
 
-def _find_suspects(ts, vals):
-    """Interior nodes where |value| has a tiny local minimum without a sign change."""
-    if len(vals) < 3:
-        return []
-    mag = np.abs(vals)
-    scale = float(np.max(mag))
-    if scale == 0.0:
-        return []
-    sign, mid = np.sign(vals), mag[1:-1]
-    hit = ((sign[:-2] == sign[1:-1]) & (sign[1:-1] == sign[2:])
-           & (mid <= mag[:-2]) & (mid <= mag[2:])
-           & (0 < mid) & (mid < 1e-9 * scale))
-    return ts[1:-1][hit].tolist()
-
-
 @dataclass(frozen=True)
 class _Pass:
     """One DOP853 pass: nodes, states (2 x nodes) and each step's dense rows."""
@@ -278,7 +260,6 @@ def solve_ivp(rhs, t0, y0, horizon, rtol, atol, zero_cap):
     reached on the last step wins over the horizon, as in scipy's
     ``solve_ivp``.  Every solve runs through this one call, once.
     """
-    from . import _dop853
     solver = _dop853.Stepper(rhs, t0, y0, horizon, rtol=rtol, atol=atol)
     ts, ys, rows = [solver.t], [solver.y], []
     cap = math.inf if zero_cap is None else zero_cap + (y0[0] == 0.0)
@@ -310,9 +291,7 @@ def _drive(rhs, t0, y0, horizon, tol, zero_tol, zero_cap, weight):
                     zero_cap)
     dense = _DenseTable(sol.t, sol.y, sol.rows) if len(sol.t) > 1 else None
     zeros = _scan_chunk(dense, zero_tol)[:zero_cap]
-    suspects = _find_suspects(sol.t, sol.y[0])
     return Trajectory(ts=sol.t, values=sol.y[0], fluxes=sol.y[1], zeros=tuple(zeros),
-                      suspects=tuple(suspects),
                       terminated_reason=_REASONS[sol.status],
                       t_start=float(t0), t_end=float(sol.t[-1]),
                       dense=dense, weight=weight, rhs=rhs)

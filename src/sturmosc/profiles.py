@@ -559,11 +559,14 @@ def integrate(p, a, b, tol=DEFAULT_TOL):
     return integrate_err(p, a, b, tol=tol)[0]
 
 
-def cumulative(p, ts, tol=DEFAULT_TOL):
-    """Running integrals [0, integral over [ts0, ts1], ...] of ``p`` along ``ts``.
+def cumulative(p, ts, tol=DEFAULT_TOL, origin=0):
+    """Running integrals [0, integral over [ts0, ts1], ...] of ``p`` along ``ts``,
+    or, with ``origin`` = i, the signed integrals from ts[i] to each knot.
 
     Each segment's integral is the one :func:`integrate` gives, bit for
-    bit, and the pieces are summed left to right, so ``ts`` must be
+    bit, and the pieces are summed outward from ts[origin] (left to right
+    by default), so a knot near the origin keeps its relative accuracy
+    however large the integral over the far knots; ``ts`` must be
     nondecreasing.  The first G7-K15 panel of every nonempty segment is
     sampled in one evaluator call; only the segments whose first panel
     misses ``tol`` go on to the adaptive bisection.  A non-finite sample
@@ -596,7 +599,8 @@ def cumulative(p, ts, tol=DEFAULT_TOL):
             pieces[j] = k
     if stop < len(segments):
         _check_interval(*segments[stop])
-    return np.cumsum([0.0] + pieces)
+    behind = -np.cumsum(pieces[:origin][::-1])[::-1]
+    return np.concatenate([behind, np.cumsum([0.0] + pieces[origin:])])
 
 
 # ---------------------------------------------------------------------------

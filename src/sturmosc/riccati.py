@@ -124,12 +124,14 @@ def _signed_integral(v_inv, t0, t, tol):
 def _integral_coordinate(flavor, t, pair, tol):
     """I(t) at t, a float or an array: t itself, or the signed integral of
     1/v over [1, t], read off one running integral along the sorted
-    abscissae with 1 among them."""
+    abscissae with 1 among them, summed outward from 1: a difference of
+    two sums from the least abscissa would lose the digits of I(t) to the
+    integral below 1, and a t near the pole magnifies the loss."""
     if flavor == "jacobi":
         return t
     knots = np.array(sorted({1.0, *np.ravel(t).tolist()}))
-    running = cumulative(pair.v_inv, knots, tol=tol)
-    return running[np.searchsorted(knots, t)] - running[np.searchsorted(knots, 1.0)]
+    one = int(np.searchsorted(knots, 1.0))
+    return cumulative(pair.v_inv, knots, tol=tol, origin=one)[np.searchsorted(knots, t)]
 
 
 _coth_bands = np.vectorize(coth_band, otypes=[float])
@@ -228,14 +230,70 @@ def blow_up_time(fam, tol=DEFAULT_TOL):
             break
         t, total = nxt, reached
 
-    from scipy.optimize import brentq
-
     def g(x):
         return total + _signed_integral(v_inv, t, x, tol) - s
 
     lo, hi = min(t, nxt), max(t, nxt)
     # xtol scales with the segment, so a pole near 0 keeps its relative accuracy
-    return float(brentq(g, lo, hi, xtol=1e-15 * lo, rtol=1e-13))
+    return _brent_root(g, lo, hi, xtol=1e-15 * lo, rtol=1e-13)
+
+
+def _brent_root(f, a, b, xtol, rtol, maxiter=100):
+    """A root of ``f`` in [a, b] by Brent's zeroin (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), the steps of scipy's
+    ``brentq`` in its order, so the root is ``brentq``'s to the last bit.
+
+    Each iteration keeps a bracket [x, x_blk] with x the better end, stops
+    once f(x) = 0 or half the bracket is below (xtol + rtol |x|)/2, and
+    otherwise tries an inverse interpolation (secant, or quadratic once
+    three distinct points are known), falling back to bisection unless the
+    try is short enough.  ValueError for a NaN value of ``f`` or ends
+    without a sign change, RuntimeError after ``maxiter`` iterations.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    x_pre, x = a, b
+    f_pre, fx = value(x_pre), value(x)
+    if f_pre == 0.0:
+        return x_pre
+    if fx == 0.0:
+        return x
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, fx):
+        raise ValueError("f(a) and f(b) must have different signs")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(maxiter):
+        # signbit, as brentq tests it, is the sign of these nonzero values
+        if f_pre != 0.0 and fx != 0.0 and (f_pre < 0.0) != (fx < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x - x_pre
+        if abs(f_blk) < abs(fx):
+            x_pre, x, x_blk = x, x_blk, x
+            f_pre, fx, f_blk = fx, f_blk, fx
+        delta = (xtol + rtol * abs(x)) / 2
+        s_bis = (x_blk - x) / 2
+        if fx == 0.0 or abs(s_bis) < delta:
+            return x
+        s_try = None
+        if abs(s_pre) > delta and abs(fx) < abs(f_pre):
+            if x_pre == x_blk:  # interpolate
+                s_try = -fx * (x - x_pre) / (fx - f_pre)
+            else:  # extrapolate
+                d_pre = (f_pre - fx) / (x_pre - x)
+                d_blk = (f_blk - fx) / (x_blk - x)
+                s_try = (-fx * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+        if s_try is not None and 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x, fx
+        x += s_cur if abs(s_cur) > delta else (delta if s_bis > 0 else -delta)
+        fx = value(x)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 class EnvelopeKind(enum.Enum):

@@ -472,6 +472,24 @@ class TestOscillation:
         assert v.status is INC
         assert v.witness["window_sup"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_product_witness_past_the_float_range_is_nan(self):
+        # W v = 0.3 e^t overflows past t ~ 709, inside the default horizon
+        # 1e4; the limsup 0.3 is certified by tail algebra all the same
+        pair = CoefficientPair(exponential(1.0, 1.0), constant(0.3), b_const=0.0,
+                               t_start=1.0)
+        v = check_oscillation(pair, 1.0)
+        assert v.status is INC
+        assert v.witness["certified_limsup"] == 0.3
+        assert math.isnan(v.witness["max_product"]) and math.isnan(v.witness["argmax_t"])
+
+    def test_window_witness_past_the_float_range_is_nan(self):
+        pair = CoefficientPair(constant(1.0), exponential(1.0, 1.0), b_const=0.0,
+                               t_start=1.0, validate=False)
+        v = check_oscillation(pair, 1.0)
+        assert v.status is SAT
+        assert v.witness["certified_limit"] == math.inf
+        assert math.isnan(v.witness["window_sup"])
+
 
 def bare_pair(integrable=None):
     """v = t^2 from a bare evaluator (no tail), integrability as declared."""

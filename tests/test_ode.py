@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, OdeSolution, solve_ivp as scipy_solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as scipy_dop853, rk as scipy_rk
+from scipy.integrate._ivp.common import select_initial_step
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 import sturmosc._dop853
@@ -17,7 +19,7 @@ from sturmosc import (CoefficientPair, CurvatureProfile, InvalidParams,
                       multiply, power, residual_max, solve_jacobi, solve_radial,
                       space_form, warped_model)
 from sturmosc.ode import (DEFAULT_ZERO_TOL, JACOBI_START, RADIAL_START,
-                          _drive, _find_suspects, _scan_chunk, _singular_start)
+                          _drive, _scan_chunk, _singular_start)
 from sturmosc.profiles import DEFAULT_TOL
 from conftest import euler_pair, euler_zeros, pole_pair
 
@@ -696,6 +698,54 @@ def test_generated_kernel_matches_the_loop_bit_for_bit(m, t, h, y0, y1):
     assert float_bits(abscissae[1:]) == float_bits(ref_abscissae)
 
 
+def nonzero(row):
+    """The (stage, coefficient) pairs of one tableau row, zeros left out."""
+    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+
+
+def test_tableau_literals_are_scipys_bit_for_bit():
+    dop, n = sturmosc._dop853, scipy_dop853.N_STAGES
+    assert dop.N_STAGES == n
+    ours = (dop._STAGES, dop._EXTRA_STAGES, dop._B, dop._E5, dop._E3, dop._D)
+    scipys = (tuple((float(c), nonzero(a)) for c, a in
+                    zip(scipy_dop853.C[1:n], scipy_dop853.A[1:n])),
+              tuple((float(c), nonzero(a)) for c, a in
+                    zip(scipy_dop853.C[n + 1:], scipy_dop853.A[n + 1:])),
+              nonzero(scipy_dop853.B), nonzero(scipy_dop853.E5), nonzero(scipy_dop853.E3),
+              tuple(nonzero(row) for row in scipy_dop853.D))
+    # == alone would let a literal's -0.0 or an int stand for scipy's float
+    assert repr(ours) == repr(scipys)
+    for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR"):
+        assert float_bits(getattr(dop, name)) == float_bits(getattr(scipy_rk, name))
+
+
+FIRST_STEP_RHS = {
+    "linear": lambda m: lambda t, y: (m[0] * y[0] + m[1] * y[1], m[2] * y[0] + m[3] * y[1]),
+    "airy": lambda m: lambda t, y: (y[1], -(m[0] + t) * y[0]),
+    "jump": lambda m: lambda t, y: (m[0] if t < 1.0 else m[1], m[2] * y[0]),
+}
+
+
+@given(st.sampled_from(sorted(FIRST_STEP_RHS)), st.tuples(SIGNED, SIGNED, SIGNED, SIGNED),
+       st.floats(-1e3, 1e3), st.tuples(SIGNED, SIGNED), st.floats(0.0, 1e4),
+       st.sampled_from([1e-13, 1e-9, 1e-6, 1e-3]), st.sampled_from([1e-14, 1e-12, 1e-8]))
+@settings(max_examples=300, deadline=None)
+@example("linear", (0.0, 0.0, 0.0, 0.0), 0.0, (0.0, 0.0), 10.0, 1e-9, 1e-13)  # zero y0, f0
+@example("linear", (0.0, 0.0, 0.0, 0.0), 0.0, (1.0, -2.0), 10.0, 1e-9, 1e-13)  # zero f0
+@example("linear", (0.0, 1.0, -1.0, 0.0), 2.0, (1.0, 0.5), 0.0, 1e-9, 1e-13)  # t_bound = t0
+# h0 = 14 is cut to the length 0.6, whose end lies past the jump
+@example("jump", (1e-3, 5.0, 0.0, 0.0), 0.5, (1.0, 1.0), 0.6, 1e-3, 1e-8)
+# zero y0 with f0 = (5, 0), and a trial step past the jump
+@example("jump", (5.0, -5.0, 0.0, 0.0), 0.999, (0.0, 0.0), 10.0, 1e-9, 1e-13)
+def test_first_step_is_scipys_select_initial_step(case, m, t0, y0, length, rtol, atol):
+    rhs = FIRST_STEP_RHS[case](m)
+    t_bound, f0 = t0 + length, rhs(t0, y0)
+    ours = sturmosc._dop853._initial_step(rhs, t0, y0, f0, t_bound, rtol, atol)
+    ref = select_initial_step(lambda t, y: np.asarray(rhs(t, y)), t0, np.array(y0),
+                              t_bound, math.inf, np.array(f0), 1, 7, rtol, atol)
+    assert float_bits(ours) == float_bits(ref)
+
+
 @pytest.mark.parametrize("case", SOLVES)
 def test_nfev_counts_every_rhs_call(case, monkeypatch):
     calls = []
@@ -764,29 +814,3 @@ def test_scalar_rhs_drives_like_the_numpy_rhs(case):
     for name in ("ts", "values", "fluxes"):
         assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes()
     assert (traj.zeros, traj.terminated_reason) == (ref.zeros, ref.terminated_reason)
-
-
-def find_suspects_loop(ts, vals):
-    """Per-node reference for :func:`sturmosc.ode._find_suspects`."""
-    out = []
-    if len(vals) < 3:
-        return out
-    scale = float(np.max(np.abs(vals)))
-    if scale == 0.0:
-        return out
-    for i in range(1, len(vals) - 1):
-        same = np.sign(vals[i - 1]) == np.sign(vals[i]) == np.sign(vals[i + 1])
-        local_min = abs(vals[i]) <= abs(vals[i - 1]) and abs(vals[i]) <= abs(vals[i + 1])
-        if same and local_min and 0 < abs(vals[i]) < 1e-9 * scale:
-            out.append(float(ts[i]))
-    return out
-
-
-@given(st.lists(st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 3e-13, 2.0, -1.0])
-                | st.floats(), max_size=30))
-@settings(max_examples=150, deadline=None)
-@example([1.0, 1e-12, 1e-12, 2e-12, 1.0, -1e-13, -1.0])
-def test_find_suspects_matches_loop(vals):
-    vals = np.array(vals, dtype=float)
-    ts = 1.0 + 0.25 * np.arange(len(vals))
-    assert _find_suspects(ts, vals) == find_suspects_loop(ts, vals)

@@ -102,6 +102,24 @@ class TestCumulative:
         ts = start + np.cumsum([0.0] + steps)
         assert cumulative(p, ts).tobytes() == segment_loop(p, ts).tobytes()
 
+    @given(st.sampled_from(sorted(INTEGRANDS)),
+           st.lists(st.floats(0.1, 5.0), min_size=1, max_size=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sums_segments_outward_from_the_origin(self, name, knots, data):
+        p, ts = INTEGRANDS[name], sorted(knots)
+        origin = data.draw(st.integers(0, len(ts) - 1))
+        pieces = [integrate(p, a, b) for a, b in zip(ts[:-1], ts[1:])]
+        expected, acc = [0.0] * len(ts), 0.0
+        for j in range(origin, len(pieces)):
+            acc += pieces[j]
+            expected[j + 1] = acc
+        acc = 0.0
+        for j in reversed(range(origin)):
+            acc += pieces[j]
+            expected[j] = -acc
+        got = cumulative(p, ts, origin=origin)
+        assert got.tobytes() == np.array(expected).tobytes()
+
     def test_sin_closed_form(self):
         ts = np.linspace(0.0, 10.0, 21)
         assert cumulative(np.sin, ts) == pytest.approx(1.0 - np.cos(ts),

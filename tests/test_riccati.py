@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from sturmosc import profiles, riccati
 from sturmosc import (AtPole, CoefficientPair, ComparisonFamily, CurvatureProfile,
@@ -163,6 +165,11 @@ class TestComparisonValue:
 
     @given(radial_families())
     @settings(max_examples=60, deadline=None)
+    # t = 3 lies near the pole: I(3) read as a difference of two sums from
+    # 0.25 was 14 ulps off the per-point I(3), rounded at the size of the
+    # integral over [0.25, 1]
+    @example((ComparisonFamily(0.25, 0.47251650921428867, "radial", CoefficientPair(
+        power(0.796875, 3.5), constant(0.0), b_const=0.25, validate=False)), [3.0, 0.25]))
     def test_array_matches_the_per_point_loop(self, drawn):
         fam, ts = drawn
         loop = np.array([comparison_value(fam, t) for t in ts])
@@ -350,6 +357,60 @@ class TestBlowUpTime:
         t1 = blow_up_time(ComparisonFamily(1.0, math.log(c) / 2.0, "jacobi"))
         t2 = blow_up_time(ComparisonFamily(1.0, math.log(c * factor) / 2.0, "jacobi"))
         assert t2 > t1
+
+
+def root_or_error(solver, f, a, b, xtol, rtol, maxiter):
+    """The root's repr (signed zeros apart), or the type and text of the error."""
+    try:
+        return repr(solver(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter))
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+ROOT_FUNCTIONS = {
+    # odd powers and roots of x - c, wiggled: flat or steep at the root
+    "power": lambda c, p: lambda x: (math.copysign(abs(x - c) ** p, x - c)
+                                     + 1e-3 * math.sin(7.0 * x)),
+    "exp": lambda c, p: lambda x: math.exp(p * x) - math.exp(p * c),
+    # a jump at c, and a function that is 0 on [c, c + p]
+    "step": lambda c, p: lambda x: -1.0 if x < c else p,
+    "flat": lambda c, p: lambda x: min(x - c, 0.0) + max(x - c - p, 0.0),
+    "nan past c": lambda c, p: lambda x: math.nan if x > c + p else x - c,
+}
+
+
+class TestBrentRoot:
+    @given(st.sampled_from(sorted(ROOT_FUNCTIONS)), st.floats(-5.0, 5.0),
+           st.floats(0.1, 5.0), st.floats(-10.0, 10.0), st.floats(1e-3, 20.0),
+           st.sampled_from([1e-15, 1e-12, 1e-6]) | st.floats(1e-300, 1e-2),
+           st.sampled_from([1e-13, 1e-8]) | st.floats(8.9e-16, 1e-2),
+           st.sampled_from([100, 100, 100, 5, 1, 0]))
+    @settings(max_examples=400, deadline=None)
+    @example("power", 0.0, 1.0, 0.0, 3.0, 1e-15, 1e-13, 100)     # a root at a
+    # a try that is short against |s_pre| but not against 3 |s_bis| - delta
+    @example("power", -2.64, 0.22, -3.5, 2.73, 1e-15, 1e-13, 100)
+    @example("power", 9.0, 1.0, 0.0, 3.0, 1e-15, 1e-13, 100)     # no sign change
+    @example("power", 1.3, 3.0, 0.0, 3.0, 1e-300, 8.9e-16, 5)    # out of iterations
+    @example("nan past c", 1.0, 0.5, 0.0, 3.0, 1e-15, 1e-13, 100)  # f(b) is NaN
+    def test_root_is_brentqs_bit_for_bit(self, kind, c, p, a, width, xtol, rtol, maxiter):
+        f = ROOT_FUNCTIONS[kind](c, p)
+        ours = root_or_error(riccati._brent_root, f, a, a + width, xtol, rtol, maxiter)
+        assert ours == root_or_error(brentq, f, a, a + width, xtol, rtol, maxiter)
+
+    @given(radial_families())
+    @settings(max_examples=60, deadline=None)
+    def test_pole_search_root_is_brentqs(self, drawn):
+        fam, _ = drawn
+        real, solves = riccati._brent_root, []
+
+        def both(g, lo, hi, xtol, rtol):
+            solves.append((root_or_error(real, g, lo, hi, xtol, rtol, 100),
+                           root_or_error(brentq, g, lo, hi, xtol, rtol, 100)))
+            return real(g, lo, hi, xtol=xtol, rtol=rtol)
+
+        with mock.patch.object(riccati, "_brent_root", both):
+            blow_up_time(fam)
+        assert all(ours == theirs for ours, theirs in solves)
 
 
 class TestEnvelope:

@@ -6,10 +6,10 @@ import pytest
 
 from sturmosc import (CoefficientPair, CurvatureProfile, HypothesisViolated, InvalidParams,
                       NonFiniteSample, NoZeroAtT2, Profile, Status, TailInfoMissing,
-                      check_first_zero, check_yamabe, constant, index_lower_bound,
-                      instability_at_infinity, integrate, lambda1_negative, power,
-                      rayleigh_quotient, solve_jacobi, solve_radial, spectral_report,
-                      yamabe_constant)
+                      check_first_zero, check_yamabe, constant, exponential,
+                      index_lower_bound, instability_at_infinity, integrate,
+                      lambda1_negative, power, rayleigh_quotient, solve_jacobi,
+                      solve_radial, spectral_report, yamabe_constant)
 from sturmosc.criteria import Conclusion
 from conftest import euler_pair, moore_pair, pole_pair
 
@@ -137,6 +137,14 @@ class TestInstabilityAtInfinity:
         pair = CoefficientPair(constant(1.0), constant(-1.0), b_const=1.0,
                                t_start=1.0, validate=False)
         assert instability_at_infinity(pair, 1.0).status is Status.INCONCLUSIVE
+
+    def test_witness_past_the_float_range_is_not_fatal(self):
+        # the oscillation witness of W v = 0.3 e^t overflows past t ~ 709
+        pair = CoefficientPair(exponential(1.0, 1.0), constant(0.3), b_const=0.0,
+                               t_start=1.0)
+        v = instability_at_infinity(pair, 1.0)
+        assert v.status is Status.INCONCLUSIVE
+        assert math.isnan(v.witness["max_product"])
 
 
 class TestIndexLowerBound:
