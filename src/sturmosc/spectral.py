@@ -17,7 +17,7 @@ from .criteria import (Verdict, _status, _strict_margin, check_first_zero,
                        check_oscillation, first_zero_threshold)
 from .errors import HypothesisViolated, InvalidParams, NoZeroAtT2
 from .profiles import (DEFAULT_TOL, CoefficientPair, _failing, _samples, constant,
-                       integrate, multiply, scaled)
+                       cumulative, integrate, multiply, scaled)
 from .ode import solve_radial
 
 __all__ = [
@@ -35,32 +35,37 @@ __all__ = [
 def rayleigh_quotient(pair, traj, t2, tol=1e-9):
     """Rayleigh quotient of the radial test function cut at a certified zero.
 
-    The test function equals the solution on [0, t2] and vanishes beyond,
-    so integrating by parts against the equation the quotient is zero up
-    to discretization error -- this is the identity that turns a zero of
-    the radial problem into a negative-spectrum certificate.
+    The test function equals the solution on [t_start, t2] and vanishes
+    beyond, so integrating by parts against the equation the quotient is
+    zero up to discretization error -- this is the identity that turns a
+    zero of the radial problem into a negative-spectrum certificate.
 
-    The three integrals (gradient, potential, mass) refine the same
-    panels, so their integrands share one sample per panel: v, W and the
-    trajectory's value and derivative at its nodes, each evaluated once and
-    kept by the nodes' bytes for the duration of this call.
+    An increasing array ``t2`` of cuts, each at a certified zero, gives the
+    array of quotients, and a float ``t2`` is the one-cut case.  Every
+    quotient comes from three running integrals over the knots [t_start,
+    z_1, ..., z_k] -- gradient v z'^2, potential W v z^2 and mass v z^2 --
+    so the first quotient is bit for bit the one-cut call's, and
+    :func:`cumulative` refuses decreasing knots with InvalidParams.  Each
+    integral meets ``tol`` relative to its own size, which makes the
+    quotient blind to a constant factor in v; their difference, zero on
+    every segment, has no size to be relative to.  The three passes share
+    one sample per panel: v, W and the trajectory's value and derivative at
+    its nodes, each evaluated once and kept by the nodes' bytes for the
+    duration of this call.
     """
-    cert = None
-    for z in traj.zeros:
-        if abs(z.location - t2) <= max(10.0 * z.width, 1e-6 * (1.0 + abs(t2))):
-            cert = z
-            break
-    if cert is None:
-        raise NoZeroAtT2(f"no certified zero at t2 = {t2:g}")
-    v = pair.v
-    w = pair.w
-    lo = traj.t_start
+    knots = [traj.t_start]
+    for cut in np.asarray(t2, dtype=float).ravel().tolist():
+        cert = next((z for z in traj.zeros if abs(z.location - cut)
+                     <= max(10.0 * z.width, 1e-6 * (1.0 + abs(cut)))), None)
+        if cert is None:
+            raise NoZeroAtT2(f"no certified zero at t2 = {cut:g}")
+        knots.append(cert.location)
     panels = {}
 
     def sample(t):
         key = t.tobytes()
         if key not in panels:
-            panels[key] = v(t), w(t), *traj(t)
+            panels[key] = pair.v(t), pair.w(t), *traj(t)
         return panels[key]
 
     def grad_term(t):
@@ -75,11 +80,10 @@ def rayleigh_quotient(pair, traj, t2, tol=1e-9):
         vt, _, value, _ = sample(t)
         return vt * value ** 2
 
-    cut = cert.location
-    numerator = (integrate(grad_term, lo, cut, tol=tol)
-                 - integrate(pot_term, lo, cut, tol=tol))
-    denominator = integrate(mass_term, lo, cut, tol=tol)
-    return numerator / denominator
+    grad, pot, mass = (cumulative(term, knots, tol=tol)[1:]
+                       for term in (grad_term, pot_term, mass_term))
+    quotients = (grad - pot) / mass
+    return quotients if np.ndim(t2) else float(quotients[0])
 
 
 def lambda1_negative(pair, a, b, tol=DEFAULT_TOL):
@@ -145,7 +149,7 @@ def spectral_report(pair, a, b, radii=(1.0, 10.0, 100.0), horizon=1e4,
                     tol=DEFAULT_TOL):
     """Build a SpectralReport: threshold certificate, solver confirmations,
     nodal index evidence, and Rayleigh quotients at the first four
-    certified zeros."""
+    certified zeros, all four from one :func:`rayleigh_quotient` call."""
     if not radii:
         raise InvalidParams("need at least one radius")
     # the solve goes first: it refuses a tol below its floor before the
@@ -159,10 +163,7 @@ def spectral_report(pair, a, b, radii=(1.0, 10.0, 100.0), horizon=1e4,
     if osc.satisfied:
         unstable = tuple(R for R in radii if any(t > R for t in zeros))
 
-    rayleigh = []
-    for z in traj.zeros[:4]:
-        q = rayleigh_quotient(pair, traj, z.location)
-        rayleigh.append((z.location, q))
+    rayleigh = tuple(zip(zeros[:4], rayleigh_quotient(pair, traj, zeros[:4]).tolist()))
 
     certified = verdict.satisfied or bool(zeros)
     notes = []
@@ -179,7 +180,7 @@ def spectral_report(pair, a, b, radii=(1.0, 10.0, 100.0), horizon=1e4,
         lambda1_sign="certified_negative" if certified else "unknown",
         unstable_radii=unstable,
         index_lower_bound=len(zeros),
-        rayleigh_values=tuple(rayleigh),
+        rayleigh_values=rayleigh,
         notes="; ".join(notes),
         breakdown_at=traj.t_end if broke_down else None)
 

@@ -7,9 +7,11 @@ import pytest
 from sturmosc import (CoefficientPair, CurvatureProfile, HypothesisViolated, InvalidParams,
                       NonFiniteSample, NoZeroAtT2, Profile, Status, TailInfoMissing,
                       check_first_zero, check_yamabe, constant, exponential,
-                      index_lower_bound, instability_at_infinity, integrate,
+                      index_lower_bound, instability_at_infinity,
                       lambda1_negative, power, rayleigh_quotient, solve_jacobi,
                       solve_radial, spectral_report, yamabe_constant)
+from sturmosc import spectral
+from sturmosc.profiles import cumulative
 from sturmosc.criteria import Conclusion
 from conftest import euler_pair, moore_pair, pole_pair
 
@@ -53,8 +55,9 @@ def counted(traj):
     return dataclasses.replace(traj, dense=CountingDense(traj.dense))
 
 
-def independent_quotient(pair, traj, cut, tol=1e-9):
-    """The Rayleigh quotient with each integrand sampling the trajectory itself."""
+def independent_quotient(pair, traj, cuts, tol=1e-9):
+    """The Rayleigh quotients at the cuts, from gradient, potential and mass
+    running integrals whose integrands each sample the trajectory themselves."""
     v, w = pair.v, pair.w
 
     def grad_term(t):
@@ -66,9 +69,10 @@ def independent_quotient(pair, traj, cut, tol=1e-9):
     def mass_term(t):
         return v(t) * traj.value(t) ** 2
 
-    lo = traj.t_start
-    return ((integrate(grad_term, lo, cut, tol=tol) - integrate(pot_term, lo, cut, tol=tol))
-            / integrate(mass_term, lo, cut, tol=tol))
+    knots = [traj.t_start, *cuts]
+    grad, pot, mass = (cumulative(term, knots, tol=tol)[1:]
+                       for term in (grad_term, pot_term, mass_term))
+    return (grad - pot) / mass
 
 
 SHARED_SAMPLE_CASES = {
@@ -88,13 +92,76 @@ def test_shared_samples_give_the_independent_quotient(case):
             else solve_jacobi(k, horizon))
     assert (traj.weight is None) == (k is not None)
     assert len(traj.zeros) >= 3
-    for z in traj.zeros[:4]:
-        ours, ref = counted(traj), counted(traj)
-        q = rayleigh_quotient(pair, ours, z.location)
-        assert q.hex() == independent_quotient(pair, ref, z.location).hex()
-        # one dense evaluation per distinct panel, where each integrand sampled its own
-        assert sorted(ours.dense.calls) == sorted(set(ref.dense.calls))
-        assert len(ref.dense.calls) > len(ours.dense.calls)
+    cuts = [z.location for z in traj.zeros[:4]]
+    ours, ref = counted(traj), counted(traj)
+    q = rayleigh_quotient(pair, ours, cuts)
+    assert [x.hex() for x in q.tolist()] == [
+        x.hex() for x in independent_quotient(pair, ref, cuts).tolist()]
+    # one dense evaluation per distinct panel, where each integrand sampled its own
+    assert sorted(ours.dense.calls) == sorted(set(ref.dense.calls))
+    assert len(ref.dense.calls) > len(ours.dense.calls)
+
+
+# the seed-1 benchmark pair of oscillatory_solve
+SEED1_PAIR = lambda: CoefficientPair(power(1.0, 2.0), constant(0.811129689), b_const=0.0)
+
+AGREEMENT_CASES = {
+    "sinc": lambda: (CoefficientPair(power(1.0, 2.0), constant(1.0), b_const=0.0), 20.0),
+    "v=t^2, W=2.5": lambda: (CoefficientPair(power(1.0, 2.0), constant(2.5), b_const=0.0),
+                             30.0),
+    "seed-1 benchmark pair": lambda: (SEED1_PAIR(), 30.0),
+}
+
+
+@pytest.mark.parametrize("case", AGREEMENT_CASES)
+def test_array_of_cuts_agrees_with_the_per_cut_calls(case):
+    pair, horizon = AGREEMENT_CASES[case]()
+    traj = solve_radial(pair, 1.0, horizon=horizon)
+    cuts = [z.location for z in traj.zeros]
+    assert len(cuts) >= 4
+    quotients = rayleigh_quotient(pair, traj, cuts)
+    singles = [rayleigh_quotient(pair, traj, cut) for cut in cuts]
+    assert isinstance(singles[0], float) and quotients.shape == (len(cuts),)
+    assert quotients[0].hex() == singles[0].hex()
+    # later cuts sum the earlier segments' pieces, which were refined on other panels
+    assert np.abs(quotients[1:] - singles[1:]).max() <= 1e-9
+    assert np.abs(quotients).max() <= 1e-6
+    with pytest.raises(NoZeroAtT2):
+        rayleigh_quotient(pair, traj, [cuts[0], 0.5 * (cuts[0] + cuts[1])])
+    with pytest.raises(InvalidParams):
+        rayleigh_quotient(pair, traj, cuts[::-1])
+
+
+def test_report_samples_the_nested_cuts_in_one_pass(monkeypatch):
+    solves = []
+
+    def solve(*args, **kwargs):
+        solves.append(counted(solve_radial(*args, **kwargs)))
+        return solves[-1]
+
+    monkeypatch.setattr(spectral, "solve_radial", solve)
+    report = spectral_report(SEED1_PAIR(), a=1.0, b=2.0, horizon=30.0)
+    assert len(solves) == 1 and len(report.rayleigh_values) == 4
+    # the running passes over [t_start, z_1, ..., z_4] share 12 G7-K15
+    # panels; integrating each [t_start, z_k] afresh sampled 480 nodes
+    nodes = sum(len(call) // 8 for call in solves[0].dense.calls)
+    assert nodes <= 180
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8, 1e16])
+def test_quotients_do_not_depend_on_the_scale_of_v(scale):
+    """Gradient, potential and mass each meet tol relative to their own size,
+    so a constant factor in v neither changes the quotients nor makes the
+    quadrature chase a target below the integrands' rounding."""
+    base = SEED1_PAIR()
+    scaled_pair = CoefficientPair(power(scale, 2.0), base.w, b_const=0.0)
+    traj = solve_radial(base, 1.0, horizon=30.0)
+    cuts = [z.location for z in traj.zeros[:4]]
+    assert np.abs(rayleigh_quotient(scaled_pair, traj, cuts)
+                  - rayleigh_quotient(base, traj, cuts)).max() <= 1e-9
+    report = spectral_report(scaled_pair, a=1.0, b=2.0, horizon=30.0)
+    assert len(report.rayleigh_values) == 4
+    assert max(abs(q) for _, q in report.rayleigh_values) <= 1e-6
 
 
 class TestLambda1Negative:
