@@ -1,11 +1,10 @@
 """Zero localization, oscillation, and compactness criteria for radial
 second-order problems, with certificate-producing checkers and a CLI."""
 
-from .errors import (AtPole, CatalogDerivativeMissing, ConfigError,
-                     HypothesisViolated, InvalidParams, MismatchedAnchor,
-                     NonFiniteSample, NoZeroAtT2, OutOfValidity,
-                     SingularStartFailure, SturmoscError, TailInfoMissing,
-                     ToleranceNotMet)
+from .errors import (AtPole, ConfigError, HypothesisViolated, InvalidParams,
+                     MismatchedAnchor, NonFiniteSample, NoZeroAtT2,
+                     OutOfValidity, SingularStartFailure, SturmoscError,
+                     TailInfoMissing, ToleranceNotMet)
 from .profiles import (AsymptoticTail, CoefficientPair,
                        CurvatureProfile, Profile, add, certified_nonnegative,
                        certified_nonpositive, constant, coth_band,

@@ -24,8 +24,7 @@ import sys
 from pathlib import Path
 
 from . import criteria, geometry, profiles, spectral
-from .errors import (CatalogDerivativeMissing, ConfigError, HypothesisViolated,
-                     InvalidParams, SturmoscError)
+from .errors import ConfigError, HypothesisViolated, InvalidParams, SturmoscError
 from .ode import solve_radial, solve_jacobi
 
 __all__ = ["main", "console_main", "load_config", "run"]
@@ -480,6 +479,9 @@ def cmd_geometry(resolver, sec, out_dir, tol, horizon):
     n = sec.int("n", default=50)
     if n < 2 or r0 <= 0 or r1 <= r0:
         raise ConfigError("[geometry] needs 0 < r_start < r_stop and n >= 2")
+    if r1 > model.r_max:
+        raise ConfigError(f"[geometry] r_stop = {_fmt(r1)} lies past the model's "
+                          f"r_max = {_fmt(model.r_max)}")
     resolver.reject_unread()
     rs = [r0 + (r1 - r0) * i / (n - 1) for i in range(n)]
     _write_tsv(out_dir / "profiles.tsv", resolver.cfg, ("r", "K", "v"),
@@ -537,7 +539,7 @@ def main(argv=None):
     try:
         return run(args.command, args.config, args.out, tol=args.tol,
                    horizon=args.horizon)
-    except (ConfigError, InvalidParams, CatalogDerivativeMissing) as exc:
+    except (ConfigError, InvalidParams) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except HypothesisViolated as exc:

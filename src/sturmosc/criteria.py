@@ -150,10 +150,11 @@ def check_myers_galloway(c, F, m):
     Applies when Ric >= c + d/dt(f o gamma) along minimizing geodesics with
     |f| <= F; the conclusion is compactness with the stated diameter bound.
     """
-    if c <= 0:
-        raise InvalidParams("the curvature constant c must be positive")
-    if F < 0 or m < 2:
-        raise InvalidParams("need F >= 0 and integer m >= 2")
+    # chained comparisons: nan fails each of them
+    if not 0 < c < math.inf:
+        raise InvalidParams("the curvature constant c must be positive and finite")
+    if not (0 <= F < math.inf and 2 <= m < math.inf and int(m) == m):
+        raise InvalidParams("need finite F >= 0 and integer m >= 2")
     bound = (2.0 * F + math.sqrt(4.0 * F * F + math.pi ** 2 * (m - 1) * c)) / c
     return Verdict(
         "myers_galloway", Status.SATISFIED,

@@ -50,9 +50,5 @@ class NoZeroAtT2(SturmoscError):
     """The Rayleigh construction needs a certified zero at the cut radius."""
 
 
-class CatalogDerivativeMissing(SturmoscError):
-    """A warping function lacks the registered derivatives it needs."""
-
-
 class ConfigError(SturmoscError):
     """An experiment configuration file is malformed or incomplete."""

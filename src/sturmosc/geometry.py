@@ -1,22 +1,25 @@
 """Model manifolds: warped products turned into (K, v, B) coefficient data.
 
 A rotationally symmetric metric dr^2 + f(r)^2 dtheta^2 has radial
-curvature -f''/f and boundary-sphere volume omega_{m-1} f(r)^{m-1}; the
-warping catalog registers f together with its exact f'' so the
-curvature never goes through numerical differentiation.
+curvature K = -f''/f and boundary-sphere volume v = omega_{m-1} f(r)^{m-1}.
+Each catalog entry gives f and K as profiles, K in closed form (so it never
+goes through numerical differentiation) with its sign, and the constant B
+of its certified lower bound K >= -B^2.  The volume is built from f by the
+profile algebra, which derives its sign and tail.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import CatalogDerivativeMissing, InvalidParams, TailInfoMissing
-from .profiles import (AsymptoticTail, CurvatureProfile, DEFAULT_TOL, Profile,
-                       certified_nonpositive, constant)
+from .errors import InvalidParams, TailInfoMissing
+from .profiles import (AsymptoticTail, CurvatureProfile, DEFAULT_TOL, Profile, add,
+                       certified_nonpositive, constant, elementwise_power, power,
+                       scaled)
 from .ode import DEFAULT_ZERO_TOL, solve_jacobi
 
 __all__ = [
@@ -51,98 +54,61 @@ def sphere_area(n):
 
 @dataclass(frozen=True)
 class Warping:
-    """A warping function with its registered exact second derivative."""
+    """A warping function f on (0, r_max) and its curvature K = -f''/f.
+
+    ``b_const`` is the B of the certified lower bound K >= -B^2, or None
+    when the catalog certifies none.
+    """
 
     name: str
-    f: Callable
-    ddf: Callable
+    f: Profile
+    k: Profile
+    b_const: Optional[float]
     r_max: float = math.inf
-    curvature_const: Optional[float] = None
-    curvature_lower: Optional[float] = None  # certified inf of -f''/f
-    curvature_upper: Optional[float] = None  # certified sup of -f''/f
-    volume_tail: Optional[Callable] = None   # m -> tail of f^{m-1}, or None
-
-    def curvature(self, r):
-        if self.ddf is None:
-            raise CatalogDerivativeMissing(
-                f"warping {self.name!r} has no registered second derivative")
-        return -self.ddf(r) / self.f(r)
 
 
 def sin_warping(kappa):
     """f = sin(sqrt(kappa) r)/sqrt(kappa): the round space form, K = kappa > 0."""
     if kappa <= 0:
         raise InvalidParams("sin warping needs kappa > 0")
-    s = math.sqrt(kappa)
-    return Warping(
-        name=f"sin(k={kappa:g})",
-        f=lambda r: np.sin(s * r) / s,
-        ddf=lambda r: -s * np.sin(s * r),
-        r_max=math.pi / s,
-        curvature_const=float(kappa),
-        curvature_lower=float(kappa))
+    s, name = math.sqrt(kappa), f"sin(k={kappa:g})"
+    f = Profile(lambda r: np.sin(s * r) / s, sign="nonnegative", label=f"f[{name}]")
+    return Warping(name, f, constant(kappa, label=f"K[{name}]"), 0.0, math.pi / s)
 
 
 def sinh_warping(kappa):
     """f = sinh(sqrt(-kappa) r)/sqrt(-kappa): hyperbolic space form, K = kappa < 0."""
     if kappa >= 0:
         raise InvalidParams("sinh warping needs kappa < 0")
-    s = math.sqrt(-kappa)
-
-    def volume_tail(m, omega):
-        # f^{m-1} ~ (e^{s r} / (2 s))^{m-1}: not exact at finite r
-        return AsymptoticTail(omega / (2.0 * s) ** (m - 1), 0.0,
-                              s * (m - 1), exact=False)
-
-    return Warping(
-        name=f"sinh(k={kappa:g})",
-        f=lambda r: np.sinh(s * r) / s,
-        ddf=lambda r: s * np.sinh(s * r),
-        r_max=math.inf,
-        curvature_const=float(kappa),
-        curvature_lower=float(kappa),
-        volume_tail=volume_tail)
+    s, name = math.sqrt(-kappa), f"sinh(k={kappa:g})"
+    # sinh(s r)/s ~ e^{s r} / (2 s): a dominant term, not exact at finite r
+    f = Profile(lambda r: np.sinh(s * r) / s, tail=AsymptoticTail(0.5 / s, 0.0, s, exact=False),
+                sign="nonnegative", label=f"f[{name}]")
+    return Warping(name, f, constant(kappa, label=f"K[{name}]"), s)
 
 
 def linear_warping():
     """f = r: flat space, K = 0."""
-    def volume_tail(m, omega):
-        return AsymptoticTail(omega, float(m - 1))
-
-    return Warping(
-        name="linear",
-        f=lambda r: np.asarray(r, dtype=float),
-        ddf=lambda r: np.zeros(np.shape(r)),
-        r_max=math.inf,
-        curvature_const=0.0,
-        curvature_lower=0.0,
-        volume_tail=volume_tail)
+    return Warping("linear", power(1.0, 1.0, label="f[linear]"),
+                   constant(0.0, label="K[linear]"), 0.0)
 
 
 def cubic_warping(alpha):
     """f = r + alpha r^3: a polynomially perturbed cone, K = -6 alpha/(1 + alpha r^2).
 
-    For alpha >= 0 the curvature is pinched in [-6 alpha, 0], giving the
-    certified bounds; alpha < 0 truncates the domain where f > 0.
+    For alpha >= 0 the curvature lies in [-6 alpha, 0], which gives its sign
+    and B = sqrt(6 alpha); alpha < 0 certifies no lower bound, and truncates
+    the domain where f > 0.
     """
     a = float(alpha)
-    r_max = math.inf if a >= 0 else 1.0 / math.sqrt(-a)
-
-    def volume_tail(m, omega):
-        if a <= 0:
-            return None
-        return AsymptoticTail(omega * a ** (m - 1), 3.0 * (m - 1), 0.0,
-                              exact=False)
-
-    return Warping(
-        name=f"cubic(a={a:g})",
-        f=lambda r: r + a * np.power(r, 3),
-        ddf=lambda r: 6.0 * a * np.asarray(r, dtype=float),
-        r_max=r_max,
-        curvature_const=None,
-        curvature_lower=-6.0 * a if a > 0 else (0.0 if a == 0 else None),
-        curvature_upper=0.0 if a >= 0 else None,
-        volume_tail=volume_tail)
+    name = f"cubic(a={a:g})"
+    f = add(power(1.0, 1.0), power(a, 3.0), label=f"f[{name}]")
+    k = Profile(lambda r: -(6.0 * a * r) / (r + a * np.power(r, 3)),
+                sign="zero" if a == 0 else ("nonpositive" if a > 0 else None),
+                label=f"K[{name}]")
+    if a >= 0:
+        return Warping(name, f, k, math.sqrt(6.0 * a))
+    return Warping(name, f, k, None, 1.0 / math.sqrt(-a))
 
 
 WARPING_CATALOG = {
@@ -196,40 +162,16 @@ def warped_model(m, kind, **params):
 def model_profiles(model):
     """Derive (curvature profile, volume profile) from a model manifold.
 
-    K(r) = -f''(r)/f(r) with the certified bounds from the catalog, which
-    also give its sign (a lower bound >= 0 first, then an upper bound <= 0);
-    v(r) = omega_{m-1} f(r)^{m-1}.  The sphere-area constant cancels in
-    every criterion except the annulus integrals, so it is kept.
+    K and its bound B come from the catalog; v = omega_{m-1} f^{m-1} from
+    the profile algebra.  The sphere-area constant cancels in every
+    criterion except the annulus integrals, so it is kept.
     """
-    w = model.warping
-    m = model.m
-    omega = sphere_area(m - 1)
-
-    if w.curvature_const is not None:
-        kappa = w.curvature_const
-        k_profile = constant(kappa, label=f"K[{w.name}]")
-    else:
-        if w.ddf is None:
-            raise CatalogDerivativeMissing(
-                f"warping {w.name!r} cannot produce a curvature profile")
-        sign = None
-        if w.curvature_lower is not None and w.curvature_lower >= 0:
-            sign = "nonnegative"
-        elif w.curvature_upper is not None and w.curvature_upper <= 0:
-            sign = "nonpositive"
-        k_profile = Profile(w.curvature, sign=sign, label=f"K[{w.name}]")
-    if w.curvature_lower is None:
+    w, m = model.warping, model.m
+    if w.b_const is None:
         raise InvalidParams(
             f"warping {w.name!r} carries no certified curvature lower bound")
-    b_const = math.sqrt(max(0.0, -w.curvature_lower))
-    k = CurvatureProfile(k_profile, b_const=b_const, m=m,
-                         validate=math.isinf(model.r_max))
-
-    def v_ev(r):
-        return omega * np.power(w.f(r), m - 1)
-
-    v_tail = w.volume_tail(m, omega) if w.volume_tail is not None else None
-    v = Profile(v_ev, tail=v_tail, sign="nonnegative", label=f"v[{w.name},m={m}]")
+    k = CurvatureProfile(w.k, b_const=w.b_const, m=m, validate=math.isinf(model.r_max))
+    v = scaled(elementwise_power(w.f, m - 1), sphere_area(m - 1), label=f"v[{w.name},m={m}]")
     return k, v
 
 

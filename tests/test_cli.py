@@ -341,6 +341,17 @@ class TestGeometry:
         assert k == pytest.approx(1.0)
         assert v == pytest.approx(2 * math.pi * math.sin(0.1), rel=1e-10)
 
+    def test_r_stop_past_the_model_domain_is_refused(self, config, tmp_path, capsys):
+        # the unit sphere ends at r = pi; past it v = 2 pi sin r means nothing
+        cfg = tmp_path / "far.ini"
+        cfg.write_text(config.read_text().replace("r_stop = 3.0", "r_stop = 6.0"))
+        out = tmp_path / "out"
+        assert main(["geometry", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: [geometry] r_stop = 6 lies past the model's "
+            "r_max = 3.14159265359\n")
+        assert not (out / "profiles.tsv").exists()
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, config, tmp_path):
@@ -404,13 +415,14 @@ class TestExitCodes:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
     def test_undecided_integrability_exit_code(self, config, tmp_path, capsys):
-        # the cubic warping with alpha = 0 declares no volume tail, so the
-        # integrability of 1/v is undecided: missing information, exit 2
-        cfg = tmp_path / "cone.ini"
+        # the sphere's volume 2 pi sin r has no tail, so the integrability
+        # of 1/v is undecided: missing information, exit 2 (validate = false:
+        # v turns negative past pi, where the admissibility samples reach)
+        cfg = tmp_path / "sphere_v.ini"
         cfg.write_text(config.read_text().replace("[model:sphere]", (
-            "[model:cone]\nkind = warped\nwarping = cubic\nalpha = 0.0\nm = 2\n"
-            "[pair:cone]\nv = model:cone.v\nw = W_euler\nt_start = 1.0\n"
-            "[model:sphere]")).replace("pair = euler\na = 1.0", "pair = cone\na = 1.0"))
+            "[pair:sphere]\nv = model:sphere.v\nw = W_euler\nt_start = 1.0\n"
+            "validate = false\n[model:sphere]")).replace(
+                "pair = euler\na = 1.0", "pair = sphere\na = 1.0"))
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
             "numerical failure: the liminf test needs the integrability of 1/v at +inf\n")

@@ -124,6 +124,14 @@ class TestMyersGalloway:
         with pytest.raises(InvalidParams):
             check_myers_galloway(0.0, 1.0, 2)
 
+    @pytest.mark.parametrize("c,F,m", [
+        (math.nan, 0.0, 2), (math.inf, 0.0, 2), (1.0, math.nan, 2),
+        (1.0, math.inf, 2), (1.0, 0.0, 2.5), (1.0, 0.0, math.nan), (1.0, 0.0, math.inf)])
+    def test_non_finite_constants_and_fractional_m(self, c, F, m):
+        # nan fails every comparison, so each must be refused, not SATISFIED
+        with pytest.raises(InvalidParams):
+            check_myers_galloway(c, F, m)
+
 
 class TestAmbroseMoore:
     def test_constant_curvature_fires(self):

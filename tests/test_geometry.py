@@ -46,16 +46,56 @@ class TestModelProfiles:
         assert v(r) == pytest.approx(4 * math.pi * (r + 0.1 * r ** 3) ** 2,
                                      rel=1e-12)
 
-    @pytest.mark.parametrize("alpha,sign", [(0.0, "nonnegative"), (0.5, "nonpositive")])
+    @pytest.mark.parametrize("alpha,sign", [(0.0, "zero"), (0.5, "nonpositive")])
     def test_cubic_sign_from_the_catalog(self, alpha, sign):
-        # K = -6 alpha / (1 + alpha r^2) lies in [-6 alpha, 0]: the declared
-        # bounds give the sign, the lower one first, so K = 0 stays nonnegative
+        # K = -6 alpha / (1 + alpha r^2) lies in [-6 alpha, 0]: the catalog
+        # declares its sign, and B = sqrt(6 alpha) from the lower bound
         w = cubic_warping(alpha)
-        assert (w.curvature_lower, w.curvature_upper) == (-6.0 * alpha, 0.0)
+        assert (w.k.sign, w.b_const) == (sign, math.sqrt(6.0 * alpha))
         k, _ = model_profiles(ModelManifold(2, w))
         assert k.k.sign == sign
         if alpha > 0:
             assert conjugate_radius(ModelManifold(2, w)) == math.inf
+
+
+# every catalog entry that certifies a curvature lower bound
+CATALOG = [sin_warping(1.0), sin_warping(4.0), sinh_warping(-1.0), sinh_warping(-3.0),
+           sinh_warping(-0.37), linear_warping(), cubic_warping(0.0), cubic_warping(0.1),
+           cubic_warping(0.73)]
+DIMENSIONS = [2, 3, 4, 5]
+
+
+class TestCatalogVolume:
+    @pytest.mark.parametrize("m", DIMENSIONS)
+    @pytest.mark.parametrize("w", CATALOG, ids=lambda w: w.name)
+    def test_volume_is_omega_f_to_the_m_minus_1(self, w, m):
+        # the algebra's v is the direct formula bit for bit, on both paths
+        _, v = model_profiles(ModelManifold(m, w))
+        omega = sphere_area(m - 1)
+        rs = np.geomspace(1e-3, min(w.r_max, 50.0), 97)
+        assert np.array_equal(v(rs), omega * np.power(w.f(rs), m - 1))
+        for r in rs:
+            assert v.scalar(r) == float(omega * np.power(w.f(np.float64(r)), m - 1))
+        assert v.sign == "nonnegative"
+
+    @pytest.mark.parametrize("m", DIMENSIONS)
+    @pytest.mark.parametrize("w,r", [
+        (linear_warping(), 1e4), (cubic_warping(0.1), 1e4), (cubic_warping(0.73), 1e4),
+        (sinh_warping(-1.0), 30.0), (sinh_warping(-3.0), 30.0 / math.sqrt(3.0)),
+        (sinh_warping(-0.37), 30.0 / math.sqrt(0.37))], ids=lambda x: getattr(x, "name", x))
+    def test_volume_tends_to_its_tail_term(self, w, r, m):
+        _, v = model_profiles(ModelManifold(m, w))
+        t = v.tail
+        term = t.coefficient * r ** float(t.exponent) * math.exp(float(t.rate) * r)
+        assert v(r) / term == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("m", DIMENSIONS)
+    def test_flat_cubic_is_the_linear_model(self, m):
+        k, v = model_profiles(ModelManifold(m, cubic_warping(0.0)))
+        _, v_flat = model_profiles(ModelManifold(m, linear_warping()))
+        assert v.tail == v_flat.tail and v.tail.exact
+        assert k.k.sign == "zero"
+        assert conjugate_radius(ModelManifold(m, cubic_warping(0.0))) == math.inf
 
 
 class TestSpaceForm:
