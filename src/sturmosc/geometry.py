@@ -40,7 +40,7 @@ __all__ = [
 
 def sphere_area(n):
     """Surface measure of the unit n-sphere, by the factor-2pi recursion."""
-    if n < 0 or int(n) != n:
+    if not (0 <= n < math.inf and int(n) == n):
         raise InvalidParams("sphere dimension must be a nonnegative integer")
     areas = {0: 2.0, 1: 2.0 * math.pi}
     k = int(n)
@@ -127,11 +127,12 @@ class ModelManifold:
     warping: Warping
 
     def __post_init__(self):
-        if self.m < 2 or int(self.m) != self.m:
+        if not (2 <= self.m < math.inf and int(self.m) == self.m):
             raise InvalidParams("dimension m must be an integer >= 2")
         for eps in (1e-3, 1e-4):
-            ratio = float(self.warping.f(eps)) / eps
-            if abs(ratio - 1.0) > 1e-3:
+            with np.errstate(all="ignore"):  # a NaN or inf f fails the test below
+                ratio = float(self.warping.f(eps)) / eps
+            if not abs(ratio - 1.0) <= 1e-3:
                 raise InvalidParams(
                     f"warping must satisfy f(r)/r -> 1 at 0 "
                     f"(got {ratio:.6g} at r = {eps:g})")

@@ -83,6 +83,18 @@ def _exact_sum(a, b):
     return _exact(Fraction(a) + Fraction(b))
 
 
+def _exact_product(a, e):
+    """``a * e`` for an order ``a`` and a float ``e``, as :func:`_exact` holds
+    it: the float product when it does not round -- the odd parts of the
+    numerators multiply to at most 53 bits and the product is 0 or normal."""
+    if type(a) is float:
+        p, n = a * e, a.as_integer_ratio()[0] * e.as_integer_ratio()[0]
+        if n.bit_length() - (n & -n).bit_length() <= 52 and (
+                not n or sys.float_info.min < abs(p) < math.inf):
+            return p + 0.0  # no -0.0: the Fraction route gives 0.0
+    return _exact(Fraction(a) * Fraction(e))
+
+
 @dataclass(frozen=True)
 class AsymptoticTail:
     """Leading behavior ``coefficient * t**exponent * exp(rate*t)`` at +inf.
@@ -417,7 +429,7 @@ def elementwise_power(p, exponent, label=""):
             # |(1 + d)**e - 1| <= 2 |e d| while |e d| <= 2**-10; c**e is
             # taken as rounded, to within 2 ulps, unless c or e is 1
             err = _bound(ce * 2.0 * rho + 2 * inexact * math.ulp(ce), err or inexact)
-            orders = _exact(Fraction(q) * Fraction(e)), _exact(Fraction(r) * Fraction(e))
+            orders = _exact_product(q, e), _exact_product(r, e)
             form = _collect([(ce, *orders, err if rho <= 2.0 ** -10 else math.nan)], tail.exact)
         except OverflowError:
             pass  # the coefficient or an order leaves the float range or grid
@@ -465,8 +477,8 @@ def _samples(f, x):
     """``f`` at the nodes ``x``, as floats of x's shape."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        y = np.broadcast_to(y, x.shape)
+    if y.shape != x.shape:  # a contiguous copy: a row's dot is then one BLAS call
+        y = np.broadcast_to(y, x.shape).copy()
     return y
 
 
@@ -480,6 +492,13 @@ def _gk_sums(h, y):
     k = h * float(_K15_WEIGHTS.dot(y))
     g = h * float(_G7_WEIGHTS.dot(y[_G7_IDX]))
     return k, abs(k - g)
+
+
+def _gk_rows(h, y):
+    """:func:`_gk_sums` of every row of ``y`` (half-widths ``h``) at once, bit
+    for bit: np.vecdot takes each row's sum as one BLAS dot, as ndarray.dot does."""
+    k = h * np.vecdot(y, _K15_WEIGHTS)
+    return k, np.abs(k - h * np.vecdot(y.take(_G7_IDX, axis=1), _G7_WEIGHTS))
 
 
 def _gk_panel(f, a, b):
@@ -568,39 +587,43 @@ def cumulative(p, ts, tol=DEFAULT_TOL, origin=0):
     by default), so a knot near the origin keeps its relative accuracy
     however large the integral over the far knots; ``ts`` must be
     nondecreasing.  The first G7-K15 panel of every nonempty segment is
-    sampled in one evaluator call; only the segments whose first panel
-    misses ``tol`` go on to the adaptive bisection.  A non-finite sample
-    or a bad endpoint raises as the per-segment loop would: only once
-    every segment before it is done, whose refinement may raise first.
-    An exception the evaluator raises itself comes from the batched call,
-    before any segment is refined.
+    sampled in one evaluator call, and the K15 and G7 sums of all those
+    panels are taken at once (:func:`_gk_rows`, each row's bits those of the
+    single-panel sums); only the segments whose first panel misses ``tol``
+    or holds a non-finite sample are visited one by one, in order, and go
+    on to the adaptive bisection.  A non-finite sample or a bad endpoint
+    raises as the per-segment loop would: only once every segment before
+    it is done, whose refinement may raise first.  An exception the
+    evaluator raises itself comes from the batched call, before any
+    segment is refined.
     """
-    ends = [float(t) for t in ts]
-    segments = list(zip(ends[:-1], ends[1:]))
-    pieces = [0.0] * len(segments)
+    ends = np.asarray(ts, dtype=float)
+    a, b = ends[:-1], ends[1:]
+    pieces = np.zeros(len(a))
     # the loop would stop at the first segment with a bad endpoint
-    stop = next((j for j, (a, b) in enumerate(segments)
-                 if not (math.isfinite(a) and math.isfinite(b)) or a > b), len(segments))
-    rows = [j for j in range(stop) if segments[j][0] < segments[j][1]]
-    if rows:
+    bad = ~(np.isfinite(a) & np.isfinite(b)) | (a > b)
+    stop = bad.argmax() if bad.any() else len(a)
+    rows = (a[:stop] < b[:stop]).nonzero()[0]
+    if len(rows):
         _check_tol(tol)
         f = _as_callable(p)
-        a, b = np.array([segments[j] for j in rows]).T
+        a, b = a[rows], b[rows]
         c, h = 0.5 * (a + b), 0.5 * (b - a)
         x = c[:, None] + h[:, None] * _K15_NODES
         y = _samples(f, x.ravel()).reshape(x.shape)
         finite = np.isfinite(y).all(axis=1)
-        for i, (j, hj) in enumerate(zip(rows, h.tolist())):
+        with np.errstate(all="ignore"):
+            k, err = _gk_rows(h, y)
+        pieces[rows] = k
+        for i in (~finite | (err > tol * (1.0 + np.abs(k)))).nonzero()[0].tolist():
             if not finite[i]:
                 raise _non_finite(x[i], y[i])
-            k, err = _gk_sums(hj, y[i])
-            if err > tol * (1.0 + abs(k)):
-                k = _bisect(f, *segments[j], k, err, tol)[0]
-            pieces[j] = k
-    if stop < len(segments):
-        _check_interval(*segments[stop])
+            # as Python floats, as integrate_err hands them to the bisection
+            pieces[rows[i]] = _bisect(f, *map(float, (a[i], b[i], k[i], err[i])), tol)[0]
+    if stop < len(ends) - 1:
+        _check_interval(ends[stop], ends[stop + 1])
     behind = -np.cumsum(pieces[:origin][::-1])[::-1]
-    return np.concatenate([behind, np.cumsum([0.0] + pieces[origin:])])
+    return np.concatenate((behind, np.cumsum(np.concatenate(([0.0], pieces[origin:])))))
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +876,7 @@ class CurvatureProfile:
     validate: bool = True
 
     def __post_init__(self):
-        if self.m < 2 or int(self.m) != self.m:
+        if not (2 <= self.m < math.inf and int(self.m) == self.m):
             raise InvalidParams("dimension m must be an integer >= 2")
         if self.b_const < 0:
             raise InvalidParams("b_const must be >= 0")

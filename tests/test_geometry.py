@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sturmosc import (InvalidParams, ModelManifold, TailInfoMissing,
-                      check_myers_galloway, conjugate_radius, cubic_warping,
+from sturmosc import (InvalidParams, ModelManifold, Profile, TailInfoMissing,
+                      check_myers_galloway, conjugate_radius, constant, cubic_warping,
                       linear_warping, model_profiles, sin_warping,
                       sinh_warping, space_form, sphere_area, warped_model)
+from sturmosc.geometry import Warping
+from sturmosc.profiles import CurvatureProfile
 
 
 class TestSphereArea:
@@ -115,6 +117,31 @@ class TestSpaceForm:
         object.__setattr__(bad, "f", lambda r: 2.0 * np.asarray(r))
         with pytest.raises(InvalidParams):
             ModelManifold(2, bad)
+
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("make", [
+        lambda m: ModelManifold(m, linear_warping()),
+        lambda m: sphere_area(m),
+        lambda m: CurvatureProfile(constant(0.0), m=m),
+    ], ids=["ModelManifold", "sphere_area", "CurvatureProfile"])
+    def test_non_finite_dimension_is_invalid(self, make, m):
+        # nan raised ValueError and inf OverflowError, from int(m)
+        with pytest.raises(InvalidParams):
+            make(m)
+
+    @pytest.mark.parametrize("make", [
+        lambda: warped_model(2, "sin", kappa=math.inf),
+        lambda: warped_model(2, "sin", kappa=math.nan),
+        lambda: warped_model(3, "cubic", alpha=math.nan),
+        lambda: ModelManifold(2, Warping("nan", Profile(lambda r: np.full(np.shape(r), np.nan)),
+                                         constant(0.0), 0.0)),
+    ], ids=["sin_kappa_inf", "sin_kappa_nan", "cubic_alpha_nan", "nan_f"])
+    def test_nan_normalization_ratio_is_refused(self, make):
+        # a NaN f(r)/r passed the test |ratio - 1| > 1e-3: kappa = inf gave
+        # a model with r_max = 0 and v(1) = nan
+        with pytest.raises(InvalidParams, match="got nan"):
+            make()
 
 
 class TestConjugateRadius:

@@ -78,8 +78,11 @@ def segment_loop(p, ts):
     return np.cumsum([0.0] + pieces)
 
 
+# a scalar result is broadcast to a contiguous copy on both routes: a
+# zero-stride row of 0.1s is summed by another loop than a BLAS dot
 INTEGRANDS = {"sin(40t)": lambda t: np.sin(40.0 * t), "t^-0.5": power(1.0, -0.5),
-              "0.3 t^1.5 + 0.7": add(power(0.3, 1.5), constant(0.7))}
+              "0.3 t^1.5 + 0.7": add(power(0.3, 1.5), constant(0.7)),
+              "0.1 (a scalar)": lambda t: 0.1}
 
 
 def gappy_sine(t):
@@ -94,6 +97,7 @@ class TestCumulative:
     @settings(max_examples=60, deadline=None)
     @example("sin(40t)", 0.0, [5.0])
     @example("t^-0.5", 0.0, [0.0, 1.0, 1.0, 0.0, 2.5])
+    @example("0.1 (a scalar)", 0.1, [1.0, 2.0])
     def test_sums_segments_left_to_right(self, name, start, steps):
         # bit for bit the per-segment loop: oscillating and singular
         # integrands need refinement past the first panel, zero steps
@@ -150,8 +154,9 @@ class TestCumulative:
             outcomes.append(str(info.value))
         assert outcomes[0] == outcomes[1]
 
-    def test_first_panels_in_one_evaluator_call(self):
-        calls = []
+    def test_first_panels_in_one_evaluator_call(self, monkeypatch):
+        calls, bisect = [], profiles._bisect
+        monkeypatch.setattr(profiles, "_bisect", lambda *args: calls.append("bisect") or bisect(*args))
 
         def counted(t):
             calls.append(t.shape)
@@ -159,7 +164,35 @@ class TestCumulative:
 
         ts = np.linspace(1.0, 2.0, 11)
         assert cumulative(counted, ts)[-1] == pytest.approx(1.7, rel=1e-14)
-        assert calls == [(150,)]
+        assert calls == [(150,)]  # and no bisection
+
+    def test_only_the_segment_that_misses_tol_is_refined(self, monkeypatch):
+        # sin(400 t) inside (2, 2.5) alone sends its segment on to bisection
+        bisected, bisect = [], profiles._bisect
+        monkeypatch.setattr(profiles, "_bisect",
+                            lambda f, a, b, *rest: bisected.append((a, b)) or bisect(f, a, b, *rest))
+
+        def f(t):
+            return 0.3 * t ** 2 + 1.0 + ((t > 2.0) & (t < 2.5)) * np.sin(400.0 * t)
+
+        ts = np.linspace(0.5, 5.0, 10)
+        got = cumulative(f, ts)
+        assert bisected == [(2.0, 2.5)]
+        assert got.tobytes() == segment_loop(f, ts).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 39, 585])
+    def test_batched_sums_are_the_single_panel_sums(self, n):
+        # each row is one BLAS dot on both routes; a numpy or BLAS whose
+        # stacked sums round differently fails here, not in an artifact
+        rng = np.random.default_rng(n)
+        scale = 10.0 ** rng.uniform(-290, 290, (n, 1)) * 10.0 ** rng.uniform(-4, 4, (n, 15))
+        y = rng.standard_normal((n, 15)) * scale
+        y[::4, ::3] = 0.0
+        h = 10.0 ** rng.uniform(-6, 6, n)
+        k, err = profiles._gk_rows(h, y)
+        expected = np.array([profiles._gk_sums(hj, yj) for hj, yj in zip(h.tolist(), y)])
+        assert k.tobytes() == expected[:, 0].tobytes()
+        assert err.tobytes() == expected[:, 1].tobytes()
 
 
 class TestTailIntegral:
@@ -491,6 +524,26 @@ class TestAntiderivativeTerm:
         assert tail_integral(exponential(5e-324, 4.0), 1.0) == math.inf
 
 
+_PRODUCT_ORDERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-2 ** 60, 2 ** 60).map(float),
+    st.integers(-64, 64).map(lambda n: n / 2.0), st.sampled_from([-0.0, 0.1, 1.0 / 3.0, 5e-324]))
+_PRODUCT_EXPONENTS = st.one_of(
+    st.floats(-100.0, 100.0), st.integers(-60, 60).map(float),
+    st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)), st.sampled_from([0.5, -0.5, 0.0]))
+
+
+def _fraction_product(a, e):
+    return profiles._exact(Fraction(a) * Fraction(e))
+
+
+def _outcome(product, a, e):
+    try:
+        x = product(a, e)
+    except OverflowError:
+        return "OverflowError"
+    return type(x), x, math.copysign(1.0, x)
+
+
 class TestExactOrders:
     @pytest.mark.parametrize("make", [
         lambda: power(1.0, math.inf),
@@ -536,6 +589,34 @@ class TestExactOrders:
         assert (type(tail.exponent), type(tail.rate)) == (float, float)
         assert multiply(power(1.0, 0.1), power(1.0, 0.2)).tail.exponent == (
             Fraction(0.1) + Fraction(0.2))
+
+    @given(_PRODUCT_ORDERS, _PRODUCT_EXPONENTS)
+    @settings(max_examples=500, deadline=None)
+    @example(-3.0, 0.0)
+    @example(0.0, -2.0)
+    @example(2.0 ** -1021, 0.5)
+    @example(2.0 ** -1022, 0.5)
+    @example(3.0, 2.0 ** 1023)
+    @example(2.0 ** 52 + 1.0, 3.0)
+    @example(0.1, 3.0)
+    def test_float_product_is_the_fraction_product(self, a, e):
+        # the float product is taken only where it does not round: same
+        # type, value and sign of zero, or the same OverflowError
+        assert _outcome(profiles._exact_product, a, e) == _outcome(_fraction_product, a, e)
+
+    @given(st.floats(1e-3, 1e3), _PRODUCT_ORDERS.filter(lambda q: abs(q) < 1e300),
+           st.sampled_from(["power", "exponential"]), st.sampled_from([None, 3.0, 0.1]),
+           _PRODUCT_EXPONENTS)
+    @settings(max_examples=300, deadline=None)
+    def test_elementwise_power_forms_are_the_fraction_routes(self, c, q, kind, pre, e):
+        base = (power if kind == "power" else exponential)(c, q)
+        if pre is not None:  # orders that are Fractions
+            base = elementwise_power(base, pre)
+        fast = elementwise_power(base, e)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(profiles, "_exact_product", _fraction_product)
+            slow = elementwise_power(base, e)
+        assert repr((fast.terms, fast.tail)) == repr((slow.terms, slow.tail))
 
     @given(st.recursive(_ORDER_LEAVES, lambda children: st.one_of(
         st.tuples(st.just("multiply"), children, children),
