@@ -1,4 +1,4 @@
-"""DOP853 on Python floats, for the two-component systems of :mod:`sturmosc.ode`.
+"""DOP853 on Python floats, for the linear systems of :mod:`sturmosc.ode`.
 
 The module holds DOP853's tableau and step control constants as float
 literals, the nonzero entries of the coefficients scipy ships, and ports
@@ -7,15 +7,21 @@ Hairer, Norsett and Wanner's first step; it imports numpy only.
 step against scipy bit for bit.  The step floor and the stepper class are
 read from here on every solve.  Steps run forward only.
 
-The stages run as straight-line code.  At import the module writes the
-source of two functions from the nonzero entries of whatever tableau it
-holds, each coefficient as its ``repr`` literal, and compiles it once:
-``_trial`` runs stages 1-11, the new state, stage 12 and the E5 and E3 error
-sums, and ``_extra`` the three dense-output stages and the four D rows.
-Every sum adds a * k left to right from 0.0 in tableau order, so each
-result is the one a loop ``acc += a * k`` over the row gives, bit for bit;
-``tests/test_ode.py`` holds that loop as the reference and checks both
-functions against it.
+Every system solved here is y' = (y1 / V(t), Q(t) y0).  The stepper asks
+the system for V and Q at the 15 abscissae t + C h of a trial in one call,
+``rhs.stages(t, h)``, and runs the stages as straight-line code on those
+values.  At import the module writes the source of two functions from the
+nonzero entries of whatever tableau it holds, each coefficient as its
+``repr`` literal, and compiles it once: ``_trial`` runs stages 1-11, the
+new state, stage 12 and the E5 and E3 error sums, and ``_extra`` the three
+dense-output stages and the four D rows.  Each stage k = (Y1 / V, Q Y0)
+is taken at the state Y = y + h sum(a * k), and every sum adds a * k left
+to right from 0.0 in tableau order, so each result is the one a loop
+``acc += a * k`` over the row, calling the system pointwise, gives, bit for
+bit; ``tests/test_ode.py`` holds that loop as the reference and checks both
+functions against it.  A V of 0 divides as numpy does, to inf or nan with
+numpy's warning, not with Python's ZeroDivisionError: the kernel then
+reruns the trial with every division through ``_divide``.
 """
 
 from __future__ import annotations
@@ -117,42 +123,71 @@ _D = (
 )
 
 
+# the abscissae c of the stages one trial samples the coefficients at: stages
+# 1-11, the new state (stage 12, c = 1) and the three extra stages 13-15
+C = np.array([c for c, _ in _STAGES] + [1.0] + [c for c, _ in _EXTRA_STAGES])
+
+
 def _sum(row, component):
     """Source of sum(a * k_j) over the (j, a) pairs of ``row`` for one component:
     the tableau order, added left to right from 0.0."""
     return " + ".join(["0.0"] + [f"{a!r} * k{j}_{component}" for j, a in row])
 
 
-def _stage(j, c, row):
-    """Source lines of stage j: f(t + c h, y + h sum(a * k)) and its components."""
-    return [f"k{j} = rhs(t + {c!r} * h, (y0 + ({_sum(row, 0)}) * h, "
-            f"y1 + ({_sum(row, 1)}) * h))", f"k{j}_0, k{j}_1 = k{j}"]
+def _stage(j, row, divide):
+    """Source lines of stage j of y' = (y1 / V, Q y0): at the state
+    y + h sum(a * k) over ``row``, or at the new state n for row None."""
+    state0, state1 = (("n0", "n1") if row is None else
+                      (f"y0 + ({_sum(row, 0)}) * h", f"(y1 + ({_sum(row, 1)}) * h)"))
+    return [f"Y0 = {state0}", f"k{j}_0 = {divide(state1, f'v{j}')}", f"k{j}_1 = q{j} * Y0"]
 
 
 def _kernel_source():
-    """Source of ``_trial`` and ``_extra``, straight-line code over the tableau above."""
-    last = N_STAGES
-    stages = ", ".join(f"k{j}" for j in range(last + 1))
-    trial = ["def _trial(rhs, t, h, y0, y1, k0):", "k0_0, k0_1 = k0"]
-    for j, (c, row) in enumerate(_STAGES, 1):
-        trial += _stage(j, c, row)
-    trial += [f"n0 = y0 + h * ({_sum(_B, 0)})", f"n1 = y1 + h * ({_sum(_B, 1)})",
-              f"k{last} = rhs(t + h, (n0, n1))", f"k{last}_0, k{last}_1 = k{last}",
-              f"return (n0, n1, {_sum(_E5, 0)}, {_sum(_E5, 1)},",
-              f"        {_sum(_E3, 0)}, {_sum(_E3, 1)}, ({stages}))"]
-    extra = ["def _extra(rhs, t, h, y0, y1, ks):",
-             f"({', '.join(f'(k{j}_0, k{j}_1)' for j in range(last + 1))}) = ks"]
-    for j, (c, row) in enumerate(_EXTRA_STAGES, last + 1):
-        extra += _stage(j, c, row)
-    extra += ["return [", *(f"    (h * ({_sum(row, 0)}), h * ({_sum(row, 1)}))," for row in _D),
-              "]"]
-    return "\n".join("\n    ".join(lines) for lines in (trial, extra)) + "\n"
+    """Source of ``_trial`` and ``_extra``, straight-line code over the tableau
+    above: each body runs with a / V, and again with _divide(a, V) when a V
+    of 0 raised ZeroDivisionError."""
+    last, n = N_STAGES, len(C)
+    stages = ", ".join(f"k{j}_0, k{j}_1" for j in range(last + 1))
+
+    def trial(divide):
+        lines = ["k0_0, k0_1 = f", f"{', '.join(f'v{j}' for j in range(1, n + 1))} = v",
+                 f"{', '.join(f'q{j}' for j in range(1, n + 1))} = q"]
+        for j, (_, row) in enumerate(_STAGES, 1):
+            lines += _stage(j, row, divide)
+        return lines + [f"n0 = y0 + h * ({_sum(_B, 0)})", f"n1 = y1 + h * ({_sum(_B, 1)})",
+                        *_stage(last, None, divide),
+                        f"return (n0, n1, {_sum(_E5, 0)}, {_sum(_E5, 1)},",
+                        f"        {_sum(_E3, 0)}, {_sum(_E3, 1)}, ({stages}))"]
+
+    def extra(divide):
+        lines = [f"{stages} = ks",
+                 f"{', '.join(f'v{j}' for j in range(last + 1, n + 1))} = v[{last}:]",
+                 f"{', '.join(f'q{j}' for j in range(last + 1, n + 1))} = q[{last}:]"]
+        for j, (_, row) in enumerate(_EXTRA_STAGES, last + 1):
+            lines += _stage(j, row, divide)
+        rows = (f"    (h * ({_sum(row, 0)}), h * ({_sum(row, 1)}))," for row in _D)
+        return lines + ["return [", *rows, "]"]
+
+    source = []
+    for head, body in (("_trial(h, y0, y1, f, v, q)", trial),
+                       ("_extra(h, y0, y1, ks, v, q)", extra)):
+        source += [f"def {head}:", "    try:",
+                   *(f"        {line}" for line in body(lambda a, b: f"{a} / {b}")),
+                   "    except ZeroDivisionError:",
+                   *(f"        {line}" for line in body(lambda a, b: f"_divide({a}, {b})"))]
+    return "\n".join(source) + "\n"
 
 
-# _trial(rhs, t, h, y0, y1, f) returns (n0, n1, E5.k, E3.k, stages 0-12),
-# with n = y + h B.k; _extra(rhs, t, h, y0, y1, stages) returns the four
-# dense rows h D.k, over stages 0-12 and the extra stages 13-15 it runs
-_KERNEL = {}
+def _divide(a, b):
+    """a / b, and numpy's inf or nan with its warning where b is 0."""
+    return a / b if b else np.divide(a, b)
+
+
+# _trial(h, y0, y1, f, v, q) returns (n0, n1, E5.k, E3.k, stages 0-12), with
+# n = y + h B.k and the stages flat, (k0_0, k0_1, ..., k12_1); _extra(h, y0,
+# y1, stages, v, q) returns the four dense rows h D.k over stages 0-12 and
+# the extra stages 13-15 it runs.  v and q are V and Q at t + C h.
+_KERNEL = {"_divide": _divide}
 exec(compile(_kernel_source(), "<sturmosc._dop853 kernel>", "exec"), _KERNEL)
 _trial, _extra = _KERNEL["_trial"], _KERNEL["_extra"]
 
@@ -188,10 +223,13 @@ class Stepper:
 
     The systems here have two components, (value, flux), for which numpy's
     per-call overhead dominates the arithmetic, so ``y`` is a pair of
-    floats.  The state is ``t``, ``y``, ``f`` = rhs(t, y), the next step
-    size ``h_abs``, the count of right-hand side calls ``nfev`` and the last
-    step's dense rows ``rows``.  The first step is :func:`_initial_step`;
-    ``nfev`` counts f0 and its trial call, as scipy's solver does.
+    floats.  ``rhs`` is the system: ``rhs(t, y)`` gives y' at one point and
+    ``rhs.stages(t, h)`` V and Q at t + C h.  The state is ``t``, ``y``,
+    ``f`` = rhs(t, y), the next step size ``h_abs``, the count of
+    right-hand side evaluations ``nfev`` and the last step's dense rows
+    ``rows``.  The first step is :func:`_initial_step`; ``nfev`` counts f0
+    and its trial call, as scipy's solver does, then 12 evaluations per
+    trial and 3 per accepted step, though a trial samples all 15 abscissae.
     ``step`` repeats scipy's stages, error norm and step control, and returns
     None, or the reason no step could be accepted, as scipy's
     ``OdeSolver.step`` does.  Each accepted step also runs the three extra
@@ -200,9 +238,10 @@ class Stepper:
     interpolant on [t_old, t] is
     y_old + F0 x + F1 x(1 - x) + F2 x^2(1 - x) + ..., with
     x = (s - t_old) / (t - t_old).  The stages, sums and rows come from the
-    generated ``_trial`` and ``_extra`` (see the module docstring), whose
-    sums run in another order than numpy's dot products, so a trajectory
-    agrees with scipy's to rounding, not bit for bit.
+    generated ``_trial`` and ``_extra`` (see the module docstring), called
+    by the methods ``_trial`` and ``_dense``; their sums run in another
+    order than numpy's dot products, so a trajectory agrees with scipy's to
+    rounding, not bit for bit.
 
     Near a pole of the coefficients the accepted steps shrink towards the
     ulp of t; stopping at MIN_STEP_ULPS ends such a solve after a few
@@ -217,10 +256,20 @@ class Stepper:
         self.f, self.nfev, self.rows = rhs(t0, self.y), 2, None
         self.h_abs = float(_initial_step(rhs, t0, self.y, self.f, t_bound, rtol, atol))
 
+    def _trial(self, t, h, y0, y1, f):
+        """One trial of the step h: ``_trial`` on V and Q at t + C h, which it keeps
+        for ``_dense``."""
+        self._samples = v, q = self.rhs.stages(t, h)
+        return _trial(h, y0, y1, f, v, q)
+
+    def _dense(self, h, y0, y1, ks):
+        """The four dense rows h D.k of the last trial, by ``_extra``."""
+        return _extra(h, y0, y1, ks, *self._samples)
+
     def step(self):
         """Take one accepted step: None, or the reason no step could be taken."""
         t, f, (y0, y1), t_bound = self.t, self.f, self.y, self.t_bound
-        rhs, rtol, atol = self.rhs, self.rtol, self.atol
+        rtol, atol = self.rtol, self.atol
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
         rejected = False
@@ -230,8 +279,8 @@ class Stepper:
                 return "no step of at least 10 ulp of t is accepted"
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            n0, n1, e0, e1, g0, g1, ks = _trial(rhs, t, h, y0, y1, f)
-            self.nfev += len(ks) - 1
+            n0, n1, e0, e1, g0, g1, ks = self._trial(t, h, y0, y1, f)
+            self.nfev += N_STAGES
             s0 = atol + max(abs(y0), abs(n0)) * rtol
             s1 = atol + max(abs(y1), abs(n1)) * rtol
             e0, e1, g0, g1 = e0 / s0, e1 / s1, g0 / s0, g1 / s1
@@ -251,11 +300,11 @@ class Stepper:
             rejected = True
         if t_new != t_bound and h < MIN_STEP_ULPS * math.ulp(t):
             return f"step shorter than {MIN_STEP_ULPS} ulp of t"
-        extra = _extra(rhs, t, h, y0, y1, ks)
+        extra = self._dense(h, y0, y1, ks)
         self.nfev += len(_EXTRA_STAGES)
-        (p0, p1), (q0, q1) = f, ks[N_STAGES]
+        (p0, p1), (q0, q1) = f, ks[-2:]
         dy0, dy1 = n0 - y0, n1 - y1
         self.rows = [(dy0, dy1), (h * p0 - dy0, h * p1 - dy1),
                      (2.0 * dy0 - h * (q0 + p0), 2.0 * dy1 - h * (q1 + p1)), *extra]
-        self.t, self.y, self.f, self.h_abs = t_new, (n0, n1), ks[N_STAGES], h_abs
+        self.t, self.y, self.f, self.h_abs = t_new, (n0, n1), (q0, q1), h_abs
         return None

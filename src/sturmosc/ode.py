@@ -5,12 +5,16 @@ the flux is u' for the unweighted equation and v z' for the weighted one.
 Working with the flux avoids differentiating v and keeps the singular
 origin benign: v z' -> 0 as t -> 0+ for admissible pairs.
 
-Each solve is one pass of :func:`solve_ivp`, a step loop over the float
-DOP853 stepper of :mod:`sturmosc._dop853` that keeps every node and every
-step's dense rows.
+Both are the linear system y' = (y1 / V, Q y0), a :class:`_System`: V = v
+and Q = -W v, or V = 1 and Q = -K.  Each solve is one pass of
+:func:`solve_ivp`, a step loop over the float DOP853 stepper of
+:mod:`sturmosc._dop853` that keeps every node and every step's dense rows;
+the stepper takes V and Q at a trial's 15 stage abscissae in one call of
+each coefficient's array evaluator.
 
 Every sign change of the dense output is bracketed by bisection into a
-:class:`ZeroCertificate`.
+:class:`ZeroCertificate`, on the float polynomial of the step that holds
+the bracket.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import numpy as np
 from . import _dop853
 from .errors import (InvalidParams, NonFiniteSample, OutOfValidity,
                      SingularStartFailure, ToleranceNotMet)
-from .profiles import (CurvatureProfile, DEFAULT_TOL, Profile, _check_tol, cumulative,
-                       integrate)
+from .profiles import (CurvatureProfile, DEFAULT_TOL, Profile, _check_tol, _Constant,
+                       cumulative, integrate)
 
 __all__ = [
     "ZeroCertificate",
@@ -107,15 +111,40 @@ class _DenseTable:
         y += self._y_old[step]
         return y.T
 
+    def _step(self, t):
+        """The step that holds t: a node belongs to the step that ends there."""
+        return min(max(bisect_left(self._nodes, t) - 1, 0), len(self._steps) - 1)
+
     def _at(self, t):
-        i = min(max(bisect_left(self._nodes, t) - 1, 0), len(self._steps) - 1)
-        t_old, h, (v, w), f0, f1 = self._steps[i]
+        t_old, h, (v, w), f0, f1 = self._steps[self._step(t)]
         x = (t - t_old) / h
         a = b = 0.0
         for fa, fb, m in zip(f0, f1, (x, 1 - x) * 3 + (x,)):
             a = (a + fa) * m
             b = (b + fb) * m
         return a + v, b + w
+
+    def _step_value(self, i):
+        """Component 0 of step i's interpolant, a float function: ``_at``'s
+        operations in its order, unrolled."""
+        t_old, h, (v, _), (f6, f5, f4, f3, f2, f1, f0), _ = self._steps[i]
+
+        def value(t):
+            x = (t - t_old) / h
+            y = 1 - x
+            return (((((((0.0 + f6) * x + f5) * y + f4) * x + f3) * y + f2) * x + f1) * y
+                    + f0) * x + v
+
+        return value
+
+    def value_on(self, a, b):
+        """Component 0 as a float function on the bracket [a, b]: the polynomial
+        of the step that holds it, or, where [a, b] spans a node, of the step
+        that holds each point."""
+        i = self._step(b)
+        if self._nodes[i] <= a:
+            return self._step_value(i)
+        return lambda t: self._step_value(self._step(t))(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +228,7 @@ def _refine_bracket(f, a, b, fa, fb, zero_tol):
         m = 0.5 * (a + b)
         fm = f(m)
         if fm == 0.0:
-            m2 = np.nextafter(m, b)
+            m2 = math.nextafter(m, b)
             fm = f(m2)
             if fm == 0.0:
                 break
@@ -214,7 +243,9 @@ def _refine_bracket(f, a, b, fa, fb, zero_tol):
 def _scan_chunk(sol, zero_tol):
     """Bracketed sign changes of component 0 on a dense output.
 
-    Each step is sampled at _SUBSAMPLES equally spaced points.
+    Each step is sampled at _SUBSAMPLES equally spaced points.  A
+    :class:`_DenseTable` bisects on the float polynomial of the step that
+    holds the bracket; any other dense output through ``float(sol(x)[0])``.
     """
     if sol is None:
         return []
@@ -223,9 +254,10 @@ def _scan_chunk(sol, zero_tol):
     grid = np.append(ts[:-1, None] + np.diff(ts)[:, None] * frac, ts[-1])
     vals = sol(grid)[0]
 
-    def f(x):
-        return float(sol(x)[0])
+    def generic(a, b):
+        return lambda x: float(sol(x)[0])
 
+    value_on = sol.value_on if isinstance(sol, _DenseTable) else generic
     certs = []
     # samples that are exactly 0.0 carry no sign: compare their neighbours
     nonzero = np.nonzero(vals != 0.0)[0]
@@ -234,7 +266,7 @@ def _scan_chunk(sol, zero_tol):
         i, k = nonzero[j], nonzero[j + 1]
         a, b = float(grid[i]), float(grid[k])
         fa, fb = float(vals[i]), float(vals[k])
-        a, b, fa, fb = _refine_bracket(f, a, b, fa, fb, zero_tol)
+        a, b, fa, fb = _refine_bracket(value_on(a, b), a, b, fa, fb, zero_tol)
         certs.append(ZeroCertificate(a, b, int(math.copysign(1, fa)),
                                      int(math.copysign(1, fb))))
     return certs
@@ -258,7 +290,8 @@ def solve_ivp(rhs, t0, y0, horizon, rtol, atol, zero_cap):
     g_new or g >= 0 >= g_new), the rule of scipy's events.  A start on a
     zero is counted there too, so it raises the cap by one, and a cap
     reached on the last step wins over the horizon, as in scipy's
-    ``solve_ivp``.  Every solve runs through this one call, once.
+    ``solve_ivp``.  Every solve runs through this one call, once; ``rhs`` is
+    its :class:`_System`.
     """
     solver = _dop853.Stepper(rhs, t0, y0, horizon, rtol=rtol, atol=atol)
     ts, ys, rows = [solver.t], [solver.y], []
@@ -276,6 +309,56 @@ def solve_ivp(rhs, t0, y0, horizon, rtol, atol, zero_cap):
     else:
         status = int(crossings >= cap)
     return _Pass(np.array(ts), np.array(ys).T, rows, solver.nfev, status)
+
+
+def _at_stages(evaluator, ts):
+    """An array evaluator at the abscissae ``ts``, broadcast to their shape."""
+    y = evaluator(ts)
+    if type(y) is not np.ndarray or y.shape != ts.shape:
+        y = np.broadcast_to(y, ts.shape)
+    return y
+
+
+_ONES = [1.0] * len(_dop853.C)
+
+
+class _System:
+    """The system y' = (y1 / V(t), Q(t) y0), with Q = -W V, of one solve.
+
+    :func:`solve_radial` solves it with V = v, :func:`solve_jacobi` with
+    V = 1.0 and W = K (``v`` None), where y1 / 1.0 and -K * 1.0 are exact.
+    A call (t, y) gives y' at one point, from the profiles' scalar forms;
+    where v vanishes numpy's inf or nan, not a ZeroDivisionError, rejects
+    the step.  ``stages(t, h)`` gives V and Q as lists of floats at the
+    abscissae t + C h of one DOP853 trial (``_dop853.C``), for the
+    stepper's linear kernel: from one call of each profile's array
+    evaluator, or, for a :func:`~sturmosc.profiles.constant`, its value.
+    """
+
+    def __init__(self, w, v=None):
+        self.w, self.v = w, v
+        c, wev = _dop853.C, w.evaluator
+        wc = wev.c if isinstance(wev, _Constant) else None
+        if v is None and wc is not None:
+            q = [-wc] * len(c)
+            self.stages = lambda t, h: (_ONES, q)
+        elif v is None:
+            self.stages = lambda t, h: (_ONES, (-_at_stages(wev, t + c * h)).tolist())
+        else:
+            vev = v.evaluator
+
+            def stages(t, h):
+                ts = t + c * h
+                vs = _at_stages(vev, ts)
+                ws = _at_stages(wev, ts) if wc is None else wc
+                return vs.tolist(), (-ws * vs).tolist()
+
+            self.stages = stages
+
+    def __call__(self, t, y):
+        vt = 1.0 if self.v is None else self.v.scalar(t)
+        flux = y[1] / vt if vt else np.divide(y[1], vt)
+        return flux, -self.w.scalar(t) * vt * y[0]
 
 
 def _drive(rhs, t0, y0, horizon, tol, zero_tol, zero_cap, weight):
@@ -318,12 +401,7 @@ def solve_jacobi(k, horizon, tol=DEFAULT_TOL, zero_tol=DEFAULT_ZERO_TOL,
         if u0 is None or du0 is None:
             raise InvalidParams("explicit start needs u0 and du0")
         t0, y0 = float(t_start), (float(u0), float(du0))
-    ks = kp.scalar
-
-    def rhs(t, y):
-        return (y[1], -ks(t) * y[0])
-
-    return _drive(rhs, t0, y0, horizon, tol, zero_tol, zero_cap, weight=None)
+    return _drive(_System(kp), t0, y0, horizon, tol, zero_tol, zero_cap, weight=None)
 
 
 def _singular_start(pair, z0):
@@ -378,15 +456,7 @@ def solve_radial(pair, z0, horizon, tol=DEFAULT_TOL, zero_tol=DEFAULT_ZERO_TOL,
         if dz0 is not None:
             raise InvalidParams("dz0 only applies to shifted (t_start > 0) pairs")
         t0, y0 = _singular_start(pair, float(z0))
-    vs, ws = v.scalar, w.scalar
-
-    def rhs(t, y):
-        vt = vs(t)
-        # where v vanishes numpy's inf or nan, not a ZeroDivisionError, rejects the step
-        flux = y[1] / vt if vt else np.divide(y[1], vt)
-        return (flux, -ws(t) * vt * y[0])
-
-    return _drive(rhs, t0, y0, horizon, tol, zero_tol, zero_cap, weight=v)
+    return _drive(_System(w, v), t0, y0, horizon, tol, zero_tol, zero_cap, weight=v)
 
 
 def locate_zeros(traj, zero_tol=DEFAULT_ZERO_TOL):

@@ -312,14 +312,26 @@ def certified_nonpositive(p):
     return p.sign in ("nonpositive", "zero")
 
 
+class _Constant:
+    """The evaluator of :func:`constant`: the float ``c`` in the shape of t.
+
+    The solver takes a constant's value at its stage abscissae without a
+    call; no other normal form tells a constant apart (t * (1/t) has the
+    form of 1, but its evaluator rounds)."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = c
+
+    def __call__(self, t):
+        return np.full(np.shape(t), self.c)
+
+
 def constant(value, label=""):
     v = float(value)
-
-    def ev(t):
-        return np.full(np.shape(t), v)
-
-    return _closed_form(ev, lambda t: v, (((v, 0.0, 0.0, 0.0),), True), _sign_of_value(v),
-                        label or f"const({v:g})")
+    return _closed_form(_Constant(v), lambda t: v, (((v, 0.0, 0.0, 0.0),), True),
+                        _sign_of_value(v), label or f"const({v:g})")
 
 
 def power(coefficient, exponent, label=""):
@@ -414,6 +426,8 @@ def reciprocal(p, label=""):
 def elementwise_power(p, exponent, label=""):
     """Pointwise p(t)**e; fractional exponents need a nonnegative certificate."""
     e = float(exponent)
+    if not math.isfinite(e):
+        raise InvalidParams(f"elementwise power needs a finite exponent, not {e!r}")
     if e != int(e) and not certified_nonnegative(p):
         raise InvalidParams(
             "fractional elementwise power needs a certified nonnegative profile")
@@ -806,6 +820,12 @@ _ORIGIN_LIMIT_GRID = np.geomspace(1e-2, 1e-7, 11)  # v -> 0 as t -> 0+
 _CURVATURE_GRID = np.geomspace(1e-3, 1e3, 41)
 
 
+def _check_b_const(b):
+    # nan would pass b < 0 and inf certifies no bound
+    if not 0.0 <= b < math.inf:
+        raise InvalidParams(f"b_const must be finite and >= 0, not {b!r}")
+
+
 @dataclass(frozen=True)
 class CoefficientPair:
     """A (v, W) coefficient pair for (v z')' + W v z = 0.
@@ -829,8 +849,7 @@ class CoefficientPair:
     wv: Profile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.b_const < 0:
-            raise InvalidParams("b_const must be >= 0")
+        _check_b_const(self.b_const)
         if self.t_start < 0:
             raise InvalidParams("t_start must be >= 0")
         object.__setattr__(self, "v_inv", reciprocal(self.v, label="1/v"))
@@ -878,8 +897,7 @@ class CurvatureProfile:
     def __post_init__(self):
         if not (2 <= self.m < math.inf and int(self.m) == self.m):
             raise InvalidParams("dimension m must be an integer >= 2")
-        if self.b_const < 0:
-            raise InvalidParams("b_const must be >= 0")
+        _check_b_const(self.b_const)
         if self.validate:
             ks = _samples(self.k, _CURVATURE_GRID.copy())
             if _failing(_CURVATURE_GRID, ks, -self.b_const ** 2, 1e-9, "K").any():

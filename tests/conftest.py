@@ -1,14 +1,37 @@
 """Shared catalog fixtures, the randomized admissible-pair family, the
 closed-form Euler oracle and the growth factor V as a second route."""
 
+import contextlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+import sturmosc.ode
 from sturmosc import (CoefficientPair, CurvatureProfile, add, constant,
                       integrate, multiply, power, reciprocal, tail_integral)
+
+
+@contextlib.contextmanager
+def recorded_solves(name="solve_ivp"):
+    """Route ``sturmosc.ode.<name>`` through a wrapper that keeps each result.
+
+    The layer trace of the benchmark counts solver work through
+    ``solve_ivp``; ``_drive`` returns the trajectory of every solve.
+    """
+    results = []
+    real = getattr(sturmosc.ode, name)
+
+    def record(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    setattr(sturmosc.ode, name, record)
+    try:
+        yield results
+    finally:
+        setattr(sturmosc.ode, name, real)
 
 
 # the criterion name a CLI criterion's verdict carries, where the two differ

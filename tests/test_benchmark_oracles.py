@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import sturmosc.cli  # noqa: F401  (the entry point the runner calls)
+from conftest import recorded_solves
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -45,3 +46,14 @@ def test_one_pass_without_failures(workload, seed, tmp_path, monkeypatch):
 @pytest.mark.parametrize("seed", range(4, 14))
 def test_riccati_ops_at_more_seeds(seed, tmp_path, monkeypatch):
     run_pass("criteria_grid", seed, tmp_path, monkeypatch, label="riccati")
+
+
+def test_solver_work_of_one_oscillatory_pass_is_pinned(tmp_path, monkeypatch):
+    # the work counts of the benchmark's traced pass at seed 1: a change to
+    # the solver that moves the steps, the RHS evaluations or the zeros shows here
+    with recorded_solves() as passes, recorded_solves("_drive") as trajectories:
+        run_pass("oscillatory_solve", 1, tmp_path, monkeypatch)
+    assert len(passes) == len(trajectories) == 2
+    assert sum(len(sol.t) - 1 for sol in passes) == 212
+    assert sum(sol.nfev for sol in passes) == 3244
+    assert sum(len(traj.zeros) for traj in trajectories) == 19

@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import math
 
@@ -18,10 +17,10 @@ from sturmosc import (CoefficientPair, CurvatureProfile, InvalidParams,
                       constant, extend_until_zero, locate_zeros, model_profiles,
                       multiply, power, residual_max, solve_jacobi, solve_radial,
                       space_form, warped_model)
-from sturmosc.ode import (DEFAULT_ZERO_TOL, JACOBI_START, RADIAL_START,
-                          _drive, _scan_chunk, _singular_start)
+from sturmosc.ode import (DEFAULT_ZERO_TOL, JACOBI_START, RADIAL_START, _DenseTable,
+                          _System, _drive, _scan_chunk, _singular_start)
 from sturmosc.profiles import DEFAULT_TOL
-from conftest import euler_pair, euler_zeros, pole_pair
+from conftest import euler_pair, euler_zeros, pole_pair, recorded_solves
 
 
 def euler_first_zero(mu):
@@ -78,6 +77,18 @@ class TestSolveJacobi:
         k = Profile(lambda t: np.where(t < 1.5, np.nan, 1.0))
         traj = solve_jacobi(k, 5.0, t_start=1.0, u0=1.0, du0=1.0)
         assert (traj.terminated_reason, traj.ts.tolist()) == ("step_underflow", [1.0])
+
+    def test_scalar_valued_evaluators_solve_like_their_constants(self):
+        # an evaluator that returns a float, not an array of t's shape, is
+        # broadcast over a trial's stage abscissae
+        pair = CoefficientPair(power(1.0, 2.0), constant(0.9), b_const=0.0)
+        bare = CoefficientPair(power(1.0, 2.0), Profile(lambda t: 0.9), b_const=0.0)
+        for traj, ref in ((solve_jacobi(Profile(lambda t: 1.0), 10.0),
+                           solve_jacobi(constant(1.0), 10.0)),
+                          (solve_radial(bare, 1.0, 10.0), solve_radial(pair, 1.0, 10.0))):
+            assert traj.ts.tobytes() == ref.ts.tobytes()
+            assert traj.values.tobytes() == ref.values.tobytes()
+            assert traj.zeros == ref.zeros and len(ref.zeros) > 0
 
     def test_zero_cap_from_start_on_a_zero(self, unit_curvature):
         # u = sin(t - 1): the start is a zero but no sign change
@@ -289,6 +300,30 @@ class TestLocateZeros:
         assert certs[0].t_lo < 0.5 < certs[0].t_hi
         assert certs[0].width <= 2e-8
         assert (certs[0].sign_before, certs[0].sign_after) == (-1, 1)
+        # the midpoint 0.5 is a zero and is retried one ulp on: still a float
+        assert type(certs[0].t_lo) is float and type(certs[0].t_hi) is float
+
+    def test_bracket_across_a_node_bisects_each_point_on_its_own_step(self):
+        # value t - 1 on the step [0, 1] and (t - 1)^2 on [1, 2]: the scan
+        # sample at the node t = 1 is 0, so the bracket [7/8, 9/8] spans the
+        # node; the second step's polynomial is positive below it, so a
+        # bisection on that polynomial alone would end near 7/8
+        zero = (0.0, 0.0)
+        table = _DenseTable(np.array([0.0, 1.0, 2.0]),
+                            np.array([[-1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]),
+                            [[(1.0, 0.0)] + [zero] * 6,
+                             [(1.0, 0.0), (-1.0, 0.0)] + [zero] * 5])
+
+        class CallsOnly:
+            """The table through calls alone: the scan's generic path."""
+            ts = table.ts
+
+            def __call__(self, x):
+                return table(x)
+
+        certs = _scan_chunk(table, 1e-12)
+        assert len(certs) == 1 and certs[0].t_lo < 1.0 < certs[0].t_hi
+        assert certs == _scan_chunk(CallsOnly(), 1e-12)
 
     def test_constant_trajectory_empty(self):
         pair = CoefficientPair(power(1.0, 2.0), constant(0.0), b_const=0.0)
@@ -397,26 +432,6 @@ def test_tol_at_the_rtol_floor_solves(case):
     assert TOL_FLOOR_SOLVES[case](100.0 * np.finfo(float).eps).terminated_reason == "horizon"
 
 
-@contextlib.contextmanager
-def recorded_solves():
-    """Route ``sturmosc.ode.solve_ivp`` through a wrapper that keeps each result.
-
-    The layer trace of the benchmark counts solver work through this name.
-    """
-    results = []
-    real = sturmosc.ode.solve_ivp
-
-    def record(*args, **kwargs):
-        results.append(real(*args, **kwargs))
-        return results[-1]
-
-    sturmosc.ode.solve_ivp = record
-    try:
-        yield results
-    finally:
-        sturmosc.ode.solve_ivp = real
-
-
 SOLVES = {
     **{f"jacobi(K={k:g})": functools.partial(
         solve_jacobi, CurvatureProfile(constant(k), m=2), 30.0)
@@ -481,6 +496,19 @@ class TestDenseTable:
         for t in pts[:8]:
             assert np.array(traj.dense(t)).tobytes() == ref(t).tobytes()
             assert traj.state(t).tobytes() == ref(t).tobytes()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_step_values_are_the_scalar_path_bit_for_bit(self, data):
+        # the bisection's float polynomial of a step against _at at nodes,
+        # step ends and points inside
+        traj, _ = solved(data.draw(st.sampled_from(TABLE_CASES)))
+        table = traj.dense
+        inside = st.floats(traj.t_start, traj.t_end)
+        for t in data.draw(st.lists(inside | st.sampled_from(traj.ts.tolist()),
+                                    min_size=1, max_size=20)):
+            value = table._step_value(table._step(t))(t)
+            assert float_bits(value) == float_bits(table._at(t)[0])
 
     @pytest.mark.parametrize("zero_tol", [1e-6, 1e-8, 1e-12])
     @pytest.mark.parametrize("case", SCAN_CASES)
@@ -610,11 +638,12 @@ def test_zero_cap_stops_where_scipys_terminal_event_does(case, monkeypatch):
 
 
 ONE_STEPS = {
-    # a smooth step, accepted at once
-    "airy": (lambda t, y: (y[1], -(1.0 + t) * y[0]), 0.3),
-    # the first try crosses the jump at t = 1 and is rejected; the retry
-    # sees a constant slope, so its factor is clamped to 1 after the rejection
-    "jump": (lambda t, y: (1.0 if t < 1.0 else 1e3, 0.0), 2.0),
+    # y' = (y1, -(1 + t) y0): a smooth step, accepted at once
+    "airy": (_System(add(constant(1.0), power(1.0, 1.0))), 0.3),
+    # y' = (y1 / V, 0) with y1 = 1, V = 1 before t = 1 and 1e-3 after: the
+    # first try crosses the jump and is rejected; the retry sees a constant
+    # slope, so its factor is clamped to 1 after the rejection
+    "jump": (_System(constant(0.0), Profile(lambda t: np.where(t < 1.0, 1.0, 1e-3))), 2.0),
 }
 
 
@@ -648,7 +677,9 @@ def combine(ks, row):
 
 
 def stages_by_loop(rhs, t, h, y0, y1, f):
-    """What ``_trial`` and ``_extra`` return, by loops over the tableau."""
+    """What ``_trial`` and ``_extra`` compute, by loops over the tableau and
+    calls of the pointwise ``rhs``: the trial, with its stages as pairs, and
+    the dense rows."""
     dop = sturmosc._dop853
     ks = [f]
     for c, row in dop._STAGES:
@@ -664,38 +695,94 @@ def stages_by_loop(rhs, t, h, y0, y1, f):
     return trial, [(h * a, h * b) for a, b in (combine(ks, row) for row in dop._D)]
 
 
+class LoopStepper(sturmosc._dop853.Stepper):
+    """The float stepper with every trial by ``stages_by_loop`` on its pointwise
+    ``rhs``, in place of the linear kernel: the reference for the kernel's drive."""
+
+    def _trial(self, t, h, y0, y1, f):
+        (*trial, ks), self._rows = stages_by_loop(self.rhs, t, h, y0, y1, f)
+        return (*trial, sum(ks, ()))
+
+    def _dense(self, h, y0, y1, ks):
+        return self._rows
+
+
 def float_bits(x):
     """The bytes of every float in a nest of tuples and lists, signs of zero included."""
     return np.array(x, dtype=float).tobytes()
 
 
 SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-10.0, 10.0)
+STAGE_VALUES = st.lists(SIGNED, min_size=15, max_size=15)
 
 
-@given(st.tuples(SIGNED, SIGNED, SIGNED, SIGNED), st.floats(-1e3, 1e3),
-       st.floats(1e-9, 10.0), SIGNED, SIGNED)
-@settings(max_examples=200, deadline=None)
-@example((-0.0, -0.0, -0.0, -0.0), 0.0, 1.0, -0.0, -0.0)
-@example((0.0, -1.0, 1.0, -0.0), -0.0, 0.5, -0.0, 0.0)
-def test_generated_kernel_matches_the_loop_bit_for_bit(m, t, h, y0, y1):
-    # a sum that started from its first term instead of 0.0 would keep a
-    # -0.0 there: the signed zeros pin the start
-    abscissae = []
+@given(STAGE_VALUES, STAGE_VALUES, st.floats(-1e3, 1e3), st.floats(1e-9, 10.0),
+       SIGNED, SIGNED, st.tuples(SIGNED, SIGNED))
+@settings(max_examples=300, deadline=None)
+@example([1.0] * 15, [-0.0] * 15, 0.0, 1.0, -0.0, -0.0, (-0.0, -0.0))
+@example([-1.0] * 15, [1.0] * 15, -0.0, 0.5, -0.0, 0.0, (0.0, -0.0))
+# V vanishes at an interior stage, at the new state (stage 12) and at a
+# dense stage, with a flux of either sign or 0 to divide
+@example([1.0] * 5 + [0.0] + [1.0] * 9, [-1.0] * 15, 0.0, 1.0, 1.0, 0.5, (0.5, -1.0))
+@example([2.0] * 11 + [-0.0] + [2.0] * 3, [-2.0] * 15, 3.0, 0.25, 1.0, -0.5, (-0.25, -2.0))
+@example([1.0] * 13 + [0.0, 1.0], [-0.0] * 15, 0.0, 1.0, 1.0, 0.0, (0.0, -0.0))
+def test_generated_kernel_matches_the_loop_bit_for_bit(v, q, t, h, y0, y1, f):
+    # the kernel's y' = (y1 / V, Q y0) against the loop over the pointwise
+    # system whose j-th call takes V = v[j] and Q = q[j]; a sum that started
+    # from its first term instead of 0.0 would keep a -0.0 there: the signed
+    # zeros pin the start
+    abscissae, values = [], iter(zip(v, q))
 
     def rhs(t, y):
         abscissae.append(t)
-        return (m[0] * y[0] + m[1] * y[1], m[2] * y[0] + m[3] * y[1])
+        vj, qj = next(values)
+        return (y[1] / vj if vj else np.divide(y[1], vj), qj * y[0])
 
-    f = rhs(t, (y0, y1))
-    (*trial_ref, ks_ref), rows_ref = stages_by_loop(rhs, t, h, y0, y1, f)
-    ref_abscissae = abscissae[1:]
-    del abscissae[1:]
-    *trial, ks = sturmosc._dop853._trial(rhs, t, h, y0, y1, f)
+    dop = sturmosc._dop853
+    with np.errstate(all="ignore"):
+        (*trial_ref, ks_ref), rows_ref = stages_by_loop(rhs, t, h, y0, y1, f)
+        *trial, ks = dop._trial(h, y0, y1, f, v, q)
+        rows = dop._extra(h, y0, y1, ks, v, q)
     assert float_bits(trial) == float_bits(trial_ref)
     assert float_bits(ks) == float_bits(ks_ref)
-    rows = sturmosc._dop853._extra(rhs, t, h, y0, y1, ks)
     assert float_bits(rows) == float_bits(rows_ref)
-    assert float_bits(abscissae[1:]) == float_bits(ref_abscissae)
+    # the coefficients were taken where the loop calls the system
+    assert float_bits(abscissae) == float_bits(t + dop.C * h)
+
+
+@given(st.floats() | st.sampled_from([0.0, -0.0, 5e-324, math.inf]),
+       st.floats(-1e3, 1e3), st.floats(1e-9, 10.0))
+@settings(max_examples=200, deadline=None)
+def test_constant_stage_values_are_the_evaluators_bit_for_bit(c, t, h):
+    # a constant's stage values are taken without an evaluator call; they
+    # are what the call gives, signs of zero and NaNs included
+    k, v = constant(c), power(1.0, 2.0)
+    ts = t + sturmosc._dop853.C * h
+    with np.errstate(all="ignore"):
+        assert (float_bits(_System(k).stages(t, h))
+                == float_bits(([1.0] * 15, (-k.evaluator(ts)).tolist())))
+        vs = v.evaluator(ts)
+        assert (float_bits(_System(k, v).stages(t, h))
+                == float_bits((vs.tolist(), (-k.evaluator(ts) * vs).tolist())))
+
+
+def test_weight_vanishing_at_an_interior_stage_rejects_the_trial():
+    # v = (t - 1/4)^2 vanishes at stage 6's abscissa 0 + 0.25 * 1 of the try
+    # h = 1: numpy's inf there rejects the trial, and the step taken is the
+    # loop's over the pointwise system, bit for bit
+    shifted = add(power(1.0, 1.0), constant(-0.25))
+    system = _System(constant(1.0), multiply(shifted, shifted))
+    assert system.stages(0.0, 1.0)[0][5] == 0.0
+    steppers = []
+    for stepper in (sturmosc._dop853.Stepper, LoopStepper):
+        steppers.append(stepper(system, 0.0, (1.0, 0.0), 10.0, rtol=1e-9, atol=1e-13))
+        steppers[-1].h_abs = 1.0
+        with np.errstate(all="ignore"):
+            assert steppers[-1].step() is None
+    ours, ref = steppers
+    assert 0.0 < ours.t < 1.0
+    for name in ("t", "y", "f", "h_abs", "nfev", "rows"):
+        assert float_bits(getattr(ours, name)) == float_bits(getattr(ref, name))
 
 
 def nonzero(row):
@@ -746,21 +833,40 @@ def test_first_step_is_scipys_select_initial_step(case, m, t0, y0, length, rtol,
     assert float_bits(ours) == float_bits(ref)
 
 
+class CountedSystem:
+    """A solve's system that counts its pointwise calls and its trials."""
+
+    def __init__(self, system):
+        self.system, self.points, self.trials = system, 0, 0
+
+    def __call__(self, t, y):
+        self.points += 1
+        return self.system(t, y)
+
+    def stages(self, t, h):
+        self.trials += 1
+        return self.system.stages(t, h)
+
+
 @pytest.mark.parametrize("case", SOLVES)
 def test_nfev_counts_every_rhs_call(case, monkeypatch):
-    calls = []
+    # of the 15 abscissae a trial samples, it is charged 12 (stages 1-11 and
+    # t + h) and an accepted step the 3 of its dense stages; the start adds
+    # f0 and the first step's trial call
+    systems = []
     real = sturmosc.ode._drive
 
-    def drive(rhs, *args, **kwargs):
-        def counted(t, y):
-            calls.append(t)
-            return rhs(t, y)
-        return real(counted, *args, **kwargs)
+    def drive(system, *args, **kwargs):
+        systems.append(CountedSystem(system))
+        return real(systems[-1], *args, **kwargs)
 
     monkeypatch.setattr(sturmosc.ode, "_drive", drive)
     with recorded_solves() as sols:
         SOLVES[case]()
-    assert sols[0].nfev == len(calls) > 0
+    (counted,), (sol,) = systems, sols
+    steps = len(sol.t) - 1
+    assert counted.points == 2 and counted.trials >= steps > 0
+    assert sol.nfev == counted.points + 12 * counted.trials + 3 * steps
 
 
 def numpy_rhs_jacobi(k):
@@ -798,17 +904,20 @@ SCALAR_RHS_CASES = {
 
 
 @pytest.mark.parametrize("case", SCALAR_RHS_CASES)
-def test_scalar_rhs_drives_like_the_numpy_rhs(case):
+def test_scalar_rhs_drives_like_the_numpy_rhs(case, monkeypatch):
+    # the linear kernel on the array evaluators' stage values against the
+    # loop over the pointwise numpy right-hand side
     coef, horizon = SCALAR_RHS_CASES[case]
     # the solvers' tol, zero_tol and zero_cap at their defaults
     tols = (DEFAULT_TOL, DEFAULT_ZERO_TOL, None)
+    traj = (solve_radial(coef, 1.0, horizon) if isinstance(coef, CoefficientPair)
+            else solve_jacobi(coef, horizon))
+    monkeypatch.setattr(sturmosc._dop853, "Stepper", LoopStepper)
     if isinstance(coef, CoefficientPair):
-        traj = solve_radial(coef, 1.0, horizon)
         t0, y0 = ((coef.t_start, (1.0, 0.0)) if coef.t_start > 0
                   else _singular_start(coef, 1.0))
         ref = _drive(numpy_rhs_radial(coef), t0, y0, horizon, *tols, coef.v)
     else:
-        traj = solve_jacobi(coef, horizon)
         ref = _drive(numpy_rhs_jacobi(coef.k), JACOBI_START,
                      (JACOBI_START, 1.0), horizon, *tols, None)
     for name in ("ts", "values", "fluxes"):

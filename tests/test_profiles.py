@@ -664,6 +664,12 @@ class TestAlgebra:
         assert q(3.0) == pytest.approx(6.0)
         assert q.tail.exponent == 1.0
 
+    @pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
+    def test_elementwise_power_refuses_a_non_finite_exponent(self, exponent):
+        # int(e) in the fractional test used to raise OverflowError or ValueError
+        with pytest.raises(InvalidParams, match="finite exponent"):
+            elementwise_power(power(1.0, 1.0), exponent)
+
     def test_elementwise_power_overflowing_tail_is_dropped(self):
         huge = reciprocal(power(1e-230, 0.0))
         assert huge.tail.coefficient == pytest.approx(1e230)
@@ -809,6 +815,19 @@ class TestCoefficientPair:
     def test_negative_b_rejected(self):
         with pytest.raises(InvalidParams):
             CoefficientPair(power(1.0, 2.0), constant(1.0), b_const=-1.0)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("b", [math.nan, math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda b, validate: CoefficientPair(power(1.0, 2.0), constant(1.0), b_const=b,
+                                            validate=validate),
+        lambda b, validate: CurvatureProfile(constant(1.0), b_const=b, validate=validate),
+    ], ids=["pair", "curvature"])
+    def test_non_finite_b_rejected(self, make, b, validate):
+        # nan passed b < 0: it blamed K or W v^2 with NonFiniteSample, and
+        # unvalidated, check_first_zero returned rhs = nan; inf certifies nothing
+        with pytest.raises(InvalidParams, match="b_const must be finite"):
+            make(b, validate)
 
     @pytest.mark.parametrize("w,error", [(1.0, None), (0.0, NonFiniteSample),
                                          (-1.0, InvalidParams)])
